@@ -11,10 +11,11 @@ splitter's last-buffer-byte classification.  Usage:
 
 Exit 0 = all trials clean for both analyzers.
 """
+import os
 import random
 import sys
 
-sys.path.insert(0, __file__.rsplit("/", 2)[0])
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import pyarrow as pa
 import pyarrow.compute as pc

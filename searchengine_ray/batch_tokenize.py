@@ -69,9 +69,12 @@ def _flat_pieces(
     the split is T1's exact two-level split (lines on "\\n", pieces on a
     single space — empties preserved here; the strip/drop happens in the
     distinct-piece pass so position accounting stays exact).  For
-    ``whitespace`` Arrow's utf8_split_whitespace collapses runs like
-    Python ``str.split()`` but keeps edge empties — those map to zero
-    terms and no position, same as reference empties."""
+    ``whitespace`` every character in ``_PY_WS_PATTERN`` is first
+    rewritten to a single space by a regex replace, then the contents
+    are split on the literal " ".  Runs of whitespace therefore leave
+    empty pieces (as do leading/trailing spaces); those map to zero terms
+    and no position, same as reference empties, and the non-empty pieces
+    are exactly Python ``str.split()``'s."""
     contents = pc.fill_null(contents, "")
     if analyzer == "whitespace":
         # Split BEFORE lowercasing (no codepoint changes case into or out

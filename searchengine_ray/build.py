@@ -1773,9 +1773,13 @@ def _reconcile_stale_docstats(spans: list, base: int = 0,
                 os.remove(s[5])
             except OSError:
                 pass
+        fate = (f"dropped {len(dropped)} stale overlapping side-file(s) "
+                f"left by a task retry")
+    else:
+        fate = (f"ignored {len(dropped)} stale overlapping side-file(s) "
+                f"from a task retry (left on disk)")
     warnings.warn(
-        f"docstats reconciliation: dropped {len(dropped)} stale "
-        f"overlapping side-file(s) left by a task retry; kept "
+        f"docstats reconciliation: {fate}; kept "
         f"{len(kept)} files tiling 0..{kept[-1][1]}",
         RuntimeWarning,
         stacklevel=2,

@@ -161,7 +161,8 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
     # the generation set the on-disk files belong to: matching marker →
     # resume; anything else under out_dir → wipe the merge outputs
     # (refusing, rather than wiping, when out_dir holds a non-merge
-    # index — someone pointed the merge at a build_index output).
+    # index — someone pointed the merge at a build_index output, or at a
+    # crashed build_index dir with segments but no manifest yet).
     fingerprint = "merge:" + ",".join(
         str(m.get("fingerprint")) for _, m in parts)
     marker_path = os.path.join(out_dir, "_MERGE_FINGERPRINT")
@@ -174,6 +175,12 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
                 f"{out_dir} holds an index built by build_index, not a "
                 f"previous merge; refusing to overwrite — pick an empty "
                 f"out_dir or delete it first")
+    elif not os.path.exists(marker_path) and any(
+            os.path.isdir(p) and os.listdir(p) for p in (seg_out, stats_out)):
+        raise ValueError(
+            f"{out_dir} holds segments/ or docstats/ but neither a manifest "
+            f"nor a merge fingerprint (a crashed build_index?); refusing to "
+            f"overwrite — pick an empty out_dir or delete it first")
     prev_fp = None
     if os.path.exists(marker_path):
         with open(marker_path) as f:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .postings import PostingList
+from .postings import PostingList, _ragged_gather_indices
 
 
 class QueryNode:
@@ -147,80 +147,115 @@ def contains_phrase(node: QueryNode) -> bool:
 
 
 # ---- vectorized merges ----
+#
+# Every merge below is a fixed number of numpy passes over whole arrays;
+# none loops over documents or postings in Python.  All inputs are
+# doc_id-ascending with unique doc_ids.
+
+_I64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _in_sorted(values: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` entries present in the ascending ``ref``."""
+    if ref.size == 0:
+        return np.zeros(values.size, dtype=bool)
+    i = np.searchsorted(ref, values)
+    np.minimum(i, ref.size - 1, out=i)
+    return ref[i] == values
+
 
 def intersect_keep_left(left: PostingList, right: PostingList) -> PostingList:
-    idx = np.flatnonzero(np.isin(left.doc_ids, right.doc_ids, assume_unique=True))
-    return left.take(idx)
+    return left.take(np.flatnonzero(_in_sorted(left.doc_ids, right.doc_ids)))
 
 
 def difference(left: PostingList, right: PostingList) -> PostingList:
-    idx = np.flatnonzero(
-        ~np.isin(left.doc_ids, right.doc_ids, assume_unique=True)
-    )
-    return left.take(idx)
+    return left.take(np.flatnonzero(~_in_sorted(left.doc_ids, right.doc_ids)))
 
 
 def union_first_wins(parts: list[PostingList]) -> PostingList:
     """Sorted union of doc_ids; for a doc in several lists keep the posting
-    from the earliest component (orquery.py first-seen-dedup)."""
+    from the earliest component (orquery.py first-seen-dedup).  A stable
+    sort of the concatenated doc_ids puts each doc's earliest posting
+    first; positions of the winners come out of one ragged gather over
+    the concatenated positions."""
     parts = [p for p in parts if len(p)]
     if not parts:
         return PostingList.empty()
     if len(parts) == 1:
         return parts[0]
     all_ids = np.concatenate([p.doc_ids for p in parts])
-    comp = np.concatenate(
-        [np.full(len(p), i, dtype=np.int64) for i, p in enumerate(parts)]
-    )
-    within = np.concatenate([np.arange(len(p), dtype=np.int64) for p in parts])
-    order = np.lexsort((comp, all_ids))  # doc_id asc, then component asc
+    order = np.argsort(all_ids, kind="stable")  # doc_id asc, then component
     ids_sorted = all_ids[order]
     first = np.ones(ids_sorted.size, dtype=bool)
     first[1:] = ids_sorted[1:] != ids_sorted[:-1]
-    sel = order[first]             # winning (component, within) per doc
-    sel_comp = comp[sel]
-    sel_within = within[sel]
+    sel = order[first]  # winning posting per doc, indexing the concatenation
     doc_ids = ids_sorted[first]
-    tftds = np.empty(doc_ids.size, dtype=np.int64)
-    for i, p in enumerate(parts):
-        mask = sel_comp == i
-        tftds[mask] = p.tftds[sel_within[mask]]
-    if not all(p.positions is not None for p in parts):
+    tftds = np.concatenate([p.tftds for p in parts])[sel].astype(
+        np.int64, copy=False)
+    if any(p.positions is None for p in parts):
         return PostingList(doc_ids, tftds)
+    base = np.cumsum([0] + [p.positions.size for p in parts[:-1]])
+    starts = np.concatenate(
+        [p.pos_offsets[:-1] + b for p, b in zip(parts, base)]
+    )[sel]
+    gather = _ragged_gather_indices(starts, tftds)
+    positions = np.concatenate([p.positions for p in parts])[gather]
     offsets = np.zeros(doc_ids.size + 1, dtype=np.int64)
     np.cumsum(tftds, out=offsets[1:])
-    positions = np.empty(int(tftds.sum()), dtype=np.int64)
-    for j in range(doc_ids.size):
-        positions[offsets[j]:offsets[j + 1]] = parts[
-            int(sel_comp[j])
-        ].positions_of(int(sel_within[j]))
-    return PostingList(doc_ids, tftds, positions, offsets)
+    return PostingList(
+        doc_ids, tftds, positions.astype(np.int64, copy=False), offsets)
 
 
 def positional_intersect(left: PostingList, right: PostingList) -> PostingList:
     """Docs in both lists where some left position p has p+1 in right;
-    result positions are the matching p+1 values
-    (phraseliteral.py:36-63)."""
-    common = np.intersect1d(left.doc_ids, right.doc_ids, assume_unique=True)
-    if common.size == 0:
-        return PostingList.empty(True)
-    li = np.searchsorted(left.doc_ids, common)
-    ri = np.searchsorted(right.doc_ids, common)
+    result positions are the matching p+1 values, in left order
+    (phraseliteral.py:36-63).
 
-    out_ids, out_lens, out_pos = [], [], []
-    for l_idx, r_idx, doc in zip(li, ri, common):
-        lp = left.positions_of(int(l_idx)) + 1
-        rp = right.positions_of(int(r_idx))
-        matched = lp[np.isin(lp, rp)]
-        if matched.size:
-            out_ids.append(doc)
-            out_lens.append(matched.size)
-            out_pos.append(matched)
-    if not out_ids:
+    The positions of the common docs are gathered flat from both sides
+    and tagged with their common-doc index d; a left p+1 matches iff its
+    key ``d * span + (p + 1 - lo)`` is among the right side's keys, where
+    ``[lo, lo + span)`` covers every gathered position.  Keys are exact
+    while ``n_common * span`` fits int64, which it always does for
+    indexes this package writes (positions are int32 token offsets).
+    Past that, positions are first replaced by their rank among the
+    distinct gathered positions, which bounds the key by
+    ``n_common * (n_left + n_right)`` -- below 2**63 for any arrays that
+    fit in memory -- so no input can overflow the key.
+    """
+    li = np.flatnonzero(_in_sorted(left.doc_ids, right.doc_ids))
+    ri = np.searchsorted(right.doc_ids, left.doc_ids[li])
+    l_lens = left.pos_offsets[li + 1] - left.pos_offsets[li]
+    r_lens = right.pos_offsets[ri + 1] - right.pos_offsets[ri]
+    if not (l_lens.any() and r_lens.any()):
         return PostingList.empty(True)
-    doc_ids = np.asarray(out_ids, dtype=np.int64)
-    lens = np.asarray(out_lens, dtype=np.int64)
-    offsets = np.zeros(doc_ids.size + 1, dtype=np.int64)
+    nxt = left.positions[
+        _ragged_gather_indices(left.pos_offsets[li], l_lens)] + 1
+    rpos = right.positions[
+        _ragged_gather_indices(right.pos_offsets[ri], r_lens)]
+    l_doc = np.repeat(np.arange(li.size), l_lens)
+    lkey, rkey = _doc_position_keys(
+        li.size, l_doc, nxt, np.repeat(np.arange(li.size), r_lens), rpos)
+    hit = _in_sorted(lkey, np.sort(rkey, kind="stable"))
+    lens = np.bincount(l_doc[hit], minlength=li.size)
+    keep = np.flatnonzero(lens)
+    if keep.size == 0:
+        return PostingList.empty(True)
+    lens = lens[keep]
+    offsets = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
-    positions = np.concatenate(out_pos)
-    return PostingList(doc_ids, lens, positions, offsets)
+    doc_ids = left.doc_ids[li[keep]].astype(np.int64, copy=False)
+    return PostingList(doc_ids, lens, nxt[hit], offsets)
+
+
+def _doc_position_keys(n_docs, l_doc, lpos, r_doc, rpos):
+    """int64 keys equal iff (doc, position) pairs are equal; see
+    ``positional_intersect`` for why they cannot overflow."""
+    lpos = lpos.astype(np.int64, copy=False)
+    rpos = rpos.astype(np.int64, copy=False)
+    lo = min(int(lpos.min()), int(rpos.min()))
+    span = max(int(lpos.max()), int(rpos.max())) - lo + 1
+    if n_docs * span > _I64_MAX:
+        ranks = np.unique(np.concatenate([lpos, rpos]), return_inverse=True)[1]
+        lpos, rpos = ranks[:lpos.size], ranks[lpos.size:]
+        lo, span = 0, int(ranks.max()) + 1
+    return l_doc * span + (lpos - lo), r_doc * span + (rpos - lo)

@@ -64,9 +64,6 @@ class PostingList:
 
 def _ragged_gather_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Flat indices selecting ``lens[i]`` consecutive ints from ``starts[i]``."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out_off = np.repeat(np.cumsum(lens) - lens, lens)
-    ar = np.arange(total, dtype=np.int64)
-    return np.repeat(starts, lens) + (ar - out_off)
+    out = np.arange(int(lens.sum()), dtype=np.int64)
+    out += np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return out

@@ -17,10 +17,12 @@ Reference semantics replicated exactly:
   would divide by zero on such a term (rankedquery.py:15) — we skip it
   instead of crashing.
 
-The exact scorer is term-at-a-time over full decoded posting lists, fully
-vectorized.  The WAND path uses the per-skip-block max wdt persisted in the
-segments (build.py): a block whose wqt*max_wdt (summed over live terms)
-cannot beat the current kth score is never decoded.
+The exact scorer is term-at-a-time over full decoded posting lists: the
+per-term weights are numpy arrays, but they are summed per document in a
+Python dict and every scored doc is sorted.  The WAND path uses the
+per-skip-block max wdt persisted in the segments (build.py): a block
+whose wqt*max_wdt (summed over live terms) cannot beat the current kth
+score is never decoded.
 """
 
 from __future__ import annotations
@@ -300,15 +302,16 @@ def rank_bm25_wand(index, raw_query: str, top_k: int = 10) -> list[tuple[int, fl
                     c.next_geq(pivot_doc)
             live = [c for c in live if not c.exhausted()]
             continue
-        # 4. all involved cursors sit on >= pivot_doc: score pivot exactly
+        # 4. all involved cursors sit on >= pivot_doc: score pivot exactly,
+        # in query-term order and with rank_documents_exact's arithmetic,
+        # so both paths give bit-equal scores and break score ties alike
         score = 0.0
         dl = float(index.doc_length[pivot_doc])
         norm = BM25_K1 * ((1.0 - BM25_B) + BM25_B * (dl / avgdl))
-        for c in involved:
-            if c.cur_doc != pivot_doc:
-                continue
-            tf = float(c.current_tf())
-            score += c.wqt * (BM25_K1 + 1.0) * tf / (norm + tf)
+        for c in cursors:
+            if c.cur_doc == pivot_doc:
+                tf = float(c.current_tf())
+                score += c.wqt * ((BM25_K1 + 1.0) * tf / (norm + tf))
         entry = (score, -pivot_doc)
         if len(heap) < top_k:
             heapq.heappush(heap, entry)

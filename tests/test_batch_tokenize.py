@@ -118,7 +118,7 @@ def test_property_parity_whitespace(docs):
     _assert_parity(docs, "whitespace")
 
 # every multi-byte codepoint Python's str.split() splits on (the set
-# batch_tokenize._NON_PORTABLE_WS_PATTERN normalizes away): each one mid-
+# batch_tokenize._PY_WS_PATTERN normalizes away): each one mid-
 # string, at string start, and at string END — the last doc's trailing
 # char is the end of the batch's data buffer, where pyarrow 16.1.0's
 # utf8_split_whitespace misclassified U+00A0 depending on heap state

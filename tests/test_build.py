@@ -480,6 +480,25 @@ class TestCorpusScalars:
         # dir is clean now: the fast path returns silently
         assert corpus_scalars(d) == (8, 24)
 
+    def test_read_only_reconciliation_says_ignored(self, ray_session,
+                                                   tmp_path):
+        """allow_cleanup=False returns the same scalars but keeps the
+        stale file, and its warning must say so rather than 'dropped'."""
+        from searchengine_ray.build import corpus_scalars
+
+        d = str(tmp_path)
+        self._write_docstats(d, "docstats_stale.parquet", [2, 3, 4, 5])
+        os.utime(os.path.join(d, "docstats_stale.parquet"),
+                 ns=(1_000_000_000, 1_000_000_000))
+        self._write_docstats(d, "docstats_a.parquet", [0, 1, 2, 3])
+        self._write_docstats(d, "docstats_b.parquet", [4, 5, 6, 7])
+        with pytest.warns(RuntimeWarning) as rec:
+            assert corpus_scalars(d, allow_cleanup=False) == (8, 24)
+        msg = str(rec[0].message)
+        assert "ignored 1 stale" in msg and "(left on disk)" in msg
+        assert "dropped" not in msg
+        assert len(os.listdir(d)) == 3
+
     def test_reconciliation_requires_exact_tiling(self, ray_session,
                                                   tmp_path):
         """If dropping overlapped files leaves a doc-id gap, the

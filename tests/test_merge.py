@@ -275,3 +275,25 @@ def test_merge_refuses_build_index_out_dir(merged_setup):
     with pytest.raises(ValueError, match="refusing"):
         merge_indexes([a_dir], full_dir)
 
+
+
+def test_merge_refuses_crashed_build_index_out_dir(merged_setup, tmp_path):
+    """A build_index dir that crashed before its manifest commit holds
+    segments/ and docstats/ but neither a manifest nor a merge
+    fingerprint: the merge must refuse and leave it as it was."""
+    import shutil
+
+    full_dir, out_dir, _, _ = merged_setup
+    with open(os.path.join(out_dir, "manifest.json")) as f:
+        a_dir = json.load(f)["merged_from"][0]["dir"]
+    crashed = str(tmp_path / "crashed")
+    shutil.copytree(full_dir, crashed)
+    os.remove(os.path.join(crashed, "manifest.json"))
+    before = {sub: sorted(os.listdir(os.path.join(crashed, sub)))
+              for sub in ("segments", "docstats")}
+    assert all(before.values())
+    with pytest.raises(ValueError, match="refusing"):
+        merge_indexes([a_dir], crashed)
+    assert {sub: sorted(os.listdir(os.path.join(crashed, sub)))
+            for sub in before} == before
+    assert not os.path.exists(os.path.join(crashed, "_MERGE_FINGERPRINT"))

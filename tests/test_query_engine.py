@@ -110,6 +110,17 @@ class TestRanked:
             assert ed == wd
             assert es == pytest.approx(ws, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "q", RANKED_QUERIES + ["apostroph data import quot"])
+    def test_wand_scores_bit_equal_to_exact(self, engine, q):
+        """WAND sums a doc's term weights in query-term order with the
+        exact scorer's arithmetic, so scores are bit-equal and tied scores
+        order alike.  "apostroph data import quot" has a three-way tie at
+        rank 8 that another summation order split by one ulp."""
+        for k in (10, 15):
+            assert (engine.ranked_query(q, True, k, use_wand=True)
+                    == engine.ranked_query(q, True, k, use_wand=False))
+
     def test_returns_all_when_no_topk(self, engine, oracle):
         got = engine.ranked_query("search", use_okapi=True, top_k=None)
         assert len(got) == len(oracle.rank("search", True))
