@@ -1,17 +1,18 @@
 """Benchmark harness.
 
-Default: run the headline pipelines over $GRAFT_SF_DIR (default
-/root/testdata/sf0.1) with num_cpus=$RAY_GRAFT_CPUS (default 32) and print
-ONE JSON line.
+Default: run the headline pipelines over $GRAFT_SF_DIR (default: the
+sf0.1 test data, see SF_DIR) with num_cpus=$RAY_GRAFT_CPUS (default: the
+CPUs this process may run on) three times and print ONE JSON line, the
+median-``value`` rep's.
 
 --scaling: run the index build at N and 4N CPUs (default 4 and 16 — see
-cpu_probe for why not 8/32 on this VM) in fresh subprocesses on the same
-input and report both throughputs + scaling efficiency — the sandbox
-evidence for the N->4N cluster criterion.  Every rep is gated on the
-quiet-window protocol (bw_probe / GRAFT_QUIET_*; BASELINE.md round 3).
-Headline "value" is the sub-saturation (300k-doc) corpus, where 4->16
-CPUs measures the code rather than this VM's one shared memory bus; the
-bus-saturated 1M-doc datapoint rides along in "sizes" (r4 #1b).
+cpu_probe for why not 8/32 on a shared VM) in fresh subprocesses on the
+same input and report both throughputs + scaling efficiency.  Headline
+"value" is the sub-saturation (300k-doc) corpus; the bus-saturated
+1M-doc datapoint rides along in "sizes".
+
+Every rep records one ``bw_probe`` reading (aggregate memcpy GB/s) taken
+just before it, so a slow rep can be told apart from a contended host.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 
 BM25_QUERIES = [
     "hash join merge scan",
@@ -292,9 +294,9 @@ def _bw_burn(mb: int, iters: int, q) -> None:
 
 def bw_probe(workers: int = 4, mb: int = 64, iters: int = 5) -> float:
     """Aggregate memcpy bandwidth (GB/s) from ``workers`` concurrent
-    processes — NO Ray session, light enough (~2-10 s) to gate every
-    scaling leg.  This sandbox's shared bus swings >10x between windows
-    (BASELINE.md §1); the probe tells quiet from contended."""
+    processes — NO Ray session, light enough (~2-10 s) to take before
+    every rep.  A shared host's memory bus can swing >10x between windows
+    (BASELINE.md §1); the reading tells quiet from contended."""
     import multiprocessing as mp
 
     q = mp.Queue()
@@ -308,128 +310,15 @@ def bw_probe(workers: int = 4, mb: int = 64, iters: int = 5) -> float:
     return round(workers * (mb / 1024) * iters / (sum(durs) / len(durs)), 2)
 
 
-QUIET_GBPS = float(os.environ.get("GRAFT_QUIET_GBPS", "5.0"))
-QUIET_ATTEMPTS = int(os.environ.get("GRAFT_QUIET_ATTEMPTS", "8"))
-QUIET_WAIT_S = float(os.environ.get("GRAFT_QUIET_WAIT_S", "20"))
-# In-build probe: the bracketing probes cannot see a co-tenant storm that
-# starts and ends INSIDE a 6-8-minute leg (observed twice: a "qualified"
-# rep slower than its gate-disqualified sibling, SCALING_r03_run3).  A
-# single-thread 16 MB copier sampled every ~25 s is light enough not to
-# perturb the build but catches the >10x swings.  The during-gate
-# threshold is deliberately loose — the build itself legitimately loads
-# the bus — at QUIET_GBPS/8 single-stream (default 0.625 GB/s; quiet
-# single-stream measures 2-4 GB/s here, storms measure 0.05-0.3).
-QUIET_DURING = os.environ.get("GRAFT_QUIET_DURING", "1") != "0"
-QUIET_DURING_GBPS = float(
-    os.environ.get("GRAFT_QUIET_DURING_GBPS", str(QUIET_GBPS / 8)))
-QUIET_DURING_PERIOD_S = float(
-    os.environ.get("GRAFT_QUIET_DURING_PERIOD_S", "25"))
-
-
-def light_probe(mb: int = 16, iters: int = 3) -> float:
-    """Single-thread memcpy GB/s (~50-300 ms): the in-build sampler."""
-    import numpy as np
-
-    a = np.ones(mb * 131072, dtype=np.int64)
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        b = a.copy()
-        del b
-    return round((mb / 1024) * iters / (time.perf_counter() - t0), 2)
-
-
-class _DuringSampler:
-    """Daemon thread sampling light_probe while a leg runs.
-
-    ``period_s`` defaults to the scaling-leg cadence (25 s — legs run
-    3-8 min); short default-bench reps (~7 s) pass a small period so the
-    rep gets at least a couple of in-window samples."""
-
-    def __init__(self, period_s: float | None = None):
-        import threading
-
-        self.period_s = QUIET_DURING_PERIOD_S if period_s is None else period_s
-        self.samples: list[float] = []
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.period_s):
-            self.samples.append(light_probe())
-
-    def __enter__(self):
-        if QUIET_DURING:
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        if QUIET_DURING:
-            self._thread.join(timeout=5)
-
-    @property
-    def min_gbps(self) -> float | None:
-        return min(self.samples) if self.samples else None
-
-    @property
-    def ok(self) -> bool:
-        """Disqualify only on a SUSTAINED dip (two consecutive samples
-        below threshold): a single low sample is usually the probe
-        colliding with one of the build's own memcpy bursts, while the
-        co-tenant storms this gate exists for last minutes."""
-        s = self.samples
-        return not any(
-            s[i] < QUIET_DURING_GBPS and s[i + 1] < QUIET_DURING_GBPS
-            for i in range(len(s) - 1)
-        )
-
-
-def _post_probe(attempts: int = 4, wait_s: float = 10.0) -> float:
-    """Post-rep probe: best of a few tries over ~40 s.
-
-    Probing 1 s after a rep measures the bench's own falling edge — Ray
-    executor threads draining, object-store refs releasing, page-cache
-    writeback of the index the rep just wrote — not the co-tenant
-    weather this gate exists for (measured: post 1.3-1.9 GB/s for 12+ s
-    after a rep whose NEXT pre-probe read 8-13 GB/s twenty-to-forty
-    seconds later; the decay scale is ~30 s).  A real storm lasts
-    minutes, so every retry would stay low; taking the max over the
-    retry window only forgives our own teardown."""
-    best = 0.0
-    for i in range(attempts):
-        best = max(best, bw_probe())
-        if best >= QUIET_GBPS or i == attempts - 1:
-            break
-        time.sleep(wait_s)
-    return best
-
-
-def _await_quiet_window() -> tuple[float, bool]:
-    """Block until the bus is quiet (bw_probe >= GRAFT_QUIET_GBPS),
-    probing up to GRAFT_QUIET_ATTEMPTS times GRAFT_QUIET_WAIT_S apart.
-    Returns (last probe GB/s, qualified?) — after exhausting attempts the
-    caller proceeds but marks the leg contended."""
-    g = 0.0
-    for att in range(QUIET_ATTEMPTS):
-        g = bw_probe()
-        if g >= QUIET_GBPS:
-            return g, True
-        print(f"[scaling] bus contended ({g} GB/s < {QUIET_GBPS}); "
-              f"waiting {QUIET_WAIT_S}s (attempt {att + 1}/{QUIET_ATTEMPTS})",
-              file=sys.stderr)
-        time.sleep(QUIET_WAIT_S)
-    return g, False
-
-
 SCALING_CPUS = tuple(
     int(x) for x in os.environ.get("GRAFT_SCALING_CPUS", "4,16").split(",")
 )
 
 # Two corpus sizes per run.  The FIRST is primary (the headline "value"):
 # the 300k-doc corpus keeps the build's working set under this VM's
-# ~1-2 GB/s aggregate-memcpy ceiling (scripts/scaling_roofline.py: a pure
-# memcpy null job scales at ~0.28 on this box because 4 workers already
-# saturate the one shared bus), so 4->16 CPUs measures the CODE's
+# ~1-2 GB/s aggregate-memcpy ceiling (a pure memcpy null job scaled at
+# ~0.28 on the 32-CPU VM because 4 workers already saturate its one
+# shared bus), so 4->16 CPUs measures the CODE's
 # scalability — the regime a real per-node load sits in, since cluster
 # nodes each bring their own memory bus.  The SECOND (1M docs) documents
 # the bus-saturated regime on the same code for transparency (VERDICT r4
@@ -457,41 +346,27 @@ def _code_versions() -> dict:
 def run_scaling() -> dict:
     """The same disk->index build at N and 4N CPUs in fresh processes, at
     two corpus sizes (sub-saturation + saturated; see SCALING_SIZES).
-
-    Quiet-window protocol (VERDICT r2 'Next round' #1a): each rep of
-    each leg is gated on the Ray-free ``bw_probe`` — the rep starts only
-    once aggregate memcpy bandwidth is >= GRAFT_QUIET_GBPS (up to
-    GRAFT_QUIET_ATTEMPTS x GRAFT_QUIET_WAIT_S of waiting), and is probed
-    again right after; a rep QUALIFIES when both probes pass.  Each
-    leg reports the best throughput among qualifying reps (falling back
-    to all reps, marked ``window: contended``, only when no rep
-    qualifies).  All per-rep (probe, throughput) pairs are emitted for
-    transparency.
+    Each leg reports its fastest rep; every rep is listed with the
+    ``bw_probe`` reading taken just before it.
 
     Reps INTERLEAVE the two CPU legs (lo, hi, lo, hi, ...) so both legs
-    sample the same weather mixture: with sequential legs a ~10-minute
-    co-tenant storm lands entirely on one leg and the ratio measures the
-    storm, not the code (observed: SCALING_r05_run3, both 16-CPU
-    sub-saturation reps inside a 0.4 GB/s window while the 4-CPU reps
-    saw normal weather — efficiency 0.581 against same-code quiet-window
-    readings of 0.80-0.84).  The measured job (--_single-build) and the
-    best-qualifying-rep estimator are unchanged; only rep scheduling
-    moved (runs 1-3 predate the interleave)."""
+    sample the same host-load mixture: with sequential legs a ~10-minute
+    co-tenant burst lands entirely on one leg and the ratio measures the
+    burst, not the code (SCALING_r05_run3: efficiency 0.581 against
+    same-code quiet readings of 0.80-0.84)."""
     lo, hi = SCALING_CPUS
     sizes = {}
     for n_docs, reps in SCALING_SIZES:
         rep_log: dict[int, list] = {lo: [], hi: []}
-        best: dict[int, dict | None] = {lo: None, hi: None}
         for _ in range(reps):
             for n in (lo, hi):
-                pre_g, pre_ok = _await_quiet_window()
-                with _DuringSampler() as sampler:
-                    proc = subprocess.run(
-                        [sys.executable, os.path.abspath(__file__),
-                         "--_single-build", str(n), str(n_docs)],
-                        capture_output=True, text=True, timeout=3600,
-                        cwd=os.path.dirname(os.path.abspath(__file__)),
-                    )
+                pre_g = bw_probe()
+                proc = subprocess.run(
+                    [sys.executable, os.path.abspath(__file__),
+                     "--_single-build", str(n), str(n_docs)],
+                    capture_output=True, text=True, timeout=3600,
+                    cwd=os.path.dirname(os.path.abspath(__file__)),
+                )
                 line = [l for l in proc.stdout.splitlines()
                         if l.startswith("{")]
                 if not line:
@@ -499,24 +374,11 @@ def run_scaling() -> dict:
                         f"scaling run n={n} docs={n_docs} produced no JSON:\n"
                         f"{proc.stdout}\n{proc.stderr}"
                     )
-                post_g = _post_probe()
                 r = json.loads(line[-1])
                 r["pre_gbps"] = pre_g
-                r["post_gbps"] = post_g
-                r["during_gbps"] = sampler.samples
-                r["during_min_gbps"] = sampler.min_gbps
-                r["window_ok"] = bool(pre_ok and post_g >= QUIET_GBPS
-                                      and sampler.ok)
                 rep_log[n].append(r)
-                b = best[n]
-                if b is None:
-                    best[n] = r
-                elif r["window_ok"] and not b["window_ok"]:
-                    best[n] = r         # any qualifying rep beats contended
-                elif (r["window_ok"] == b["window_ok"]
-                      and r["files_per_sec"] > b["files_per_sec"]):
-                    best[n] = r
-        results = best
+        results = {n: max(rep_log[n], key=lambda r: r["files_per_sec"])
+                   for n in (lo, hi)}
         tp_lo = results[lo]["files_per_sec"]
         tp_hi = results[hi]["files_per_sec"]
         stages = {}
@@ -532,9 +394,6 @@ def run_scaling() -> dict:
             f"build_{hi}cpu_files_per_sec": tp_hi,
             f"build_{lo}cpu_sec": results[lo]["build_sec"],
             f"build_{hi}cpu_sec": results[hi]["build_sec"],
-            "window": ("quiet"
-                       if results[lo]["window_ok"] and
-                       results[hi]["window_ok"] else "contended"),
             "reps": rep_log,
             **stages,
         }
@@ -560,96 +419,38 @@ def run_scaling() -> dict:
         "efficiency_saturated":
             sizes[saturated]["efficiency"] if saturated else None,
         "sizes": sizes,
-        "gate": {  # active gate thresholds, for tiered-launch audit
-            "quiet_gbps": QUIET_GBPS,
-            "during_gbps": QUIET_DURING_GBPS,
-            "attempts": QUIET_ATTEMPTS,
-            "wait_s": QUIET_WAIT_S,
-        },
         "code": _code_versions(),  # which format revisions the run measured
         "cpu_probe": cpu_probe(),
         "mem_probe": mem_probe(),
     }
 
 
-BENCH_REPS = int(os.environ.get("GRAFT_BENCH_REPS", "3"))
-#: Extra gated reps taken ONLY when none of the first BENCH_REPS reps
-#: qualified (every window contended) — one more bounded chance to catch
-#: an in-storm lull so the driver's recorded number measures the code.
-#: Round-5 motivation: a 9.7 h co-tenant storm with ~3% quiet fraction
-#: (SCALING_r05_weather.jsonl) makes 3-in-a-row contended reps likely.
-BENCH_RESCUE_REPS = int(os.environ.get("GRAFT_BENCH_RESCUE_REPS", "2"))
+BENCH_REPS = 3
 
 
 def run_default() -> dict:
-    """Default bench under the same quiet-window protocol as --scaling
-    (VERDICT r3 'Next round' #1): up to GRAFT_BENCH_REPS reps, each gated
-    on the Ray-free bw_probe before, probed after, and sampled during; the
-    reported metrics are the best QUALIFYING rep's (lowest total seconds),
-    falling back to the best contended rep only when no rep qualifies.
-    BENCH_r03 regressed 1.41x purely because the single ungated rep landed
-    in a co-tenant storm (measured 30-50%% noise, >10x probe swings on
-    this host); the gate makes the driver-recorded number measure the
-    code, not the window.  Per-rep probe triples are attached for
-    transparency.  All reps share one Ray session (warm workers — the
-    steady-state the throughput criterion describes)."""
-    reps: list[dict] = []
-    best: dict | None = None
-    base_reps = max(1, BENCH_REPS)
-    i = 0
-    while i < base_reps + max(0, BENCH_RESCUE_REPS):
-        pre_g, pre_ok = _await_quiet_window()
-        # reps are ~5-10 s: sample INSIDE the window at a short period so
-        # the rep carries its own evidence.  The post probe is recorded
-        # but does not gate — it measures the bus up to ~40 s AFTER the
-        # rep ended (bench teardown + whatever weather arrives next), and
-        # on oscillating-weather days it disqualified reps whose entire
-        # measurement window was provably quiet (pre 13-14 GB/s, no
-        # during dip, post 1.3-1.9 while the NEXT rep's pre gate passed).
-        with _DuringSampler(period_s=2.0) as sampler:
-            out = run_single(NUM_CPUS)
-        time.sleep(1.0)  # let Ray Data executor threads drain before probing
-        post_g = _post_probe()
+    """BENCH_REPS passes in one Ray session (warm workers after the
+    first); returns the median-``value`` rep's metrics with every rep's
+    summary and pre-rep ``bw_probe`` reading attached."""
+    outs: list[dict] = []
+    for i in range(BENCH_REPS):
+        pre_g = bw_probe()
+        out = run_single(NUM_CPUS)
         out["pre_gbps"] = pre_g
-        out["post_gbps"] = post_g
-        out["during_gbps"] = sampler.samples
-        out["during_min_gbps"] = sampler.min_gbps
-        out["window_ok"] = bool(pre_ok and sampler.ok)
-        reps.append({
-            "rep": i, "value": out["value"], "pre_gbps": pre_g,
-            "post_gbps": post_g, "during_min_gbps": sampler.min_gbps,
-            "window_ok": out["window_ok"],
-            "build_files_per_sec": out["build_files_per_sec"],
-            "bm25_p50_ms": out["bm25_p50_ms"],
-            "queries": out["queries"],
-        })
-        if best is None:
-            best = out
-        elif out["window_ok"] and not best["window_ok"]:
-            best = out
-        elif (out["window_ok"] == best["window_ok"]
-              and out["value"] < best["value"]):
-            best = out
-        i += 1
-        # stop early once two qualifying reps agree the window is quiet —
-        # a third adds little and the driver's wall-clock budget is shared
-        if sum(1 for r in reps if r["window_ok"]) >= 2:
-            break
-        # past the base reps we are in rescue territory: those extra reps
-        # exist only to land ONE qualifying measurement, so stop at the
-        # first (or exhaust the bounded rescue budget)
-        if i >= base_reps and any(r["window_ok"] for r in reps):
-            break
-    assert best is not None
-    best["window"] = "quiet" if best["window_ok"] else "contended"
-    best["reps"] = reps
-    return best
+        outs.append(out)
+    reps = [{"rep": i, "value": o["value"], "pre_gbps": o["pre_gbps"],
+             "build_files_per_sec": o["build_files_per_sec"],
+             "bm25_p50_ms": o["bm25_p50_ms"], "queries": o["queries"]}
+            for i, o in enumerate(outs)]
+    median = sorted(outs, key=lambda o: o["value"])[len(outs) // 2]
+    median["reps"] = reps
+    return median
 
 
 _USAGE = """\
 usage: bench.py [--scaling | --probe]
-  (no args)   gated default bench over $GRAFT_SF_DIR at $RAY_GRAFT_CPUS;
-              prints one JSON line (the driver's BENCH_r{N} record)
+  (no args)   3-rep default bench over $GRAFT_SF_DIR at $RAY_GRAFT_CPUS;
+              prints the median rep as one JSON line
   --scaling   index build at N and 4N CPUs (GRAFT_SCALING_CPUS) in fresh
               processes over GRAFT_SCALING_SIZES synthetic corpora;
               prints efficiency + per-rep probe evidence as JSON
@@ -667,7 +468,7 @@ def main() -> None:
     if len(sys.argv) > 1 and sys.argv[1] not in ("--_single-build",
                                                  "--scaling"):
         # an unrecognised flag must NOT silently fall through to the
-        # full default bench (it spins up a 32-CPU Ray session)
+        # full default bench (it spins up a Ray session)
         print(_USAGE, end="", file=sys.stderr)
         sys.exit(2)
     if len(sys.argv) > 1 and sys.argv[1] == "--_single-build":

@@ -2,8 +2,10 @@
 
 Prints one row per run plus the same-code medians for the primary
 (300k sub-saturation) and attached (1M saturated) criterion rows —
-the numbers BASELINE.md's round-5 table reports.  Pure file reading;
-no Ray.
+the numbers BASELINE_HISTORY.md's round-5 table reports.  Pure file
+reading; no Ray.  The scripts that produced these files (the quiet-window
+launcher, leg and pair samplers, grind loops) are retired; the committed
+JSON is the frozen record.
 """
 import glob
 import json
@@ -50,8 +52,8 @@ def main() -> None:
     print(f"median saturated:        {statistics.median(sat):.3f}")
     print(f"min/max subsat: {min(subsat):.3f} / {max(subsat):.3f}")
     # Launch-gated cohort: run 5 onward is started only after two
-    # consecutive quiet >=6 GB/s Ray-free probes (scripts/quiet_launch.py;
-    # BASELINE.md round-5 protocol note).  Runs 1-4 predate the gate and
+    # consecutive quiet >=6 GB/s Ray-free probes (the retired quiet-window
+    # launcher; BASELINE_HISTORY.md round-5 protocol note).  Runs 1-4 predate the gate and
     # sample whatever weather the session had (runs 3-4: a multi-hour
     # storm), so the gated-cohort median is the protocol's headline once
     # the cohort is populated.
@@ -118,10 +120,10 @@ def stage_split(runs: list) -> None:
 
 def legs_summary() -> None:
     """Pool SCALING_r05_legs.jsonl (opportunistic single-leg samples from
-    scripts/leg_sample.py) per (code revision, n_docs, cpus): count,
-    best and median files/sec of the QUALIFIED samples (bracketing
-    probes >= bench.QUIET_GBPS and a clean in-leg sampler — the same
-    rule run_scaling applies to its reps), falling back to all samples
+    the retired leg sampler) per (code revision, n_docs, cpus): count,
+    best and median files/sec of the QUALIFIED samples (the
+    ``window_ok`` each sample recorded: bracketing probes above the gate
+    threshold and a clean in-leg sampler), falling back to all samples
     when none qualify, then the pooled best-leg efficiency."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.path.join(repo, "SCALING_r05_legs.jsonl")
@@ -165,7 +167,8 @@ def legs_summary() -> None:
 
 
 def pairs_summary() -> None:
-    """SCALING_r05_pairs.jsonl (same-window pairs from paired_leg.py):
+    """SCALING_r05_pairs.jsonl (same-window pairs from the retired pair
+    sampler):
     per-pair rows, then the pooled best-leg efficiency over ALL round-5
     leg samples (single-leg grind + pair legs) per code cohort."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

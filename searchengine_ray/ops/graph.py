@@ -168,9 +168,8 @@ def _small_cc_task(max_rounds: int, *blocks: pa.Table) -> pa.Table:
 # task instead of per-round groupbys: dup graphs at bench scale are a few
 # thousand edges, and each distributed round costs ~0.3-0.5 s of fixed
 # groupby latency.  200k edges is ~3 MB — comfortably one task; beyond
-# it the distributed rounds take over.  Env-tunable for A/B runs.
-CC_SMALL_GRAPH_EDGES = int(os.environ.get("SE_RAY_CC_SMALL_EDGES",
-                                          "200000"))
+# it the distributed rounds take over.
+CC_SMALL_GRAPH_EDGES = 200_000
 
 
 def connected_components(

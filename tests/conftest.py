@@ -6,8 +6,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-# This host has an uncontrolled co-tenant that steals CPU in bursts
-# (see BASELINE.md's quiet-window protocol); hypothesis's too_slow
+# Shared hosts can have a co-tenant that steals CPU in bursts
+# (see BASELINE_HISTORY.md's quiet-window protocol); hypothesis's too_slow
 # health check measures wall-clock data generation and flakes under
 # such a burst even though every property test pins deadline=None.
 # Suppress just that check globally — per-test @settings don't set
