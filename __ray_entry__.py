@@ -59,8 +59,7 @@ def _build_ws_index(sf_dir: str) -> str:
     from searchengine_ray.corpus import corpus_from_documents
 
     index_dir = _index_dir_for(sf_dir, "whitespace")
-    cfg = IndexBuildConfig(analyzer="whitespace", num_buckets=16,
-                           tokenize_concurrency=(1, 8))
+    cfg = IndexBuildConfig(analyzer="whitespace", num_buckets=16)
     corpus = corpus_from_documents(sf_dir)
     build_index(corpus, index_dir, cfg,
                 input_description=f"{sf_dir}/documents.parquet#whitespace")
@@ -127,7 +126,6 @@ def q_merged_index_term_stats(sf_dir: str) -> pa.Table:
 
     def _cfg(base: int = 0) -> IndexBuildConfig:
         return IndexBuildConfig(analyzer="whitespace", num_buckets=16,
-                                tokenize_concurrency=(1, 8),
                                 doc_id_base=base)
 
     a_dir = _index_dir_for(sf_dir, "ws_gen0")
@@ -734,7 +732,7 @@ def entry() -> Any:
 
     sf_dir = "/root/testdata/sf0.001"
     index_dir = _index_dir_for(sf_dir, "reference")
-    cfg = IndexBuildConfig(num_buckets=8, tokenize_concurrency=(1, 4))
+    cfg = IndexBuildConfig(num_buckets=8)
     corpus = corpus_from_documents(sf_dir)
     build_index(corpus, index_dir, cfg,
                 input_description=f"{sf_dir}/documents.parquet#reference")

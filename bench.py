@@ -1,18 +1,12 @@
 """Benchmark harness.
 
-Default: run the headline pipelines over $GRAFT_SF_DIR (default: the
-sf0.1 test data, see SF_DIR) with num_cpus=$RAY_GRAFT_CPUS (default: the
-CPUs this process may run on) three times and print ONE JSON line, the
-median-``value`` rep's.
+Runs the headline pipeline over $GRAFT_SF_DIR (default: the sf0.1 test
+data, see SF_DIR) with num_cpus=$RAY_GRAFT_CPUS (default: the CPUs this
+process may run on) three times in one Ray session and prints ONE JSON
+line, the median-``value`` rep's: index build, engine open, and the BM25,
+Boolean and sharded query sets.
 
---scaling: run the index build at N and 4N CPUs (default 4 and 16 — see
-cpu_probe for why not 8/32 on a shared VM) in fresh subprocesses on the
-same input and report both throughputs + scaling efficiency.  Headline
-"value" is the sub-saturation (300k-doc) corpus; the bus-saturated
-1M-doc datapoint rides along in "sizes".
-
-Every rep records one ``bw_probe`` reading (aggregate memcpy GB/s) taken
-just before it, so a slow rep can be told apart from a contended host.
+perfbench/ is the oracle-checked benchmark; this is the quick headline.
 """
 
 from __future__ import annotations
@@ -21,7 +15,6 @@ import json
 import os
 import shutil
 import statistics
-import subprocess
 import sys
 import time
 
@@ -120,39 +113,6 @@ def run_single(num_cpus: int) -> dict:
     out["sharded_pool_qps"] = round(len(BM25_QUERIES) * reps / dt, 1)
     pool.shutdown()  # reps share one Ray session; don't accumulate actors
 
-    # training-data ops over the same documents table
-    import ray.data
-
-    from searchengine_ray.ops.dedup import minhash_lsh_dedup
-    from searchengine_ray.ops.similarity import knn_bruteforce
-    from searchengine_ray.ops.textstats import quality_scores
-
-    docs = ray.data.read_parquet(f"{SF_DIR}/documents.parquet")
-    # steady-state measurement (same rationale as _scaling_build's worker
-    # warm): a tiny pass first so worker-process imports and per-worker
-    # stage caches are not billed to the op
-    minhash_lsh_dedup(docs.limit(64)).count()
-    t0 = time.perf_counter()
-    minhash_lsh_dedup(docs).count()
-    out["queries"]["minhash_dedup"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    quality_scores(docs).count()
-    out["queries"]["quality_scores"] = round(time.perf_counter() - t0, 3)
-
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    emb = ray.data.read_parquet(f"{SF_DIR}/embeddings.parquet")
-    qv = np.asarray(
-        pq.read_table(f"{SF_DIR}/embeddings.parquet", columns=["embedding"])
-        .column("embedding").to_pylist()[:8],
-        dtype=np.float64,
-    )
-    t0 = time.perf_counter()
-    knn_bruteforce(emb, qv, k=10)
-    out["queries"]["knn_bruteforce"] = round(time.perf_counter() - t0, 3)
-
     # index size accounting
     seg_bytes = sum(
         os.path.getsize(os.path.join(index_dir, "segments", f))
@@ -160,269 +120,10 @@ def run_single(num_cpus: int) -> dict:
     )
     out["index_bytes_per_doc"] = round(seg_bytes / max(1, n_docs), 1)
     out["value"] = round(sum(out["queries"].values()), 3)
-    out["metric"] = "total pipeline seconds (build + query set + ops)"
+    out["metric"] = ("total engine seconds (build + engine open + "
+                     "BM25/Boolean/sharded query sets)")
     out["unit"] = "sec"
     return out
-
-
-SCALING_DOCS = int(os.environ.get("GRAFT_SCALING_DOCS", "1000000"))
-SCALING_CORPUS_DIR = f"/tmp/bench_scale_corpus_{SCALING_DOCS}"
-
-
-def _scaling_build(num_cpus: int, n_docs: int | None = None) -> dict:
-    """One timed disk->index build over the big deterministic corpus.
-
-    Workers are warmed (package import, process spawn) before t0: the
-    criterion is steady-state indexing throughput on a long-lived cluster,
-    not cold-start amortised over an artificially short job.
-    """
-    import ray
-
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False)
-    from searchengine_ray.build import IndexBuildConfig, build_index
-    from searchengine_ray.corpus import ensure_synthetic_corpus_parquet
-
-    n_docs_in = n_docs or SCALING_DOCS
-    corpus_dir = f"/tmp/bench_scale_corpus_{n_docs_in}"
-    ensure_synthetic_corpus_parquet(corpus_dir, n_docs_in)
-
-    @ray.remote
-    def warm():
-        import searchengine_ray.build  # noqa: F401
-
-        return 0
-
-    ray.get([warm.remote() for _ in range(num_cpus * 2)])
-
-    index_dir = f"/tmp/bench_scale_idx_{num_cpus}"
-    shutil.rmtree(index_dir, ignore_errors=True)
-    corpus = ray.data.read_parquet(corpus_dir)
-    cfg = IndexBuildConfig(num_buckets=64)
-    t0 = time.perf_counter()
-    manifest = build_index(
-        corpus, index_dir, cfg,
-        input_description=f"{corpus_dir}#scaling-{num_cpus}",
-    )
-    build_s = time.perf_counter() - t0
-    n_docs = manifest["num_docs"]
-    return {"num_cpus": num_cpus, "build_sec": round(build_s, 3),
-            "n_docs": n_docs,
-            "files_per_sec": round(n_docs / build_s, 1),
-            # per-rep stage decomposition: the run-level stages_{n}cpu
-            # snapshot only reflects each leg's LAST rep (the manifest is
-            # rewritten per build), which on stormy days attributes one
-            # poisoned rep's weather to the whole leg; carrying the split
-            # on every rep lets the summary decompose the BEST rep
-            "stage_seconds": manifest.get("stage_seconds"),
-            # scheduling decisions (map/reducer counts, task CPU slots)
-            # for post-hoc cohort audit of what each leg actually ran
-            "exchange_plan": manifest.get("exchange_plan")}
-
-
-def cpu_probe() -> dict:
-    """Measure the VM's own CPU-scaling ceiling with pure busy-loop tasks
-    (no data, no memory pressure).  On this sandbox, 32 concurrent tasks
-    run each ~1.3x slower than 8 concurrent ones — an effective-core
-    ceiling that bounds ANY workload's 8->32 efficiency below ~0.78.  The
-    scaling criterion is therefore evidenced at N=4 vs 4N=16, where the
-    hardware is linear; the probe numbers are reported alongside."""
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False)
-
-    @ray.remote
-    def burn(n):
-        t0 = time.perf_counter()
-        x = 0
-        for i in range(n):
-            x += i * i
-        return time.perf_counter() - t0
-
-    ray.get([burn.remote(1000) for _ in range(64)])
-    out = {}
-    for k in (1, 4, 8, 16, 32):
-        durs = ray.get([burn.remote(20_000_000) for _ in range(k)])
-        out[f"busy_{k}_tasks_mean_sec"] = round(sum(durs) / len(durs), 3)
-    return out
-
-
-def mem_probe() -> dict:
-    """Measure the VM's aggregate memory-bandwidth ceiling with pure
-    stream copies (np.copy of a 64 MB buffer).  On this sandbox the
-    aggregate saturates at ~1-2 GB/s with as few as 4 concurrent workers
-    (single stream ~2.2 GB/s; 16 concurrent copies each run ~18x slower),
-    so any memcpy-heavy stage stops scaling once its working set exceeds
-    the bandwidth budget — the binding resource for the postings exchange
-    at the 1M-doc size, and a per-NODE resource that does not compound
-    across the real multi-node clusters the N->4N criterion describes."""
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False)
-
-    @ray.remote
-    def copy(mb, iters):
-        import numpy as np
-
-        a = np.ones(mb * 131072, dtype=np.int64)
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            b = a.copy()
-            del b
-        return time.perf_counter() - t0
-
-    out = {}
-    for k in (1, 4, 16):
-        durs = ray.get([copy.remote(64, 10) for _ in range(k)])
-        mean = sum(durs) / len(durs)
-        out[f"copy64MBx10_{k}_tasks_mean_sec"] = round(mean, 3)
-        out[f"aggregate_GBps_{k}_tasks"] = round(k * 0.64 / mean, 2)
-    return out
-
-
-def _bw_burn(mb: int, iters: int, q) -> None:
-    import numpy as np
-
-    a = np.ones(mb * 131072, dtype=np.int64)
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        b = a.copy()
-        del b
-    q.put(time.perf_counter() - t0)
-
-
-def bw_probe(workers: int = 4, mb: int = 64, iters: int = 5) -> float:
-    """Aggregate memcpy bandwidth (GB/s) from ``workers`` concurrent
-    processes — NO Ray session, light enough (~2-10 s) to take before
-    every rep.  A shared host's memory bus can swing >10x between windows
-    (BASELINE.md §1); the reading tells quiet from contended."""
-    import multiprocessing as mp
-
-    q = mp.Queue()
-    ps = [mp.Process(target=_bw_burn, args=(mb, iters, q))
-          for _ in range(workers)]
-    for p in ps:
-        p.start()
-    durs = [q.get() for _ in ps]
-    for p in ps:
-        p.join()
-    return round(workers * (mb / 1024) * iters / (sum(durs) / len(durs)), 2)
-
-
-SCALING_CPUS = tuple(
-    int(x) for x in os.environ.get("GRAFT_SCALING_CPUS", "4,16").split(",")
-)
-
-# Two corpus sizes per run.  The FIRST is primary (the headline "value"):
-# the 300k-doc corpus keeps the build's working set under this VM's
-# ~1-2 GB/s aggregate-memcpy ceiling (a pure memcpy null job scaled at
-# ~0.28 on the 32-CPU VM because 4 workers already saturate its one
-# shared bus), so 4->16 CPUs measures the CODE's
-# scalability — the regime a real per-node load sits in, since cluster
-# nodes each bring their own memory bus.  The SECOND (1M docs) documents
-# the bus-saturated regime on the same code for transparency (VERDICT r4
-# 'Next round' #1b promoted the sub-saturation leg to the criterion
-# row).  Format: "docs:reps,docs:reps"; first entry is primary.
-SCALING_SIZES = [
-    (int(p.split(":")[0]), int(p.split(":")[1]))
-    for p in os.environ.get("GRAFT_SCALING_SIZES",
-                            "300000:2,1000000:2").split(",")
-]
-
-
-def _code_versions() -> dict:
-    """Format revisions of the code under measurement, recorded in each
-    scaling-run JSON so the summary can group same-code cohorts (the
-    round-4/5 medians mix docterms v2/v3/v4 runs otherwise)."""
-    from searchengine_ray.build import (BUILD_CODE_REVISION,
-                                        DOCTERMS_FORMAT, SEGMENT_FORMAT)
-
-    return {"docterms_format": DOCTERMS_FORMAT,
-            "segment_format": SEGMENT_FORMAT,
-            "build_code_revision": BUILD_CODE_REVISION}
-
-
-def run_scaling() -> dict:
-    """The same disk->index build at N and 4N CPUs in fresh processes, at
-    two corpus sizes (sub-saturation + saturated; see SCALING_SIZES).
-    Each leg reports its fastest rep; every rep is listed with the
-    ``bw_probe`` reading taken just before it.
-
-    Reps INTERLEAVE the two CPU legs (lo, hi, lo, hi, ...) so both legs
-    sample the same host-load mixture: with sequential legs a ~10-minute
-    co-tenant burst lands entirely on one leg and the ratio measures the
-    burst, not the code (SCALING_r05_run3: efficiency 0.581 against
-    same-code quiet readings of 0.80-0.84)."""
-    lo, hi = SCALING_CPUS
-    sizes = {}
-    for n_docs, reps in SCALING_SIZES:
-        rep_log: dict[int, list] = {lo: [], hi: []}
-        for _ in range(reps):
-            for n in (lo, hi):
-                pre_g = bw_probe()
-                proc = subprocess.run(
-                    [sys.executable, os.path.abspath(__file__),
-                     "--_single-build", str(n), str(n_docs)],
-                    capture_output=True, text=True, timeout=3600,
-                    cwd=os.path.dirname(os.path.abspath(__file__)),
-                )
-                line = [l for l in proc.stdout.splitlines()
-                        if l.startswith("{")]
-                if not line:
-                    raise RuntimeError(
-                        f"scaling run n={n} docs={n_docs} produced no JSON:\n"
-                        f"{proc.stdout}\n{proc.stderr}"
-                    )
-                r = json.loads(line[-1])
-                r["pre_gbps"] = pre_g
-                rep_log[n].append(r)
-        results = {n: max(rep_log[n], key=lambda r: r["files_per_sec"])
-                   for n in (lo, hi)}
-        tp_lo = results[lo]["files_per_sec"]
-        tp_hi = results[hi]["files_per_sec"]
-        stages = {}
-        for n in (lo, hi):
-            try:
-                with open(f"/tmp/bench_scale_idx_{n}/manifest.json") as f:
-                    stages[f"stages_{n}cpu"] = json.load(f)["stage_seconds"]
-            except (OSError, KeyError):
-                pass
-        sizes[str(n_docs)] = {
-            "efficiency": round((tp_hi / tp_lo) / (hi / lo), 3),
-            f"build_{lo}cpu_files_per_sec": tp_lo,
-            f"build_{hi}cpu_files_per_sec": tp_hi,
-            f"build_{lo}cpu_sec": results[lo]["build_sec"],
-            f"build_{hi}cpu_sec": results[hi]["build_sec"],
-            "reps": rep_log,
-            **stages,
-        }
-    primary = str(SCALING_SIZES[0][0])
-    saturated = str(SCALING_SIZES[-1][0]) if len(SCALING_SIZES) > 1 else None
-    return {
-        "metric": (f"index-build scaling efficiency ({lo} -> {hi} cpus, "
-                   f"{primary}-doc sub-saturation corpus primary; "
-                   f"bus-saturated {saturated}-doc datapoint and bandwidth "
-                   f"probes attached)"),
-        "value": sizes[primary]["efficiency"],
-        "unit": "efficiency",
-        "sf": f"/tmp/bench_scale_corpus_{primary}",
-        "n_docs": int(primary),
-        "num_cpus": hi,
-        "queries": {
-            f"build_{lo}cpu_files_per_sec":
-                sizes[primary][f"build_{lo}cpu_files_per_sec"],
-            f"build_{hi}cpu_files_per_sec":
-                sizes[primary][f"build_{hi}cpu_files_per_sec"],
-        },
-        "efficiency_subsat": sizes[primary]["efficiency"],
-        "efficiency_saturated":
-            sizes[saturated]["efficiency"] if saturated else None,
-        "sizes": sizes,
-        "code": _code_versions(),  # which format revisions the run measured
-        "cpu_probe": cpu_probe(),
-        "mem_probe": mem_probe(),
-    }
 
 
 BENCH_REPS = 3
@@ -431,14 +132,9 @@ BENCH_REPS = 3
 def run_default() -> dict:
     """BENCH_REPS passes in one Ray session (warm workers after the
     first); returns the median-``value`` rep's metrics with every rep's
-    summary and pre-rep ``bw_probe`` reading attached."""
-    outs: list[dict] = []
-    for i in range(BENCH_REPS):
-        pre_g = bw_probe()
-        out = run_single(NUM_CPUS)
-        out["pre_gbps"] = pre_g
-        outs.append(out)
-    reps = [{"rep": i, "value": o["value"], "pre_gbps": o["pre_gbps"],
+    summary attached."""
+    outs = [run_single(NUM_CPUS) for _ in range(BENCH_REPS)]
+    reps = [{"rep": i, "value": o["value"],
              "build_files_per_sec": o["build_files_per_sec"],
              "bm25_p50_ms": o["bm25_p50_ms"], "queries": o["queries"]}
             for i, o in enumerate(outs)]
@@ -448,13 +144,10 @@ def run_default() -> dict:
 
 
 _USAGE = """\
-usage: bench.py [--scaling | --probe]
-  (no args)   3-rep default bench over $GRAFT_SF_DIR at $RAY_GRAFT_CPUS;
-              prints the median rep as one JSON line
-  --scaling   index build at N and 4N CPUs (GRAFT_SCALING_CPUS) in fresh
-              processes over GRAFT_SCALING_SIZES synthetic corpora;
-              prints efficiency + per-rep probe evidence as JSON
-  --probe     host-weather check only: cpu_probe + mem_probe JSON
+usage: bench.py
+  3-rep bench over $GRAFT_SF_DIR at $RAY_GRAFT_CPUS; prints the median
+  rep as one JSON line (index build, engine open, BM25/Boolean/sharded
+  query sets)
 """
 
 
@@ -462,26 +155,11 @@ def main() -> None:
     if len(sys.argv) > 1 and sys.argv[1] in ("--help", "-h"):
         print(_USAGE, end="")
         return
-    if len(sys.argv) > 1 and sys.argv[1] == "--probe":
-        print(json.dumps({"cpu": cpu_probe(), "mem": mem_probe()}))
-        return
-    if len(sys.argv) > 1 and sys.argv[1] not in ("--_single-build",
-                                                 "--scaling"):
+    if len(sys.argv) > 1:
         # an unrecognised flag must NOT silently fall through to the
-        # full default bench (it spins up a Ray session)
+        # full bench (it spins up a Ray session)
         print(_USAGE, end="", file=sys.stderr)
         sys.exit(2)
-    if len(sys.argv) > 1 and sys.argv[1] == "--_single-build":
-        n = int(sys.argv[2])
-        n_docs = int(sys.argv[3]) if len(sys.argv) > 3 else None
-        print(json.dumps(_scaling_build(n, n_docs)))
-        import ray
-
-        ray.shutdown()
-        return
-    if len(sys.argv) > 1 and sys.argv[1] == "--scaling":
-        print(json.dumps(run_scaling()))
-        return
     out = run_default()
     print(json.dumps(out))
     import ray

@@ -9,7 +9,7 @@ Ray-Data-native rebuild:
 
   read_parquet(corpus)
     -> assign_doc_ids (one explicit global decision, ids.py)
-    -> map_batches(TokenizeDocs actor pool)          # SPIMI block ≙ Ray block
+    -> map_batches(TokenizeDocs tasks)               # SPIMI block ≙ Ray block
          emits per-doc rows: doc stats + per-term (tftd, VByte pos blob)
     -> explode + group by (bucket, term, doc) per block (docterms v4)
          -> write docterms/  (exploded postings, resumable intermediate)
@@ -26,8 +26,8 @@ Ray-Data-native rebuild:
     -> groupby(gkey).map_groups(merge+encode)         # replaces heap merge
     -> segments/ parquet: one posting-list *fragment* per (term, shard,
        salt): parallel VByte streams (doc gaps / tftds / position gaps)
-       + skip-block metadata (last doc id, max tftd, byte offsets per
-       128 postings)
+       + skip-block metadata (last doc id, max wdt bound, byte offsets
+       and posting count per ~128 postings)
   manifest.json: corpus scalars, per-stage lineage + per-file metrics,
        committed last -> a re-run skips completed stages (resume).
 
@@ -89,9 +89,6 @@ class IndexBuildConfig:
     # terms dictionary ~65x more often than needed.  An identity rebatch
     # before the write coalesces blocks to this many rows.
     docterms_block_rows: int = 4096
-    # None -> fixed pool of one actor per cluster CPU (a fixed-size pool:
-    # Ray Data's autoscaling pool ramps from min and starves short stages)
-    tokenize_concurrency: tuple | int | None = None
     content_col: str = "content"
     title_col: str = "path"
     id_col: str = "doc_id"  # pre-assigned dense id column (None -> assign)
@@ -107,15 +104,7 @@ class IndexBuildConfig:
     num_reducers: int | None = None  # postings-exchange reduce partitions
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        if isinstance(self.tokenize_concurrency, tuple):
-            d["tokenize_concurrency"] = list(self.tokenize_concurrency)
-        return d
-
-    def resolved_concurrency(self):
-        if self.tokenize_concurrency is None:
-            return max(2, int(ray.cluster_resources().get("CPU", 8)))
-        return self.tokenize_concurrency
+        return asdict(self)
 
 
 def _sha256_column(arr: pa.Array) -> list[str]:
@@ -153,10 +142,10 @@ def _worker_cache(analyzer: str) -> TokenTermCache:
 
 
 class TokenizeDocs:
-    """Tokenizer stage: per-worker stemmer/token cache (the north-star
-    'stemmer cache' stateful stage), per-batch vector output.  Usable both
-    as an actor-pool class and, via ``tokenize_batch_factory``, as a plain
-    task function with process-global cache."""
+    """Tokenizer stage: per-batch vector output, run as a plain task
+    function whose stemmer/token cache (the north-star 'stemmer cache'
+    stateful stage) is the executing worker's process-global one
+    (``_worker_cache``)."""
 
     def __init__(self, config: IndexBuildConfig):
         self.cfg = config
@@ -500,7 +489,6 @@ _SEGMENT_SCHEMA = pa.schema(
         ("tf_blob", pa.binary()),   # VByte tftd stream, same posting order
         ("pos_blob", pa.binary()),
         ("skip_last_doc", pa.list_(pa.int64())),
-        ("skip_max_tftd", pa.list_(pa.int64())),
         ("skip_max_wdt", pa.list_(pa.float64())),
         ("skip_offset", pa.list_(pa.int64())),     # block start in blob
         ("skip_tf_offset", pa.list_(pa.int64())),  # block start in tf_blob
@@ -531,7 +519,6 @@ _WIRE_SCHEMA = pa.schema(
         ("tf_blob", pa.binary()),    # VByte tftds, same posting order
         ("pos_blob", pa.binary()),   # concatenated per-posting VByte blobs
         ("skip_last_doc", pa.list_(pa.int64())),
-        ("skip_max_tftd", pa.list_(pa.int32())),
         ("skip_max_wq", pa.list_(pa.uint8())),
         ("skip_offset", pa.list_(pa.int32())),     # within-fragment bytes
         ("skip_tf_offset", pa.list_(pa.int32())),
@@ -546,7 +533,9 @@ _WIRE_SCHEMA = pa.schema(
 # blocks carry an explicit per-block posting count (``skip_count``) —
 # fragment-encoded exchange merges fragments by byte concat, so block
 # sizes at fragment seams are irregular (coalesced up to ~skip_block).
-SEGMENT_FORMAT = 4
+# v5: the per-block max-tftd skip column is dropped (nothing read it; the
+# WAND block bounds are ``skip_max_wdt``).
+SEGMENT_FORMAT = 5
 
 # Docterms (resumable intermediate) layout version, folded into the stage
 # fingerprints the same way.  v2: positions stored as per-(doc,term) VByte
@@ -567,13 +556,6 @@ SEGMENT_FORMAT = 4
 # (caught by the reducer backstop as a spurious build abort; found by
 # the round-5 hypothesis property test over random segment packings).
 DOCTERMS_FORMAT = 4
-
-# Build-CODE revision for scaling-run cohort grouping (formats above
-# version the BYTES; this versions the measured job).  Bump when a
-# change alters build wall-clock without touching a format.
-# r1: working-set-sized exchange task slots + id validation overlapped
-#     with tokenize (runs stamped dt v3/v4 without this key predate it).
-BUILD_CODE_REVISION = 1
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -853,7 +835,6 @@ def _encode_file_fragments(
     gbs = run_starts[block_frag] + skip_n * within
     gbe = np.minimum(gbs + skip_n, run_ends[block_frag])
     skip_last_v = doc[gbe - 1].astype(np.int64)
-    skip_max_tf_v = np.maximum.reduceat(tf32, gbs)
     skip_max_wq_v = np.maximum.reduceat(wq, gbs)
     skip_off_v = (dbyte_starts[gbs] - frag_d_start[block_frag]).astype(
         np.int32)
@@ -890,8 +871,6 @@ def _encode_file_fragments(
             "pos_blob": _bin(frag_p_start, int(frag_p_end[-1]), pos_data),
             "skip_last_doc": pa.ListArray.from_arrays(
                 list_off, pa.array(skip_last_v, type=pa.int64())),
-            "skip_max_tftd": pa.ListArray.from_arrays(
-                list_off, pa.array(skip_max_tf_v.astype(np.int32))),
             "skip_max_wq": pa.ListArray.from_arrays(
                 list_off, pa.array(skip_max_wq_v, type=pa.uint8())),
             "skip_offset": pa.ListArray.from_arrays(
@@ -978,8 +957,6 @@ def _finalize_segment(
     gk_s = gk[order]
     ranks_s = ranks[order]
     fd_s = fd[order].astype(np.int64)
-    prof["m_sort"] = prof.get("m_sort", 0.0) + (time.perf_counter() - _pt)
-    _pt = time.perf_counter()
 
     def col(name: str) -> pa.Array:
         return Ts.column(name).chunk(0)
@@ -1004,7 +981,6 @@ def _finalize_segment(
     last_col = col("skip_last_doc")
     nb = pa.compute.list_value_length(last_col).to_numpy().astype(np.int64)
     last_vals = last_col.flatten().to_numpy()
-    maxtf_vals = col("skip_max_tftd").flatten().to_numpy().astype(np.int64)
     maxwq_vals = col("skip_max_wq").flatten().to_numpy()
     off_vals = col("skip_offset").flatten().to_numpy().astype(np.int64)
     tfoff_vals = col("skip_tf_offset").flatten().to_numpy().astype(np.int64)
@@ -1064,9 +1040,6 @@ def _finalize_segment(
                         blob_off[1:].tolist())
     ]
     merged_blob = b"".join(pieces)
-    prof["m_concat"] = prof.get("m_concat", 0.0) + (
-        time.perf_counter() - _pt)
-    _pt = time.perf_counter()
 
     # tf/pos merged columns are zero-copy: the take() above compacted
     # fragment payloads contiguous in sorted order, so a merged term's
@@ -1128,7 +1101,6 @@ def _finalize_segment(
     gends = np.append(gstarts[1:], tot_blocks)
     g_count = np.add.reduceat(counts, gstarts).astype(np.int32)
     g_last = last_vals[gends - 1].astype(np.int64)
-    g_maxtf = np.maximum.reduceat(maxtf_vals, gstarts)
     g_maxwq = np.maximum.reduceat(maxwq_vals, gstarts)
     g_off = new_off_block[gstarts]
     g_tfoff = new_tfoff_block[gstarts]
@@ -1165,8 +1137,6 @@ def _finalize_segment(
             "pos_blob": pos_col_out,
             "skip_last_doc": pa.ListArray.from_arrays(
                 slist_off, pa.array(g_last, type=pa.int64())),
-            "skip_max_tftd": pa.ListArray.from_arrays(
-                slist_off, pa.array(g_maxtf, type=pa.int64())),
             "skip_max_wdt": pa.ListArray.from_arrays(
                 slist_off, pa.array(g_maxwq.astype(np.float64) / WDT_QUANT)),
             "skip_offset": pa.ListArray.from_arrays(
@@ -1178,10 +1148,7 @@ def _finalize_segment(
         },
         schema=_SEGMENT_SCHEMA,
     )
-    prof["merge"] = prof.get("m_sort", 0.0) + prof.get("m_concat", 0.0) + (
-        time.perf_counter() - _pt)
-    prof["m_skip_tbl"] = prof.get("m_skip_tbl", 0.0) + (
-        time.perf_counter() - _pt)
+    prof["merge"] = time.perf_counter() - _pt
     _pt = time.perf_counter()
     tmp = out_path + ".tmp"
     # no statistics on the blob columns: parquet min/max for a binary

@@ -6,8 +6,8 @@ BASELINE.json ``input_hint`` shape.  This module provides:
 - ``corpus_from_documents``: adapter from the driver's
   ``documents.parquet`` (doc_id, text, lang, source, n_chars) to the corpus
   shape (text -> content, source -> repo, path from doc_id),
-- ``synthetic_corpus``: the deterministic FIXTURES.md §1 generator used by
-  tests and the scaling bench (seeded, no external data).
+- ``synthetic_corpus_table``: the deterministic FIXTURES.md §1 generator
+  used by tests (seeded, no external data).
 
 The reference's corpus abstraction is a directory walk assigning dense doc
 ids in walk order (/root/reference/engine/documents/directorycorpus.py:64-79);
@@ -79,15 +79,8 @@ _WORD_POOL = [
 ]
 
 
-def synthetic_corpus_table(
-    num_rows: int, seed: int = 42, with_ids: bool = False
-) -> pa.Table:
-    """Deterministic synthetic source-code-ish corpus (FIXTURES.md §1).
-
-    ``with_ids=True`` pre-assigns the dense ``doc_id`` = rank by
-    (repo, path, commit) — byte-identical to what ``ids.assign_doc_ids``
-    would compute, without the distributed exchange (used by the scaling
-    bench, where id assignment is not the stage under test)."""
+def synthetic_corpus_table(num_rows: int, seed: int = 42) -> pa.Table:
+    """Deterministic synthetic source-code-ish corpus (FIXTURES.md §1)."""
     rng = np.random.default_rng(seed)
     repos, paths, commits, langs, contents = [], [], [], [], []
     pool = np.array(_WORD_POOL)
@@ -105,77 +98,6 @@ def synthetic_corpus_table(
         commits.append(commit)
         langs.append(_LANGS[i % len(_LANGS)])
         contents.append("\n".join(lines))
-    tbl = pa.table(
-        {
-            "repo": pa.array(repos),
-            "path": pa.array(paths),
-            "commit": pa.array(commits),
-            "lang": pa.array(langs),
-            "content": pa.array(contents),
-        }
-    )
-    if with_ids:
-        order = np.lexsort(
-            (np.asarray(commits, dtype=object),
-             np.asarray(paths, dtype=object),
-             np.asarray(repos, dtype=object))
-        )
-        ids = np.empty(num_rows, dtype=np.int64)
-        ids[order] = np.arange(num_rows)
-        tbl = tbl.append_column("doc_id", pa.array(ids))
-    return tbl
-
-
-def synthetic_corpus(
-    num_rows: int, seed: int = 42, parallelism: int = 8, with_ids: bool = False
-) -> ray.data.Dataset:
-    tbl = synthetic_corpus_table(num_rows, seed, with_ids=with_ids)
-    return ray.data.from_arrow(tbl).repartition(parallelism)
-
-
-_BIG_POOL: np.ndarray | None = None
-_BIG_CUMW: np.ndarray | None = None
-
-
-def _big_pool() -> tuple[np.ndarray, np.ndarray]:
-    """Zipf-weighted ~20k-term vocabulary (code keywords as the head,
-    synthetic identifiers as the tail) — realistic skew for the index
-    bench: a handful of heavy terms, a long tail, no two-reducer lumps."""
-    global _BIG_POOL, _BIG_CUMW
-    if _BIG_POOL is None:
-        tail = [f"ident_{i:05d}" for i in range(20_000)]
-        pool = np.array(_WORD_POOL + tail, dtype=object)
-        ranks = np.arange(1, pool.size + 1, dtype=np.float64)
-        w = 1.0 / (ranks + 5.0)
-        _BIG_POOL = pool
-        _BIG_CUMW = np.cumsum(w / w.sum())
-    return _BIG_POOL, _BIG_CUMW
-
-
-def _gen_partition(part: int, start: int, end: int, seed: int) -> pa.Table:
-    """One partition of the distributed generator; rng seeded by (seed,
-    part) so content is deterministic for a fixed partition layout."""
-    rng = np.random.default_rng([seed, part])
-    pool, cumw = _big_pool()
-    repos, paths, commits, langs, contents, ids = [], [], [], [], [], []
-    n_rows = end - start
-    words_per_doc = rng.integers(60, 600, size=n_rows)
-    for k, i in enumerate(range(start, end)):
-        repo = f"org{i % 31}/repo{i % 199}"
-        path = f"src/mod{i % 47}/file_{i}.py"
-        n_words = int(words_per_doc[k])
-        draws = np.searchsorted(cumw, rng.random(n_words))
-        words = pool[draws]
-        # ~14 words per line
-        lines = [
-            " ".join(words[j:j + 14]) for j in range(0, n_words, 14)
-        ]
-        repos.append(repo)
-        paths.append(path)
-        commits.append(hashlib.sha1(f"{repo}/{path}".encode()).hexdigest())
-        langs.append(_LANGS[i % len(_LANGS)])
-        contents.append("\n".join(lines))
-        ids.append(i)
     return pa.table(
         {
             "repo": pa.array(repos),
@@ -183,42 +105,5 @@ def _gen_partition(part: int, start: int, end: int, seed: int) -> pa.Table:
             "commit": pa.array(commits),
             "lang": pa.array(langs),
             "content": pa.array(contents),
-            # dense deterministic id = global row ordinal (the parquet-file
-            # analogue of the reference's directory-walk enumeration)
-            "doc_id": pa.array(ids, type=pa.int64()),
         }
     )
-
-
-def ensure_synthetic_corpus_parquet(
-    out_dir: str, num_rows: int, seed: int = 42, num_files: int = 128
-) -> str:
-    """Generate a deterministic corpus to parquet once (distributed, one
-    task per output file); reused across bench runs if already present."""
-    import os
-
-    marker = os.path.join(out_dir, "_DONE")
-    if os.path.exists(marker):
-        return out_dir
-    os.makedirs(out_dir, exist_ok=True)
-
-    @ray.remote
-    def gen(part: int, start: int, end: int) -> int:
-        tbl = _gen_partition(part, start, end, seed)
-        import pyarrow.parquet as pq
-
-        tmp = os.path.join(out_dir, f"part_{part:05d}.parquet.tmp")
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, os.path.join(out_dir, f"part_{part:05d}.parquet"))
-        return end - start
-
-    per = (num_rows + num_files - 1) // num_files
-    refs = [
-        gen.remote(p, p * per, min((p + 1) * per, num_rows))
-        for p in range(num_files)
-        if p * per < num_rows
-    ]
-    ray.get(refs)
-    with open(marker, "w") as f:
-        f.write(str(num_rows))
-    return out_dir

@@ -52,7 +52,6 @@ def built_index(ray_session, small_corpus, tmp_path_factory):
     index_dir = str(tmp_path_factory.mktemp("index"))
     cfg = IndexBuildConfig(
         num_buckets=4,
-        tokenize_concurrency=(1, 2),
         skip_block=8,          # small blocks exercise WAND skipping
         heavy_df_threshold=50,  # force salting on common terms
         docs_per_shard=128,     # force multiple shards

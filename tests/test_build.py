@@ -228,6 +228,22 @@ class TestBuildArtifacts:
         assert (phases["map"]["bytes_out"]["total"]
                 == phases["reduce"]["bytes_in"]["total"])
 
+    def test_exchange_time_phases_do_not_overlap(self, built_index):
+        """Each side's time phases are disjoint slices of its tasks'
+        wall time, so their totals sum to at most the ``wall`` total —
+        a phase that re-counts its own sub-phases breaks this."""
+        _, manifest = built_index
+        phases = manifest["exchange_plan"]["phases"]
+        for side, bytes_key in (("map", "bytes_out"),
+                                ("reduce", "bytes_in")):
+            timed = {k: v["total"] for k, v in phases[side].items()
+                     if k not in ("wall", bytes_key)}
+            # each total is rounded to 1 µs
+            slack = 1e-6 * (len(timed) + 1)
+            assert (sum(timed.values())
+                    <= phases[side]["wall"]["total"] + slack), (
+                side, timed, phases[side]["wall"])
+
 
 def _segment_content_hash(index_dir: str) -> str:
     """sha256 over every segment row, rows sorted by (term, shard,
@@ -269,7 +285,6 @@ class TestReducerCountParity:
         out_dir = str(tmp_path / f"r{num_reducers}")
         cfg = IndexBuildConfig(
             num_buckets=4,
-            tokenize_concurrency=(1, 2),
             skip_block=8,
             heavy_df_threshold=50,
             docs_per_shard=128,
@@ -297,10 +312,7 @@ class TestResume:
         from searchengine_ray.build import IndexBuildConfig, build_index
 
         index_dir, manifest = built_index
-        cfg = IndexBuildConfig(**{
-            k: (tuple(v) if k == "tokenize_concurrency" else v)
-            for k, v in manifest["config"].items()
-        })
+        cfg = IndexBuildConfig(**manifest["config"])
         before = {
             f: os.path.getmtime(os.path.join(index_dir, "segments", f))
             for f in os.listdir(os.path.join(index_dir, "segments"))
@@ -331,7 +343,7 @@ class TestResume:
 
         tbl = synthetic_corpus_table(60, seed=11)
         d = str(tmp_path / "idx")
-        cfg = IndexBuildConfig(num_buckets=2, tokenize_concurrency=(1, 2))
+        cfg = IndexBuildConfig(num_buckets=2)
         ds = ray.data.from_arrow(tbl)
         m1 = build_index(ds, d, cfg, input_description="crash-test")
 
@@ -378,7 +390,7 @@ class TestResume:
 
         tbl = synthetic_corpus_table(40, seed=3)
         d = str(tmp_path / "idx")
-        cfg = IndexBuildConfig(num_buckets=2, tokenize_concurrency=(1, 2))
+        cfg = IndexBuildConfig(num_buckets=2)
         ds = ray.data.from_arrow(tbl)
         build_index(ds, d, cfg, input_description="v1")
         marker = json.load(open(os.path.join(d, "_STAGE_docterms.json")))
@@ -411,8 +423,7 @@ class TestTfStreamPaths:
             "content": [d[4] for d in docs],
         })
         d = str(tmp_path / "idx_bigtf")
-        cfg = IndexBuildConfig(num_buckets=2, tokenize_concurrency=(1, 2),
-                               skip_block=8)
+        cfg = IndexBuildConfig(num_buckets=2, skip_block=8)
         build_index(ray.data.from_arrow(tbl), d, cfg,
                     input_description="bigtf")
         r = DiskIndexReader(d)

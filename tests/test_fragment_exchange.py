@@ -1,5 +1,5 @@
 """Unit tests for the fragment-encoded postings exchange (wire v2 /
-segment format v4): the map-side ``_encode_file_fragments`` kernel and the
+segment format v5): the map-side ``_encode_file_fragments`` kernel and the
 reduce-side ``_finalize_segment`` merge, exercised directly on synthetic
 posting arrays — no Ray, no parquet corpus.
 
@@ -12,7 +12,7 @@ docstrings):
 - every skip block slice-decodes independently given the previous block's
   last doc, and ``skip_count`` sums to df;
 - seam blocks coalesce to >= skip_block postings (except a term's last);
-- df/cf/max_wdt and the per-block maxima aggregate exactly.
+- df/cf/max_wdt and the per-block wdt maxima aggregate exactly.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         offs = row["skip_offset"]
         toffs = row["skip_tf_offset"]
         lasts = row["skip_last_doc"]
-        maxtf = row["skip_max_tftd"]
         maxw = row["skip_max_wdt"]
         assert offs[0] == 0 and toffs[0] == 0
         base = 0
@@ -189,7 +188,6 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
                     else len(row["tf_blob"]))
             btfs = vbyte.decode(row["tf_blob"][toffs[b]:tend], count=cnt)
             assert btfs.tolist() == e["tfs"][p:p + cnt]
-            assert maxtf[b] == max(e["tfs"][p:p + cnt])
             assert maxw[b] == pytest.approx(int(wq[p:p + cnt].max())
                                             / WDT_QUANT)
             base = bdocs[-1]
@@ -280,7 +278,6 @@ def test_tf_wide_values_roundtrip(tmp_path):
         btfs = vbyte.decode(
             row["tf_blob"][row["skip_tf_offset"][b]:tend], count=cnt)
         assert btfs.tolist() == tfs[p:p + cnt]
-        assert row["skip_max_tftd"][b] == max(tfs[p:p + cnt])
         p += cnt
 
 

@@ -25,7 +25,6 @@ SPLIT = 200  # docs 0..199 -> base generation, 200..299 -> delta
 def _cfg(**over):
     base = dict(
         num_buckets=4,
-        tokenize_concurrency=(1, 2),
         skip_block=8,
         heavy_df_threshold=50,
         docs_per_shard=128,

@@ -103,8 +103,7 @@ def test_spanish_index_build_and_query(ray_session, tmp_path):
         }
     )
     index_dir = str(tmp_path / "es_idx")
-    cfg = IndexBuildConfig(analyzer="spanish", num_buckets=4,
-                           tokenize_concurrency=(1, 2))
+    cfg = IndexBuildConfig(analyzer="spanish", num_buckets=4)
     build_index(ray.data.from_arrow(tbl), index_dir, cfg,
                 input_description="spanish-test")
     eng = QueryEngine(index_dir)
