@@ -8,6 +8,7 @@ Usage:
   python -m searchengine_ray vocab  --index DIR [--limit 20]
   python -m searchengine_ray merge  --out DIR PART_DIR [PART_DIR ...]
   python -m searchengine_ray verify --corpus PATH --index DIR [--no-ids]
+  python -m searchengine_ray stats  --index DIR
 
 Owns its Ray session (guarded init) — library code never calls ray.init.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -105,6 +107,54 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _tree_bytes(path: str) -> int:
+    return sum(os.path.getsize(os.path.join(root, f))
+               for root, _, files in os.walk(path) for f in files)
+
+
+def cmd_stats(args) -> int:
+    """Where an index's bytes and build time went: per segment, the
+    ``.bin``'s doc / tf / pos stream bytes and the parquet catalog's
+    bytes; B/doc over segments/ and docstats/ (perfbench's
+    ``index_bytes_per_doc``); the manifest's per-stage seconds and
+    exchange phase split (total/max/mean per phase)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from .build import MANIFEST_NAME, segment_bin_path
+
+    with open(os.path.join(args.index, MANIFEST_NAME)) as f:
+        manifest = json.load(f)
+    segments = []
+    for seg in manifest["segments"]:
+        path = os.path.join(args.index, "segments", seg["file"])
+        lens = pq.read_table(path, columns=["doc_len", "tf_len", "pos_len"])
+        row = {"file": seg["file"], "rows": lens.num_rows}
+        for c in ("doc", "tf", "pos"):
+            row[f"{c}_bytes"] = pc.sum(lens.column(f"{c}_len")).as_py() or 0
+        row["bin_bytes"] = os.path.getsize(segment_bin_path(path))
+        row["parquet_bytes"] = os.path.getsize(path)
+        segments.append(row)
+    totals = {k: sum(r[k] for r in segments)
+              for k in ("rows", "doc_bytes", "tf_bytes", "pos_bytes",
+                        "bin_bytes", "parquet_bytes")}
+    num_docs = manifest["num_docs"]
+    index_bytes = (
+        _tree_bytes(os.path.join(args.index, "segments"))
+        + _tree_bytes(os.path.join(
+            args.index, manifest.get("doc_stats_dir", "docstats"))))
+    print(json.dumps({
+        "num_docs": num_docs,
+        "bytes_per_doc": index_bytes / num_docs if num_docs else 0.0,
+        "totals": totals,
+        "segments": segments,
+        "stage_seconds": manifest.get("stage_seconds"),
+        "exchange_phases": (manifest.get("exchange_plan") or {}).get(
+            "phases"),
+    }, indent=1))
+    return 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="searchengine_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -154,6 +204,14 @@ def main(argv=None) -> int:
     vf.add_argument("--no-ids", action="store_true",
                     help="skip the doc_id binding check (content multiset only)")
     vf.set_defaults(fn=cmd_verify)
+
+    st = sub.add_parser(
+        "stats",
+        help="index bytes per segment stream, B/doc, and the build's "
+             "stage and exchange-phase split",
+    )
+    st.add_argument("--index", required=True)
+    st.set_defaults(fn=cmd_stats)
 
     args = p.parse_args(argv)
     return args.fn(args)

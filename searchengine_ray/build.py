@@ -24,10 +24,13 @@ Ray-Data-native rebuild:
               bucket  = crc32(term) % num_buckets     (merge shuffle key)
               salt    = contiguous doc-range split for heavy terms
     -> groupby(gkey).map_groups(merge+encode)         # replaces heap merge
-    -> segments/ parquet: one posting-list *fragment* per (term, shard,
-       salt): parallel VByte streams (doc gaps / tftds / position gaps)
-       + skip-block metadata (last doc id, max wdt bound, byte offsets
-       and posting count per ~128 postings)
+    -> segments/: one posting-list *fragment* per (term, shard, salt).
+       segment_NNNNN.bin holds each fragment's three VByte streams
+       back to back (doc gaps folded with a tf==1 flag / tf exceptions
+       / position gaps); segment_NNNNN.parquet is the catalog: term
+       dictionary, df/cf/max_wdt, the three stream byte lengths and the
+       skip-block metadata (last doc id, max wdt bound, byte offsets and
+       posting count per ~128 postings)
   manifest.json: corpus scalars, per-stage lineage + per-file metrics,
        committed last -> a re-run skips completed stages (resume).
 
@@ -485,16 +488,24 @@ _SEGMENT_SCHEMA = pa.schema(
         ("df", pa.int64()),
         ("cf", pa.int64()),
         ("max_wdt", pa.float64()),
-        ("blob", pa.binary()),      # VByte doc-gap stream (format v3)
-        ("tf_blob", pa.binary()),   # VByte tftd stream, same posting order
-        ("pos_blob", pa.binary()),
+        # byte lengths of the row's three streams in the segment's .bin,
+        # stored back to back in row order (format v6): the reader
+        # derives each row's offset with one cumsum at open
+        ("doc_len", pa.int32()),    # VByte gap<<1 | (tf==1) stream
+        ("tf_len", pa.int32()),     # VByte tf exceptions (tf != 1 only)
+        ("pos_len", pa.int32()),    # VByte position gaps
         ("skip_last_doc", pa.list_(pa.int64())),
         ("skip_max_wdt", pa.list_(pa.float64())),
-        ("skip_offset", pa.list_(pa.int64())),     # block start in blob
-        ("skip_tf_offset", pa.list_(pa.int64())),  # block start in tf_blob
+        ("skip_offset", pa.list_(pa.int64())),     # block start, doc stream
+        ("skip_tf_offset", pa.list_(pa.int64())),  # block start, tf stream
         ("skip_count", pa.list_(pa.int32())),      # postings per block (v4)
     ]
 )
+
+
+def segment_bin_path(parquet_path: str) -> str:
+    """The postings file that belongs to a segment parquet (format v6)."""
+    return os.path.splitext(parquet_path)[0] + ".bin"
 
 # Wire schema of the postings exchange (exchange wire v2): maps ship
 # PRE-ENCODED per-term posting-list fragments — the final VByte streams
@@ -515,8 +526,8 @@ _WIRE_SCHEMA = pa.schema(
         ("cf", pa.int64()),
         ("max_wq", pa.uint8()),
         ("first_doc", pa.int64()),   # absolute doc id of the first posting
-        ("blob", pa.binary()),       # VByte doc gaps, first value absolute
-        ("tf_blob", pa.binary()),    # VByte tftds, same posting order
+        ("blob", pa.binary()),       # VByte gap<<1 | (tf==1), first absolute
+        ("tf_blob", pa.binary()),    # VByte tftds of the tf != 1 postings
         ("pos_blob", pa.binary()),   # concatenated per-posting VByte blobs
         ("skip_last_doc", pa.list_(pa.int64())),
         ("skip_max_wq", pa.list_(pa.uint8())),
@@ -534,8 +545,13 @@ _WIRE_SCHEMA = pa.schema(
 # fragment-encoded exchange merges fragments by byte concat, so block
 # sizes at fragment seams are irregular (coalesced up to ~skip_block).
 # v5: the per-block max-tftd skip column is dropped (nothing read it; the
-# WAND block bounds are ``skip_max_wdt``).
-SEGMENT_FORMAT = 5
+# WAND block bounds are ``skip_max_wdt``).  v6: the three streams leave the
+# parquet for one byte-addressed ``.bin`` per segment (a term fetch is one
+# ``os.pread``, not a row-group read), and the tf stream is folded into the
+# doc stream Lucene-style: each doc-gap value is ``gap<<1 | (tf==1)`` and
+# only tf != 1 values are stored, as VByte "exceptions" (snappy no longer
+# squeezes the mostly-1 tf bytes, so the fold keeps the index size level).
+SEGMENT_FORMAT = 6
 
 # Docterms (resumable intermediate) layout version, folded into the stage
 # fingerprints the same way.  v2: positions stored as per-(doc,term) VByte
@@ -768,6 +784,12 @@ def _encode_file_fragments(
             "non-positive intra-run doc gap in docterms fragment encode; "
             "run-break invariant violated"
         )
+    # DocDelta fold (format v6): the low bit flags tf == 1, so only the
+    # other tfs need a stream of their own.  A doc id < 2**31 still fits
+    # uint32 after the shift.
+    udt = np.uint32 if doc_n.dtype == np.int32 else np.uint64
+    tf_one = tf32 == 1
+    gap = (gap.astype(udt) << udt(1)) | tf_one.astype(udt)
     blen_d = vbyte.encoded_lengths(gap)
     dbyte_ends = np.cumsum(blen_d, dtype=np.int64)
     if int(dbyte_ends[-1]) >= 2**31 - 1:
@@ -781,25 +803,21 @@ def _encode_file_fragments(
     frag_d_start = dbyte_starts[run_starts]
     frag_d_end = dbyte_ends[run_ends - 1]
 
-    # tf stream: plain low bytes when every tftd < 128 (VByte of a value
-    # < 128 IS that byte, so plain and encoded fragments concat freely)
-    if int(tf32.max()) < 128:
-        encoded_t = np.ascontiguousarray(tf32).astype(np.uint8).tobytes()
-        tbyte_starts = None
-        frag_t_start = run_starts.astype(np.int32)
-        frag_t_end = run_ends.astype(np.int32)
-    else:
-        blen_t = vbyte.encoded_lengths(tf32)
-        tbyte_ends = np.cumsum(blen_t, dtype=np.int64)
-        if int(tbyte_ends[-1]) >= 2**31 - 1:
-            raise ValueError(
-                "docterms file tf stream exceeds 2 GB binary-offset range"
-            )
-        tbyte_ends = tbyte_ends.astype(np.int32)
-        tbyte_starts = tbyte_ends - blen_t
-        encoded_t = vbyte.encode(tf32, blen_t)
-        frag_t_start = tbyte_starts[run_starts]
-        frag_t_end = tbyte_ends[run_ends - 1]
+    # tf exceptions: the tftds != 1, in posting order; a posting's byte
+    # start is the bytes of the exceptions before it, so fragments and
+    # skip blocks address the stream like the doc stream
+    blen_t = np.where(tf_one, np.uint8(0), vbyte.encoded_lengths(tf32))
+    tbyte_ends = np.cumsum(blen_t, dtype=np.int64)
+    if int(tbyte_ends[-1]) >= 2**31 - 1:
+        raise ValueError(
+            "docterms file tf stream exceeds 2 GB binary-offset range"
+        )
+    tbyte_ends = tbyte_ends.astype(np.int32)
+    tbyte_starts = tbyte_ends - blen_t
+    exc = ~tf_one
+    encoded_t = vbyte.encode(tf32[exc], blen_t[exc])
+    frag_t_start = tbyte_starts[run_starts]
+    frag_t_end = tbyte_ends[run_ends - 1]
 
     # positions: rows are already doc-ordered and contiguous in pos_arr's
     # data buffer (it was gathered in sorted order), so a fragment's pos
@@ -838,10 +856,7 @@ def _encode_file_fragments(
     skip_max_wq_v = np.maximum.reduceat(wq, gbs)
     skip_off_v = (dbyte_starts[gbs] - frag_d_start[block_frag]).astype(
         np.int32)
-    if tbyte_starts is None:
-        skip_tf_off_v = (gbs - run_starts[block_frag]).astype(np.int32)
-    else:
-        skip_tf_off_v = tbyte_starts[gbs] - frag_t_start[block_frag]
+    skip_tf_off_v = tbyte_starts[gbs] - frag_t_start[block_frag]
     list_off = pa.array(
         np.concatenate([[0], np.cumsum(nblocks)]).astype(np.int32))
 
@@ -905,24 +920,30 @@ def _finalize_segment(
     prof: dict,
 ):
     """Merge the accumulated pre-encoded fragments and write one segment
-    parquet idempotently (tmp + atomic rename).
+    idempotently: its ``.bin`` postings file, then its catalog parquet
+    (each tmp + atomic rename; the reader refuses a ``.bin`` whose size
+    disagrees with its parquet's rows).
 
     Fragments of the same (gkey, term) are doc-range disjoint (one per
     docterms file, files cover disjoint dense doc-id ranges), so the
     merge is ONE vectorized pass over the whole partition:
 
     - sort fragment rows by (gkey, term rank, first_doc);
-    - the merged doc-gap ``blob`` is the byte concatenation of the
-      fragments' blobs with each NON-first fragment's leading value
-      rewritten from an absolute doc id to the gap from the previous
-      fragment's last doc (gaps stay continuous across the whole list,
-      exactly the v3 invariant) — tf and pos streams concatenate as-is;
+    - the merged doc stream is the byte concatenation of the fragments'
+      doc streams with each NON-first fragment's leading value rewritten
+      from ``first<<1 | flag`` (an absolute doc id) to
+      ``(first - prev_last)<<1 | flag`` (the gap from the previous
+      fragment's last doc, tf==1 flag kept), so gaps stay continuous
+      across the whole list — tf-exception and pos streams concatenate
+      as-is;
     - skip summaries concatenate with byte-offset shifts, then adjacent
       sub-``skip_block`` seam blocks coalesce up to ~skip_block postings
-      (``skip_count`` records each block's true size — format v4).
+      (``skip_count`` records each block's true size — format v4);
+    - each merged row's doc, tf and pos bytes go back to back into the
+      ``.bin``, and the parquet keeps their three lengths (format v6).
 
     No posting is decoded or re-encoded: the reduce side of the shuffle
-    now moves ~index-sized bytes, which is what lets the exchange scale
+    moves ~index-sized bytes, which is what lets the exchange scale
     past the one-bus copy roofline that pinned the row-wire design.
     """
     from . import vbyte
@@ -987,7 +1008,15 @@ def _finalize_segment(
     frag_last = last_vals[np.cumsum(nb) - 1]
 
     # first-gap rewrite: non-first fragments' leading absolute doc id
-    # becomes the gap from the previous fragment's last doc
+    # becomes the gap from the previous fragment's last doc; the leading
+    # value's low (tf==1) bit is the first byte's low bit, and it stays
+    blob_off = np.frombuffer(
+        blob_a.buffers()[1], dtype=np.int32, count=n + 1,
+        offset=4 * blob_a.offset,
+    ).astype(np.int64)
+    blob_data = memoryview(blob_a.buffers()[2])
+    flag = (np.frombuffer(blob_data, dtype=np.uint8)[blob_off[:-1]]
+            & 1).astype(np.int64)
     prev_last = np.empty(n, dtype=np.int64)
     prev_last[0] = 0
     prev_last[1:] = frag_last[:-1]
@@ -1002,72 +1031,64 @@ def _finalize_segment(
             "docterms v4 disjoint-range invariant is broken (rebuild "
             "with ids.assign_doc_ids-ordered input)"
         )
-    old_len8 = vbyte.encoded_lengths(fd_s)
+    old_first = (fd_s << 1) | flag
+    new_first = (new_first << 1) | flag
+    old_len = vbyte.encoded_lengths(old_first).astype(np.int64)
     new_len8 = vbyte.encoded_lengths(new_first)
-    old_len = old_len8.astype(np.int64)
     new_len = new_len8.astype(np.int64)
     nf_buf = vbyte.encode(new_first, new_len8)
-
-    blob_off = np.frombuffer(
-        blob_a.buffers()[1], dtype=np.int32, count=n + 1,
-        offset=4 * blob_a.offset,
-    ).astype(np.int64)
-    blob_data = memoryview(blob_a.buffers()[2])
     frag_len = blob_off[1:] - blob_off[:-1]
     out_frag_len = frag_len - old_len + new_len
-    out_term_len = np.add.reduceat(out_frag_len, t_starts)
-    term_blob_off = np.empty(n_terms + 1, dtype=np.int64)
-    term_blob_off[0] = 0
-    np.cumsum(out_term_len, out=term_blob_off[1:])
-    if int(term_blob_off[-1]) >= 2**31 - 1:
-        raise ValueError(
-            "segment partition blob exceeds 2 GB binary-offset range; "
-            "raise num_reducers so partitions stay smaller"
-        )
 
-    # assemble the merged doc-gap blob: (rewritten first value, rest of
-    # fragment) byte pieces in sorted order, one join
+    # tf/pos streams are pure byte ranges: the take() above compacted
+    # fragment payloads contiguous in sorted order
+    def _offsets(arr: pa.Array) -> np.ndarray:
+        return np.frombuffer(
+            arr.buffers()[1], dtype=np.int32, count=n + 1,
+            offset=4 * arr.offset,
+        ).astype(np.int64)
+
+    def _data(arr: pa.Array) -> memoryview:
+        buf = arr.buffers()[2]
+        return memoryview(buf if buf is not None else b"")
+
+    tf_off_all = _offsets(tf_a)
+    pos_off_all = _offsets(pos_a)
+    doc_len = np.add.reduceat(out_frag_len, t_starts)
+    tf_len = tf_off_all[t_ends] - tf_off_all[t_starts]
+    pos_len = pos_off_all[t_ends] - pos_off_all[t_starts]
+
+    # the .bin's byte pieces: per fragment (rewritten first value, rest
+    # of its doc stream), then per term its tf and pos ranges.  ``slot``
+    # places them in file order — term by term, each term's fragments'
+    # doc pieces followed by its tf and pos pieces.
     nf_ends = np.cumsum(new_len)
     nf_starts = nf_ends - new_len
     nf_mv = memoryview(nf_buf)
-    pieces: list = [None] * (2 * n)
-    pieces[0::2] = [
-        nf_mv[a:b] for a, b in zip(nf_starts.tolist(), nf_ends.tolist())
-    ]
-    pieces[1::2] = [
-        blob_data[a:b]
-        for a, b in zip((blob_off[:-1] + old_len).tolist(),
-                        blob_off[1:].tolist())
-    ]
-    merged_blob = b"".join(pieces)
+    tf_data, pos_data = _data(tf_a), _data(pos_a)
+    sources = (
+        [nf_mv[a:b] for a, b in zip(nf_starts.tolist(), nf_ends.tolist())]
+        + [blob_data[a:b] for a, b in zip(
+            (blob_off[:-1] + old_len).tolist(), blob_off[1:].tolist())]
+        + [tf_data[a:b] for a, b in zip(
+            tf_off_all[t_starts].tolist(), tf_off_all[t_ends].tolist())]
+        + [pos_data[a:b] for a, b in zip(
+            pos_off_all[t_starts].tolist(), pos_off_all[t_ends].tolist())]
+    )
+    term_of_frag = np.cumsum(new) - 1
+    nf_at = 2 * (np.arange(n) + term_of_frag)
+    tf_at = 2 * (t_ends + np.arange(n_terms))
+    slot = np.empty(len(sources), dtype=np.int64)
+    slot[nf_at] = np.arange(n)
+    slot[nf_at + 1] = n + np.arange(n)
+    slot[tf_at] = 2 * n + np.arange(n_terms)
+    slot[tf_at + 1] = 2 * n + n_terms + np.arange(n_terms)
+    pieces = [sources[k] for k in slot.tolist()]
 
-    # tf/pos merged columns are zero-copy: the take() above compacted
-    # fragment payloads contiguous in sorted order, so a merged term's
-    # stream is a pure byte range of the column's data buffer
-    def _term_ranges(arr: pa.Array) -> pa.Array:
-        offs = np.frombuffer(
-            arr.buffers()[1], dtype=np.int32, count=n + 1,
-            offset=4 * arr.offset,
-        )
-        t_off = np.empty(n_terms + 1, dtype=np.int32)
-        t_off[:-1] = offs[t_starts]
-        t_off[-1] = offs[n]
-        return pa.Array.from_buffers(
-            pa.binary(), n_terms,
-            [None, pa.py_buffer(t_off.tobytes()), arr.buffers()[2]],
-        )
-
-    tf_col_out = _term_ranges(tf_a)
-    pos_col_out = _term_ranges(pos_a)
-
-    # skip merge: shift per-fragment offsets into merged-blob coordinates
+    # skip merge: shift per-fragment offsets into merged-stream coordinates
     excl = np.cumsum(out_frag_len) - out_frag_len
     base_within_term = excl - np.repeat(excl[t_starts], frags_per_term)
     delta = new_len - old_len
-    tf_off_all = np.frombuffer(
-        tf_a.buffers()[1], dtype=np.int32, count=n + 1,
-        offset=4 * tf_a.offset,
-    ).astype(np.int64)
     tf_base_within = tf_off_all[:-1] - np.repeat(
         tf_off_all[t_starts], frags_per_term)
 
@@ -1079,7 +1100,6 @@ def _finalize_segment(
     new_off_block = (off_vals + base_within_term[block_frag]
                      + np.where(k_within > 0, delta[block_frag], 0))
     new_tfoff_block = tfoff_vals + tf_base_within[block_frag]
-    term_of_frag = np.cumsum(new) - 1
     term_of_block = term_of_frag[block_frag]
 
     # coalesce: fragment seams leave sub-skip_n blocks; group adjacent
@@ -1114,7 +1134,6 @@ def _finalize_segment(
     bucket_s = (rest % B).astype(np.int32)
     shard_s = (rest // B).astype(np.int32)
     sel = pa.array(t_starts)
-    blob_off32 = term_blob_off.astype(np.int32)
     seg = pa.table(
         {
             "term": col("term").take(sel),
@@ -1128,13 +1147,9 @@ def _finalize_segment(
             "max_wdt": pa.array(
                 np.maximum.reduceat(maxwq_f, t_starts).astype(np.float64)
                 / WDT_QUANT),
-            "blob": pa.Array.from_buffers(
-                pa.binary(), n_terms,
-                [None, pa.py_buffer(blob_off32.tobytes()),
-                 pa.py_buffer(merged_blob)],
-            ),
-            "tf_blob": tf_col_out,
-            "pos_blob": pos_col_out,
+            "doc_len": pa.array(doc_len.astype(np.int32)),
+            "tf_len": pa.array(tf_len.astype(np.int32)),
+            "pos_len": pa.array(pos_len.astype(np.int32)),
             "skip_last_doc": pa.ListArray.from_arrays(
                 slist_off, pa.array(g_last, type=pa.int64())),
             "skip_max_wdt": pa.ListArray.from_arrays(
@@ -1150,16 +1165,12 @@ def _finalize_segment(
     )
     prof["merge"] = time.perf_counter() - _pt
     _pt = time.perf_counter()
+    bin_path = segment_bin_path(out_path)
+    with open(bin_path + ".tmp", "wb") as f:
+        f.writelines(pieces)
+    os.replace(bin_path + ".tmp", bin_path)
     tmp = out_path + ".tmp"
-    # no statistics on the blob columns: parquet min/max for a binary
-    # column stores two whole values per row group in the footer —
-    # for multi-KB posting blobs that DOUBLED the on-disk index (measured
-    # 92 -> 44 KB on one segment) and nothing predicate-filters on blobs
-    pq.write_table(
-        seg, tmp, row_group_size=cfg.segment_row_group_size,
-        write_statistics=[c for c in seg.column_names
-                          if not c.endswith("blob")],
-    )
+    pq.write_table(seg, tmp, row_group_size=cfg.segment_row_group_size)
     os.replace(tmp, out_path)
     prof["write"] = time.perf_counter() - _pt
     terms_col = seg.column("term")

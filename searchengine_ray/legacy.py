@@ -135,15 +135,12 @@ def decode_term_postings_legacy(
 def export_legacy_index(index_dir: str, out_dir: str) -> dict:
     """Export a live index directory to the legacy v0 on-disk format.
 
-    ONE bulk columnar scan of the segment files (never per-term point
-    reads — those re-decompress a whole blob row group per term),
-    sorted by (term, shard, salt) — the same fragment order the live
-    reader's dictionary uses, so fragment concatenation is doc_id-
-    ascending per term exactly as in ``DiskIndexReader.get_postings``.
-    Each term's fragments are VByte-decoded and re-encoded to the
-    legacy layout while the legacy ``L_d = sqrt(sum tf^2)`` accumulator
-    (diskindexwriter.py:73-82) collects per-doc tf^2 from the same
-    pass.  Side files:
+    Walks the sorted vocabulary and decodes each term's postings through
+    the reader's uncached fetch (``DiskIndexReader.fetch_postings``: one
+    ``os.pread`` per fragment, fragments concatenated doc_id-ascending),
+    re-encodes them to the legacy layout, and collects the legacy
+    ``L_d = sqrt(sum tf^2)`` accumulator (diskindexwriter.py:73-82) from
+    the same pass.  Side files:
 
     - ``term_positions.parquet`` (term, position): the byte offset of
       each term's block, the SQLite ``term_positions`` table's content
@@ -156,25 +153,18 @@ def export_legacy_index(index_dir: str, out_dir: str) -> dict:
 
     The legacy format is one sequential byte-offset file, so the export
     is a driver-side dev/interop utility by the format's own nature
-    (the live 100-TB writer is the fragment exchange, SURVEY S5/S6);
-    the scan materializes the segment table, which is the right trade
-    at interop scale.
+    (the live 100-TB writer is the fragment exchange, SURVEY S5/S6).
     """
-    import glob as _glob
-
-    import pyarrow.dataset as pads
-
-    from . import vbyte
-    from .query.reader import DiskIndexReader, _segmented_cumsum
+    from .query.reader import DiskIndexReader
 
     os.makedirs(out_dir, exist_ok=True)
     reader = DiskIndexReader(index_dir)
     if reader.manifest.get("merged_from"):
-        # generations may disagree on per-term salting (heavy detection
-        # sees only its own corpus), and this bulk scan's (term, shard,
-        # salt) sort is only doc-ascending when salting is uniform — the
-        # live reader orders fragments by first doc instead, but the
-        # legacy layout needs one sequential pass
+        # refused since the export was a bulk (term, shard, salt) scan,
+        # which is doc-ascending only under one generation's salting.
+        # The reader fetch below orders fragments by first doc, so this
+        # could be lifted once a merged-index export has its own parity
+        # test.
         raise ValueError(
             "legacy export of a merged generational index is not "
             "supported: re-export each generation, or rebuild the "
@@ -182,54 +172,15 @@ def export_legacy_index(index_dir: str, out_dir: str) -> dict:
         )
     tf_sq = np.zeros(reader.num_docs, dtype=np.float64)
 
-    seg_files = sorted(_glob.glob(os.path.join(index_dir, "segments",
-                                               "*.parquet")))
-    tbl = pads.dataset(seg_files).to_table(
-        columns=["term", "shard", "salt", "df", "cf",
-                 "blob", "tf_blob", "pos_blob"])
-    # UTF-8 byte order == code-point order, so Arrow's sort matches the
-    # reader's Python sorted() vocabulary order.
-    tbl = tbl.sort_by([("term", "ascending"), ("shard", "ascending"),
-                       ("salt", "ascending")])
-    t_terms = tbl.column("term").to_pylist()
-    t_df = tbl.column("df").to_numpy()
-    t_cf = tbl.column("cf").to_numpy()
-    t_blob = tbl.column("blob").to_pylist()
-    t_tf = tbl.column("tf_blob").to_pylist()
-    t_pos = tbl.column("pos_blob").to_pylist()
-
-    def _decode_fragment(i: int):
-        doc_ids = np.cumsum(
-            vbyte.decode(t_blob[i], count=int(t_df[i])).astype(np.int64))
-        tftds = vbyte.decode(t_tf[i], count=int(t_df[i])).astype(np.int64)
-        off = np.zeros(int(t_df[i]) + 1, dtype=np.int64)
-        np.cumsum(tftds, out=off[1:])
-        gaps = vbyte.decode(t_pos[i], count=int(t_cf[i])).astype(np.int64)
-        return doc_ids, tftds, _segmented_cumsum(gaps, off), off
-
-    terms: list[str] = []
+    terms = reader.get_vocabulary()
     offsets: list[int] = []
-    n = len(t_terms)
     with open(os.path.join(out_dir, "postings.bin"), "wb") as f:
-        i = 0
-        while i < n:
-            j = i + 1
-            while j < n and t_terms[j] == t_terms[i]:
-                j += 1
-            parts = [_decode_fragment(k) for k in range(i, j)]
-            if len(parts) == 1:
-                doc_ids, tftds, positions, pos_off = parts[0]
-            else:
-                doc_ids = np.concatenate([p[0] for p in parts])
-                tftds = np.concatenate([p[1] for p in parts])
-                positions = np.concatenate([p[2] for p in parts])
-                pos_off = np.zeros(doc_ids.size + 1, dtype=np.int64)
-                np.cumsum(tftds, out=pos_off[1:])
-            terms.append(t_terms[i])
+        for term in terms:
+            pl = reader.fetch_postings(term, with_positions=True)
             offsets.append(f.tell())
-            f.write(encode_term_postings_legacy(doc_ids, pos_off, positions))
-            np.add.at(tf_sq, doc_ids, tftds.astype(np.float64) ** 2)
-            i = j
+            f.write(encode_term_postings_legacy(
+                pl.doc_ids, pl.pos_offsets, pl.positions))
+            np.add.at(tf_sq, pl.doc_ids, pl.tftds.astype(np.float64) ** 2)
 
     pq.write_table(
         pa.table({"term": pa.array(terms, pa.string()),

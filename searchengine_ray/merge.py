@@ -10,10 +10,11 @@ path (its GUI re-runs the full SPIMI build per corpus,
 capability its design implies once doc ids are deterministic.
 
 Merge is metadata-plus-copy, NOT a postings merge: generations own
-disjoint dense doc ranges, every segment row's doc-gap blob starts with
+disjoint dense doc ranges, every segment row's doc stream starts with
 an absolute doc id, and the reader already unions multiple fragment
-rows per term in first-doc order — so segments are taken as-is.  The
-only byte rewrite is the block-max WAND bounds: ``max_wdt`` /
+rows per term in first-doc order — so segments (parquet catalog plus
+``.bin`` postings) are taken as-is.  The only rewrite is the block-max
+WAND bounds in the parquet: ``max_wdt`` /
 ``skip_max_wdt`` were quantized against each generation's OWN avgdl,
 and wdt grows monotonically with avgdl, with
 ``wdt(avgdl') <= (avgdl'/avgdl) * wdt(avgdl)`` for ``avgdl' > avgdl``
@@ -50,7 +51,8 @@ import time
 
 import ray
 
-from .build import MANIFEST_NAME, SEGMENT_FORMAT, _dir_lineage
+from .build import (MANIFEST_NAME, SEGMENT_FORMAT, _dir_lineage,
+                    segment_bin_path)
 
 #: cfg fields that must agree across generations: they define token →
 #: (term, bucket, shard) identity.  Fields NOT here (batch sizes,
@@ -74,16 +76,20 @@ def _wdt_bound_scale(avgdl_new: float, avgdl_gen: float) -> float:
 @ray.remote
 def _copy_segment(src: str, dst: str, scale: float,
                   row_group_size: int) -> int:
-    """Bring one segment file into the merged index: plain copy when the
-    generation's wdt bounds are already valid (scale == 1), else rewrite
-    with max_wdt / skip_max_wdt multiplied by ``scale`` (blobs and every
-    other column pass through untouched).  Idempotent: tmp + rename."""
+    """Bring one segment into the merged index: its ``.bin`` is copied
+    as-is, and its parquet is copied too when the generation's wdt bounds
+    are already valid (scale == 1), else rewritten with max_wdt /
+    skip_max_wdt multiplied by ``scale`` (every other column passes
+    through untouched).  Idempotent: tmp + rename, the parquet last."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     if os.path.exists(dst) and os.path.getsize(dst) > 0:
         return 0  # resume: already merged
+    bin_dst = segment_bin_path(dst)
+    shutil.copyfile(segment_bin_path(src), bin_dst + ".tmp")
+    os.replace(bin_dst + ".tmp", bin_dst)
     tmp = dst + ".tmp"
     if scale == 1.0:
         shutil.copyfile(src, tmp)
@@ -101,11 +107,7 @@ def _copy_segment(src: str, dst: str, scale: float,
     tbl = tbl.set_column(
         tbl.schema.get_field_index("skip_max_wdt"), "skip_max_wdt",
         pa.chunked_array([skip_scaled]))
-    pq.write_table(
-        tbl, tmp, row_group_size=row_group_size,
-        write_statistics=[c for c in tbl.column_names
-                          if not c.endswith("blob")],
-    )
+    pq.write_table(tbl, tmp, row_group_size=row_group_size)
     os.replace(tmp, dst)
     return 1
 

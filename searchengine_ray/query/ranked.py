@@ -81,80 +81,67 @@ class _TermCursor:
 
     Concatenates the per-fragment skip arrays — fragments are doc-range
     disjoint and ordered, so the combined block list is doc_id-sorted.
-    Blocks decode lazily; a skipped block is never decoded.
+    Each fragment's doc and tf bytes come from one ``read_fragment_row``;
+    blocks decode lazily, and a skipped block is never decoded.
     """
 
     __slots__ = (
         "wqt", "global_ub", "block_last", "block_max_wdt", "blk", "nblocks",
-        "_frag_rows", "_frag_of_block", "_block_in_frag", "_skip_n",
-        "_decoded", "_tf_decoded", "cur_doc", "cur_wdt", "_pos",
+        "_frags", "_frag_of_block", "_block_in_frag",
+        "_decoded", "_tf_decoded", "cur_doc", "_pos",
     )
 
     def __init__(self, index, term: str, wqt: float, use_okapi: bool):
         self.wqt = wqt
-        skip_n = index.manifest["config"]["skip_block"]
-        self._skip_n = skip_n
-        lasts, maxws = [], []
-        self._frag_rows = []
-        self._frag_of_block = []
-        self._block_in_frag = []
-        rows = []
-        for fr in index.fragments(term):
-            row = index.read_fragment_row(
-                fr, ["blob", "tf_blob", "skip_last_doc", "skip_max_wdt",
-                     "skip_offset", "skip_tf_offset", "skip_count"]
-            )
-            row["df"] = fr.df
-            rows.append(row)
+        frags = [(fr, index.skip_lists(fr),
+                  memoryview(index.read_fragment_row(fr)))
+                 for fr in index.fragments(term)]
         # fragments are doc-range disjoint, so ordering by any doc of
         # each (the first block's last doc) makes the concatenated block
         # list globally doc-ascending even for merged generational
         # indexes whose per-build salting disagrees (the dictionary's
         # (shard, salt) sort alone covers single-generation indexes)
-        rows.sort(key=lambda r: int(r["skip_last_doc"][0]))
-        for fi, row in enumerate(rows):
-            self._frag_rows.append(row)
-            nb = len(row["skip_last_doc"])
-            lasts.extend(row["skip_last_doc"])
-            maxws.extend(row["skip_max_wdt"])
-            self._frag_of_block.extend([fi] * nb)
-            self._block_in_frag.extend(range(nb))
-        self.block_last = np.asarray(lasts, dtype=np.int64)
-        self.block_max_wdt = np.asarray(maxws, dtype=np.float64)
+        frags.sort(key=lambda f: int(f[1]["skip_last_doc"][0]))
+        self._frags = frags
+        nbs = [len(sk["skip_last_doc"]) for _, sk, _ in frags]
+        self._frag_of_block = [fi for fi, nb in enumerate(nbs)
+                               for _ in range(nb)]
+        self._block_in_frag = [k for nb in nbs for k in range(nb)]
+        self.block_last = np.concatenate(
+            [sk["skip_last_doc"] for _, sk, _ in frags]).astype(np.int64)
+        self.block_max_wdt = np.concatenate(
+            [sk["skip_max_wdt"] for _, sk, _ in frags]).astype(np.float64)
         self.nblocks = self.block_last.size
         self.blk = 0
-        self._decoded: dict[int, np.ndarray] = {}
+        self._decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._tf_decoded: dict[int, np.ndarray] = {}
         self._pos = 0
         self._load_block(0)
 
-    def _decode_block(self, b: int) -> np.ndarray:
-        """Doc ids of block ``b`` (tfs decode separately, only when the
-        block is actually scored — the v3 split streams make the tf
-        bytes skippable)."""
+    def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """(doc ids, tf==1 mask) of block ``b``; its tf exceptions decode
+        separately, only when the block is actually scored."""
         hit = self._decoded.get(b)
         if hit is not None:
             return hit
         from .. import vbyte
 
-        fi = self._frag_of_block[b]
+        fr, skip, buf = self._frags[self._frag_of_block[b]]
         bif = self._block_in_frag[b]
-        row = self._frag_rows[fi]
-        offs = row["skip_offset"]
-        blob = row["blob"]
-        start = offs[bif]
-        end = offs[bif + 1] if bif + 1 < len(offs) else len(blob)
+        offs = skip["skip_offset"]
+        start = int(offs[bif])
+        end = int(offs[bif + 1]) if bif + 1 < len(offs) else fr.doc_len
         # format v4: blocks are variable-size (fragment seams coalesce),
         # so the per-block posting count is persisted, not derived
-        n_postings = row["skip_count"][bif]
-        gaps = vbyte.decode(blob[start:end], count=n_postings).astype(
+        vals = vbyte.decode(buf[start:end],
+                            count=int(skip["skip_count"][bif])).astype(
             np.int64)
         # first gap of a non-first block is relative to the previous
         # block's last doc (continuous deltas across blocks)
-        base = row["skip_last_doc"][bif - 1] if bif > 0 else 0
-        doc_ids = base + np.cumsum(gaps)
-        self._decoded[b] = doc_ids
-        return doc_ids
+        base = int(skip["skip_last_doc"][bif - 1]) if bif > 0 else 0
+        hit = self._decoded[b] = (base + np.cumsum(vals >> 1),
+                                  (vals & 1) == 1)
+        return hit
 
     def _block_tfs(self, b: int) -> np.ndarray:
         hit = self._tf_decoded.get(b)
@@ -162,16 +149,16 @@ class _TermCursor:
             return hit
         from .. import vbyte
 
-        fi = self._frag_of_block[b]
+        fr, skip, buf = self._frags[self._frag_of_block[b]]
         bif = self._block_in_frag[b]
-        row = self._frag_rows[fi]
-        toffs = row["skip_tf_offset"]
-        tf_blob = row["tf_blob"]
-        ts = toffs[bif]
-        te = toffs[bif + 1] if bif + 1 < len(toffs) else len(tf_blob)
-        n_postings = row["skip_count"][bif]
-        tftds = vbyte.decode(tf_blob[ts:te], count=n_postings).astype(
-            np.int64)
+        one = self._block(b)[1]
+        toffs = skip["skip_tf_offset"]
+        ts = fr.doc_len + int(toffs[bif])
+        te = fr.doc_len + (int(toffs[bif + 1]) if bif + 1 < len(toffs)
+                           else fr.tf_len)
+        tftds = np.ones(one.size, dtype=np.int64)
+        tftds[~one] = vbyte.decode(
+            buf[ts:te], count=one.size - int(np.count_nonzero(one)))
         self._tf_decoded[b] = tftds
         return tftds
 
@@ -180,7 +167,7 @@ class _TermCursor:
         if b >= self.nblocks:
             self.cur_doc = np.iinfo(np.int64).max
             return
-        doc_ids = self._decode_block(b)
+        doc_ids = self._block(b)[0]
         self._pos = 0
         self.cur_doc = int(doc_ids[0])
 
@@ -205,13 +192,13 @@ class _TermCursor:
                 self.cur_doc = np.iinfo(np.int64).max
                 return
             self._load_block(b)
-        doc_ids = self._decode_block(self.blk)
+        doc_ids = self._block(self.blk)[0]
         p = int(np.searchsorted(doc_ids, target, side="left"))
         self._pos = p
         self.cur_doc = int(doc_ids[p])
 
     def advance(self) -> None:
-        doc_ids = self._decode_block(self.blk)
+        doc_ids = self._block(self.blk)[0]
         self._pos += 1
         if self._pos >= doc_ids.size:
             self._load_block(self.blk + 1)

@@ -2,12 +2,13 @@
 ``DiskPositionalIndex`` (/root/reference/engine/indexing/diskpositionalindex.py:9-154).
 
 The reference loads a SQLite term→byte-offset catalog into a dict and seeks
-into one postings.bin.  Here the "catalog" is the lightweight columns
-(term, shard, salt, df, cf, max_wdt) of the segment parquet files — read
-once at construction (ST3 analogue) — while the heavy blob columns stay on
-disk and are fetched per term by row-group point reads.  Doc stats
-(doc_length, L_d, title: ST4/ST5 analogues) load into dense numpy arrays
-keyed by doc_id.
+into one postings.bin.  Here the catalog is the lightweight columns
+(term, shard, salt, df, cf, max_wdt and the three stream lengths) of the
+segment parquet files — read once at construction (ST3 analogue), with
+each row's byte offset derived by one cumsum — and a term fetch is one
+``os.pread`` per fragment into the segment's ``.bin`` (format v6).  Doc
+stats (doc_length, L_d, title: ST4/ST5 analogues) load into dense numpy
+arrays keyed by doc_id.
 
 Scale note: one reader holds the dictionary for the buckets it serves.  At
 10^12-doc scale, readers are deployed as an actor pool with each actor
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -27,13 +29,24 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from .. import vbyte
-from ..build import MANIFEST_NAME, SEGMENT_FORMAT
+from ..build import MANIFEST_NAME, SEGMENT_FORMAT, segment_bin_path
 from .postings import PostingList
+
+#: Byte budget of the posting-list LRU, on top of its entry count: a few
+#: huge lists (stopword-like terms with positions) cannot pin gigabytes.
+#: perfbench's working set stays far below it, so only the entry count
+#: binds there.
+POSTING_CACHE_BYTES = 256 << 20
+
+_SKIP_COLUMNS = ("skip_last_doc", "skip_max_wdt", "skip_offset",
+                 "skip_tf_offset", "skip_count")
 
 
 @dataclass
 class Fragment:
-    """Locator + stats for one (term, shard, salt) posting-list fragment."""
+    """Locator + stats for one (term, shard, salt) posting-list fragment:
+    its stream bytes sit at ``offset`` in the segment's ``.bin``, doc
+    stream then tf exceptions then positions."""
 
     file_idx: int
     row_idx: int
@@ -42,6 +55,23 @@ class Fragment:
     df: int
     cf: int
     max_wdt: float
+    offset: int
+    doc_len: int
+    tf_len: int
+    pos_len: int
+
+
+def _close_fds(fds: list[int]) -> None:
+    for fd in fds:
+        os.close(fd)
+    fds.clear()
+
+
+def _nbytes(pl: PostingList) -> int:
+    n = pl.doc_ids.nbytes + pl.tftds.nbytes
+    if pl.positions is not None:
+        n += pl.positions.nbytes + pl.pos_offsets.nbytes
+    return n
 
 
 class DiskIndexReader:
@@ -74,13 +104,17 @@ class DiskIndexReader:
                 f"index with searchengine_ray.merge.merge_indexes first"
             )
 
+        # one read-only fd per segment .bin, closed when the reader is
+        # collected; pread through it shares the page cache across
+        # processes without mapping pages into this one's resident set
+        self._fds: list[int] = []
+        weakref.finalize(self, _close_fds, self._fds)
         self._load_doc_stats()
         self._load_dictionary(buckets)
         self._cache: OrderedDict[tuple[str, bool], PostingList] = OrderedDict()
         self._cache_size = cache_size
-        self._open_files: dict[int, pq.ParquetFile] = {}
-        self._row_cache: OrderedDict[tuple, dict] = OrderedDict()
-        self._row_cache_size = cache_size * 4
+        self._cache_bytes = 0
+        self._skip_files: dict[int, tuple[pq.ParquetFile, np.ndarray]] = {}
 
     # ---- doc stats (ST4/ST5) ----
 
@@ -187,30 +221,28 @@ class DiskIndexReader:
 
         seg_dir = os.path.join(self.index_dir, "segments")
         self._files: list[str] = []
-        self._row_group_rows: list[np.ndarray] = []
         want = set(buckets) if buckets is not None else None
         term_chunks: list[pa.Array] = []
         file_l, row_l = [], []
         shard_l, salt_l, df_l, cf_l, maxw_l = [], [], [], [], []
+        off_l, dlen_l, tlen_l, plen_l = [], [], [], []
         for seg in self.manifest["segments"]:
             if want is not None and not (want & set(seg["buckets"])):
                 continue
             path = os.path.join(seg_dir, seg["file"])
             file_idx = len(self._files)
             self._files.append(path)
-            pf = pq.ParquetFile(path)
-            rg_rows = np.array(
-                [pf.metadata.row_group(i).num_rows
-                 for i in range(pf.metadata.num_row_groups)],
-                dtype=np.int64,
-            )
-            self._row_group_rows.append(np.cumsum(rg_rows))
             tbl = pq.read_table(
                 path,
                 columns=["term", "shard", "salt", "bucket", "df", "cf",
-                         "max_wdt"],
+                         "max_wdt", "doc_len", "tf_len", "pos_len"],
             )
             n_rows = tbl.num_rows
+            lens = [tbl.column(c).to_numpy().astype(np.int64)
+                    for c in ("doc_len", "tf_len", "pos_len")]
+            row_len = lens[0] + lens[1] + lens[2]
+            row_start = np.cumsum(row_len) - row_len
+            self._open_bin(path, int(row_len.sum()))
             term_col = tbl.column("term").combine_chunks()
             if isinstance(term_col, pa.ChunkedArray):
                 term_col = (term_col.chunk(0) if term_col.num_chunks
@@ -232,6 +264,10 @@ class DiskIndexReader:
             df_l.append(tbl.column("df").to_numpy()[rows])
             cf_l.append(tbl.column("cf").to_numpy()[rows])
             maxw_l.append(tbl.column("max_wdt").to_numpy()[rows])
+            off_l.append(row_start[rows])
+            dlen_l.append(lens[0][rows])
+            tlen_l.append(lens[1][rows])
+            plen_l.append(lens[2][rows])
 
         if not term_chunks or not sum(len(c) for c in term_chunks):
             self._frag_file = np.empty(0, np.int32)
@@ -241,6 +277,8 @@ class DiskIndexReader:
             self._frag_df = np.empty(0, np.int64)
             self._frag_cf = np.empty(0, np.int64)
             self._frag_maxw = np.empty(0, np.float64)
+            self._frag_off = self._frag_dlen = np.empty(0, np.int64)
+            self._frag_tlen = self._frag_plen = np.empty(0, np.int64)
             self._term_slice: dict[str, tuple[int, int]] = {}
             self._vocab: list[str] = []
             self._vocab_starts = np.empty(0, np.int64)
@@ -264,6 +302,10 @@ class DiskIndexReader:
         self._frag_df = np.concatenate(df_l)[order].astype(np.int64)
         self._frag_cf = np.concatenate(cf_l)[order].astype(np.int64)
         self._frag_maxw = np.concatenate(maxw_l)[order].astype(np.float64)
+        self._frag_off = np.concatenate(off_l)[order]
+        self._frag_dlen = np.concatenate(dlen_l)[order]
+        self._frag_tlen = np.concatenate(tlen_l)[order]
+        self._frag_plen = np.concatenate(plen_l)[order]
         terms_sorted = terms_all.take(pa.array(order))
         n = len(terms_sorted)
         new = np.empty(n, dtype=bool)
@@ -281,6 +323,24 @@ class DiskIndexReader:
             t: (int(s), int(e))
             for t, s, e in zip(self._vocab, starts.tolist(), ends.tolist())
         }
+
+    def _open_bin(self, parquet_path: str, want_bytes: int) -> None:
+        """Open a segment's ``.bin`` and refuse a torn index: the file
+        must exist and hold exactly the bytes its parquet rows address."""
+        path = segment_bin_path(parquet_path)
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            raise ValueError(
+                f"segment postings file {path} is missing: the index is "
+                f"torn, rebuild it") from None
+        self._fds.append(fd)
+        size = os.fstat(fd).st_size
+        if size != want_bytes:
+            raise ValueError(
+                f"segment postings file {path} holds {size} B but "
+                f"{os.path.basename(parquet_path)} addresses {want_bytes} "
+                f"B: the index is torn, rebuild it")
 
     # ---- public API ----
 
@@ -321,7 +381,9 @@ class DiskIndexReader:
             Fragment(int(self._frag_file[i]), int(self._frag_row[i]),
                      int(self._frag_shard[i]), int(self._frag_salt[i]),
                      int(self._frag_df[i]), int(self._frag_cf[i]),
-                     float(self._frag_maxw[i]))
+                     float(self._frag_maxw[i]), int(self._frag_off[i]),
+                     int(self._frag_dlen[i]), int(self._frag_tlen[i]),
+                     int(self._frag_plen[i]))
             for i in range(s[0], s[1])
         ]
 
@@ -362,72 +424,107 @@ class DiskIndexReader:
         return self.get_titles([int(doc_id)])[0]
 
     def get_postings(self, term: str, with_positions: bool = False) -> PostingList:
-        """All postings for a term, doc_id-ascending across fragments."""
+        """All postings for a term, doc_id-ascending across fragments,
+        through an LRU bounded by entry count and POSTING_CACHE_BYTES."""
         key = (term, with_positions)
         hit = self._cache.get(key)
         if hit is not None:
             self._cache.move_to_end(key)
             return hit
+        out = self.fetch_postings(term, with_positions)
+        nbytes = _nbytes(out)
+        if nbytes <= POSTING_CACHE_BYTES:
+            while self._cache and (
+                    len(self._cache) >= self._cache_size
+                    or self._cache_bytes + nbytes > POSTING_CACHE_BYTES):
+                self._cache_bytes -= _nbytes(
+                    self._cache.popitem(last=False)[1])
+            self._cache[key] = out
+            self._cache_bytes += nbytes
+        return out
+
+    def fetch_postings(self, term: str,
+                       with_positions: bool = False) -> PostingList:
+        """``get_postings`` without the cache: read and decode every
+        fragment of the term."""
         frags = self.fragments(term)
         if not frags:
-            out = PostingList.empty(with_positions)
-        else:
-            parts = [self._decode_fragment(fr, with_positions) for fr in frags]
-            # fragments cover pairwise-disjoint doc ranges (reducer
-            # invariant; generations of a merged index are doc-disjoint
-            # by construction), so ordering PARTS by first doc yields a
-            # globally doc-ascending list.  The dictionary's
-            # (shard, salt) sort already orders single-generation
-            # fragments; this sort makes the concat robust to merged
-            # generations whose per-build salting disagrees.
-            parts.sort(key=lambda p: int(p.doc_ids[0]))
-            out = _concat_postings(parts, with_positions)
-        if len(self._cache) >= self._cache_size:
-            self._cache.popitem(last=False)
-        self._cache[key] = out
-        return out
+            return PostingList.empty(with_positions)
+        parts = [self._decode_fragment(fr, with_positions) for fr in frags]
+        # fragments cover pairwise-disjoint doc ranges (reducer
+        # invariant; generations of a merged index are doc-disjoint
+        # by construction), so ordering PARTS by first doc yields a
+        # globally doc-ascending list.  The dictionary's
+        # (shard, salt) sort already orders single-generation
+        # fragments; this sort makes the concat robust to merged
+        # generations whose per-build salting disagrees.
+        parts.sort(key=lambda p: int(p.doc_ids[0]))
+        return _concat_postings(parts, with_positions)
 
     # ---- fragment access ----
 
-    def _parquet_file(self, file_idx: int) -> pq.ParquetFile:
-        pf = self._open_files.get(file_idx)
-        if pf is None:
-            pf = self._open_files[file_idx] = pq.ParquetFile(
-                self._files[file_idx]
-            )
-        return pf
+    def read_fragment_row(self, fr: Fragment,
+                          with_positions: bool = False) -> bytes:
+        """One fragment's doc and tf streams, plus its pos stream when
+        ``with_positions``: a single ``os.pread`` of its byte range."""
+        n = fr.doc_len + fr.tf_len + (fr.pos_len if with_positions else 0)
+        buf = os.pread(self._fds[fr.file_idx], n, fr.offset)
+        if len(buf) != n:
+            raise ValueError(
+                f"short read from "
+                f"{segment_bin_path(self._files[fr.file_idx])}: the index "
+                f"is torn, rebuild it")
+        return buf
 
-    def read_fragment_row(self, fr: Fragment, columns: list[str]) -> dict:
-        key = (fr.file_idx, fr.row_idx, tuple(columns))
-        hit = self._row_cache.get(key)
-        if hit is not None:
-            self._row_cache.move_to_end(key)
-            return hit
-        ends = self._row_group_rows[fr.file_idx]
+    def skip_lists(self, fr: Fragment) -> dict[str, np.ndarray]:
+        """The fragment's skip-block lists, for WAND.  They stay in the
+        parquet: one read of the five skip columns of the fragment's row
+        group."""
+        hit = self._skip_files.get(fr.file_idx)
+        if hit is None:
+            pf = pq.ParquetFile(self._files[fr.file_idx])
+            ends = np.cumsum([pf.metadata.row_group(i).num_rows
+                              for i in range(pf.metadata.num_row_groups)])
+            hit = self._skip_files[fr.file_idx] = (pf, ends)
+        pf, ends = hit
         rg = int(np.searchsorted(ends, fr.row_idx, side="right"))
-        offset = fr.row_idx - (int(ends[rg - 1]) if rg else 0)
-        pf = self._parquet_file(fr.file_idx)
-        tbl = pf.read_row_group(rg, columns=columns).slice(offset, 1)
-        row = {c: tbl.column(c)[0].as_py() for c in columns}
-        if len(self._row_cache) >= self._row_cache_size:
-            self._row_cache.popitem(last=False)
-        self._row_cache[key] = row
-        return row
+        row = fr.row_idx - (int(ends[rg - 1]) if rg else 0)
+        tbl = pf.read_row_group(rg, columns=list(_SKIP_COLUMNS))
+        return {c: tbl.column(c)[row].values.to_numpy()
+                for c in _SKIP_COLUMNS}
 
     def _decode_fragment(self, fr: Fragment, with_positions: bool) -> PostingList:
-        cols = (["blob", "tf_blob", "pos_blob"] if with_positions
-                else ["blob", "tf_blob"])
-        row = self.read_fragment_row(fr, cols)
-        doc_ids = np.cumsum(
-            vbyte.decode(row["blob"], count=fr.df).astype(np.int64))
-        tftds = vbyte.decode(row["tf_blob"], count=fr.df).astype(np.int64)
+        # the streams sit back to back and each ends on a whole value, so
+        # one VByte decode covers all of them
+        vals = vbyte.decode(
+            self.read_fragment_row(fr, with_positions)).astype(np.int64)
+        doc_ids, tftds, n_exc = _unfold_doc_tf(vals, fr.df)
+        want = fr.df + n_exc + (fr.cf if with_positions else 0)
+        if vals.size != want:
+            raise ValueError(
+                f"fragment {fr.row_idx} of "
+                f"{os.path.basename(self._files[fr.file_idx])} decodes to "
+                f"{vals.size} values, expected {want}")
         if not with_positions:
             return PostingList(doc_ids, tftds)
-        pos_gaps = vbyte.decode(row["pos_blob"], count=fr.cf).astype(np.int64)
         offsets = np.zeros(fr.df + 1, dtype=np.int64)
         np.cumsum(tftds, out=offsets[1:])
-        positions = _segmented_cumsum(pos_gaps, offsets)
+        positions = _segmented_cumsum(vals[fr.df + n_exc:], offsets)
         return PostingList(doc_ids, tftds, positions, offsets)
+
+
+def _unfold_doc_tf(vals: np.ndarray,
+                   df: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(doc ids, tftds, exception count) from decoded int64 values: ``df``
+    folded doc-stream values ``gap<<1 | (tf==1)`` followed by the tf
+    exceptions (the tftds != 1, in posting order)."""
+    v = vals[:df]
+    exc = (v & 1) == 0
+    n_exc = int(np.count_nonzero(exc))
+    doc_ids = np.cumsum(v >> 1)
+    tftds = np.ones(df, dtype=np.int64)
+    tftds[exc] = vals[df:df + n_exc]
+    return doc_ids, tftds, n_exc
 
 
 def _segmented_cumsum(gaps: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -245,15 +245,32 @@ class TestBuildArtifacts:
                 side, timed, phases[side]["wall"])
 
 
+def _segment_table(path: str) -> pa.Table:
+    """A segment's parquet rows plus each row's postings bytes from its
+    ``.bin`` (doc, tf and pos streams back to back) as a ``bin`` column."""
+    from searchengine_ray.build import segment_bin_path
+
+    t = pq.read_table(path)
+    with open(segment_bin_path(path), "rb") as f:
+        data = f.read()
+    ends = np.cumsum(sum(t.column(c).to_numpy().astype(np.int64)
+                         for c in ("doc_len", "tf_len", "pos_len")))
+    assert int(ends[-1]) == len(data)
+    starts = ends - np.diff(ends, prepend=0)
+    return t.append_column("bin", pa.array(
+        [data[a:b] for a, b in zip(starts.tolist(), ends.tolist())],
+        pa.binary()))
+
+
 def _segment_content_hash(index_dir: str) -> str:
     """sha256 over every segment row, rows sorted by (term, shard,
-    bucket, salt) and all columns hashed — independent of how rows are
-    split across segment files."""
+    bucket, salt) and all columns hashed, the row's ``.bin`` bytes
+    included — independent of how rows are split across segment files."""
     import pyarrow.compute as pc
 
     seg_dir = os.path.join(index_dir, "segments")
     t = pa.concat_tables(
-        pq.read_table(os.path.join(seg_dir, f))
+        _segment_table(os.path.join(seg_dir, f))
         for f in sorted(os.listdir(seg_dir)) if f.endswith(".parquet")
     )
     t = t.take(pc.sort_indices(t, sort_keys=[
@@ -352,7 +369,7 @@ class TestResume:
             h = hashlib.sha256()
             for fn in sorted(f for f in os.listdir(segdir)
                              if f.endswith(".parquet")):
-                t = pq.read_table(os.path.join(segdir, fn))
+                t = _segment_table(os.path.join(segdir, fn))
                 t = t.take(pc.sort_indices(t, sort_keys=[
                     ("term", "ascending"), ("shard", "ascending"),
                     ("bucket", "ascending"), ("salt", "ascending")]))

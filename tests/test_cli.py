@@ -61,3 +61,27 @@ def test_verify_subcommand(cli_env, capsys):
                  "--index", index_dir]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["passed"] is True
+
+
+def test_stats_subcommand(cli_env, capsys):
+    from searchengine_ray.build import segment_bin_path
+
+    _, index_dir = cli_env
+    assert main(["stats", "--index", index_dir]) == 0
+    st = json.loads(capsys.readouterr().out)
+    assert st["num_docs"] == 300
+    assert st["segments"]
+    for seg in st["segments"]:
+        path = os.path.join(index_dir, "segments", seg["file"])
+        assert seg["bin_bytes"] == os.path.getsize(segment_bin_path(path))
+        assert seg["bin_bytes"] == (seg["doc_bytes"] + seg["tf_bytes"]
+                                    + seg["pos_bytes"])
+        assert seg["parquet_bytes"] == os.path.getsize(path)
+    tot = st["totals"]
+    assert tot["bin_bytes"] == sum(s["bin_bytes"] for s in st["segments"])
+    assert st["bytes_per_doc"] * 300 > tot["bin_bytes"] + tot["parquet_bytes"]
+    assert set(st["exchange_phases"]) == {"map", "reduce"}
+    for side in st["exchange_phases"].values():
+        for phase in side.values():
+            assert set(phase) == {"total", "max", "mean"}
+    assert "finalize" in st["stage_seconds"]

@@ -1,14 +1,17 @@
 """Unit tests for the fragment-encoded postings exchange (wire v2 /
-segment format v5): the map-side ``_encode_file_fragments`` kernel and the
+segment format v6): the map-side ``_encode_file_fragments`` kernel and the
 reduce-side ``_finalize_segment`` merge, exercised directly on synthetic
 posting arrays — no Ray, no parquet corpus.
 
 Invariants under test (build.py ``_WIRE_SCHEMA`` / ``_finalize_segment``
 docstrings):
-- a merged term's doc-gap blob decodes to the exact ascending doc ids
-  across fragments (the non-first fragments' leading absolute ids are
-  rewritten into gaps, deltas continuous across the whole list);
-- tf and pos streams are pure byte concatenations in posting order;
+- a merged term's doc stream (values ``gap<<1 | (tf==1)``) decodes to the
+  exact ascending doc ids across fragments (the non-first fragments'
+  leading absolute ids are rewritten into gaps, deltas continuous across
+  the whole list, the tf==1 flag kept);
+- tf-exception and pos streams are pure byte concatenations in posting
+  order, and each segment row's three streams sit back to back in the
+  segment's ``.bin`` at the lengths its parquet row records;
 - every skip block slice-decodes independently given the previous block's
   last doc, and ``skip_count`` sums to df;
 - seam blocks coalesce to >= skip_block postings (except a term's last);
@@ -34,6 +37,7 @@ from searchengine_ray.build import (
     _finalize_segment,
     _reducer_of,
     _reducer_of_vec,
+    segment_bin_path,
     wdt_quantized,
 )
 
@@ -80,15 +84,41 @@ def _encode_file(cfg, rows, seg_of=None):
 
 
 def _finalize(cfg, tables, tmp_path):
+    """Run the reducer; returns its parquet with each row's three ``.bin``
+    streams attached as ``blob`` / ``tf_blob`` / ``pos_blob`` columns."""
     out = os.path.join(str(tmp_path), "segment_test.parquet")
     prof = {"merge": 0.0, "write": 0.0, "bytes_in": 0}
     meta = _finalize_segment(list(tables), cfg, AVGDL, out, prof)
-    return pq.read_table(out), meta
+    seg = pq.read_table(out)
+    with open(segment_bin_path(out), "rb") as f:
+        data = f.read()
+    lens = np.stack([seg.column(c).to_numpy().astype(np.int64)
+                     for c in ("doc_len", "tf_len", "pos_len")], axis=1)
+    ends = np.cumsum(lens.ravel())
+    assert int(ends[-1]) == len(data)
+    starts = ends - lens.ravel()
+    pieces = [data[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    for k, name in enumerate(("blob", "tf_blob", "pos_blob")):
+        seg = seg.append_column(name, pa.array(pieces[k::3], pa.binary()))
+    return seg, meta
 
 
 def _decode_docs(blob: bytes, df: int) -> np.ndarray:
-    gaps = vbyte.decode(blob, count=df).astype(np.int64)
-    return np.cumsum(gaps)
+    vals = vbyte.decode(blob, count=df).astype(np.int64)
+    return np.cumsum(vals >> 1)
+
+
+def _unfold_tfs(doc_vals, tf_bytes: bytes) -> list[int]:
+    """tftds of postings whose folded doc values are ``doc_vals``, with
+    ``tf_bytes`` holding exactly their tf exceptions."""
+    one = (np.asarray(doc_vals, dtype=np.int64) & 1) == 1
+    tfs = np.ones(one.size, dtype=np.int64)
+    tfs[~one] = vbyte.decode(tf_bytes, count=int((~one).sum()))
+    return tfs.tolist()
+
+
+def _decode_tfs(blob: bytes, tf_blob: bytes, df: int) -> list[int]:
+    return _unfold_tfs(vbyte.decode(blob, count=df), tf_blob)
 
 
 def _expected(rows_by_file):
@@ -161,8 +191,7 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         assert row["cf"] == sum(e["tfs"])
         docs = _decode_docs(row["blob"], df)
         assert docs.tolist() == e["docs"]
-        tfs = vbyte.decode(row["tf_blob"], count=df).astype(np.int64)
-        assert tfs.tolist() == e["tfs"]
+        assert _decode_tfs(row["blob"], row["tf_blob"], df) == e["tfs"]
         assert row["pos_blob"] == e["pos"]
         wq = wdt_quantized(np.asarray(e["tfs"], np.int32),
                            np.asarray(e["dls"]), AVGDL)
@@ -180,14 +209,14 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         p = 0
         for b, cnt in enumerate(counts):
             end = offs[b + 1] if b + 1 < len(offs) else len(row["blob"])
-            gaps = vbyte.decode(row["blob"][offs[b]:end], count=cnt)
-            bdocs = base + np.cumsum(gaps.astype(np.int64))
+            vals = vbyte.decode(row["blob"][offs[b]:end], count=cnt)
+            bdocs = base + np.cumsum(vals.astype(np.int64) >> 1)
             assert bdocs.tolist() == e["docs"][p:p + cnt]
             assert lasts[b] == bdocs[-1]
             tend = (toffs[b + 1] if b + 1 < len(toffs)
                     else len(row["tf_blob"]))
-            btfs = vbyte.decode(row["tf_blob"][toffs[b]:tend], count=cnt)
-            assert btfs.tolist() == e["tfs"][p:p + cnt]
+            btfs = _unfold_tfs(vals, row["tf_blob"][toffs[b]:tend])
+            assert btfs == e["tfs"][p:p + cnt]
             assert maxw[b] == pytest.approx(int(wq[p:p + cnt].max())
                                             / WDT_QUANT)
             base = bdocs[-1]
@@ -222,9 +251,9 @@ def test_fragment_first_gap_rewrite_lengths(tmp_path):
     for b, cnt in enumerate(row["skip_count"]):
         end = (row["skip_offset"][b + 1]
                if b + 1 < len(row["skip_offset"]) else len(row["blob"]))
-        gaps = vbyte.decode(row["blob"][row["skip_offset"][b]:end],
+        vals = vbyte.decode(row["blob"][row["skip_offset"][b]:end],
                             count=cnt)
-        bdocs = base + np.cumsum(gaps.astype(np.int64))
+        bdocs = base + np.cumsum(vals.astype(np.int64) >> 1)
         assert bdocs.tolist() == docs[p:p + cnt].tolist()
         base = int(bdocs[-1])
         p += cnt
@@ -268,17 +297,9 @@ def test_tf_wide_values_roundtrip(tmp_path):
     seg, _ = _finalize(
         cfg, [_encode_file(cfg, f1)[0], _encode_file(cfg, f2)[0]], tmp_path)
     row = {c: seg.column(c)[0].as_py() for c in seg.column_names}
-    tfs = vbyte.decode(row["tf_blob"], count=row["df"]).tolist()
+    tfs = _decode_tfs(row["blob"], row["tf_blob"], row["df"])
     assert tfs == [100, 140, 180, 300, 300]
-    p = 0
-    for b, cnt in enumerate(row["skip_count"]):
-        tend = (row["skip_tf_offset"][b + 1]
-                if b + 1 < len(row["skip_tf_offset"])
-                else len(row["tf_blob"]))
-        btfs = vbyte.decode(
-            row["tf_blob"][row["skip_tf_offset"][b]:tend], count=cnt)
-        assert btfs.tolist() == tfs[p:p + cnt]
-        p += cnt
+    _assert_blocks_decode(row, list(range(5)), tfs)
 
 
 def _tok_table(doc_ids, terms_per_doc):
@@ -392,8 +413,9 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
     assert df == 8
     docs = _decode_docs(seg.column("blob")[0].as_py(), df)
     assert docs.tolist() == list(range(4, 12))
-    tfs = vbyte.decode(seg.column("tf_blob")[0].as_py(), count=df)
-    assert tfs.tolist() == [1 + d % 3 for d in range(4, 12)]
+    tfs = _decode_tfs(seg.column("blob")[0].as_py(),
+                      seg.column("tf_blob")[0].as_py(), df)
+    assert tfs == [1 + d % 3 for d in range(4, 12)]
     assert seg.column("pos_blob")[0].as_py() == bytes(range(4, 12))
 
 
@@ -490,8 +512,8 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
         assert df == len(triples)
         docs = _decode_docs(row["blob"], df)
         assert docs.tolist() == [t[0] for t in triples]
-        tfs = vbyte.decode(row["tf_blob"], count=df)
-        assert tfs.tolist() == [t[1] for t in triples]
+        assert (_decode_tfs(row["blob"], row["tf_blob"], df)
+                == [t[1] for t in triples])
         assert row["pos_blob"] == b"".join(t[2] for t in triples)
         # every skip block slice-decodes independently
         offs, counts = row["skip_offset"], row["skip_count"]
@@ -499,8 +521,8 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
         base, p = 0, 0
         for b, cnt in enumerate(counts):
             end = offs[b + 1] if b + 1 < len(offs) else len(row["blob"])
-            gaps = vbyte.decode(row["blob"][offs[b]:end], count=cnt)
-            bdocs = base + np.cumsum(gaps.astype(np.int64))
+            vals = vbyte.decode(row["blob"][offs[b]:end], count=cnt)
+            bdocs = base + np.cumsum(vals.astype(np.int64) >> 1)
             assert bdocs.tolist() == [t[0] for t in triples[p:p + cnt]]
             assert row["skip_last_doc"][b] == bdocs[-1]
             base, p = int(bdocs[-1]), p + cnt
@@ -560,3 +582,89 @@ def test_equal_doc_id_runs_also_split(tmp_path):
     assert tbl.num_rows == 2  # split, not one fragment with gap 0
     with pytest.raises(ValueError, match="overlapping doc ranges"):
         _finalize(cfg, [tbl], tmp_path)
+
+
+def _assert_blocks_decode(row, docs, tfs):
+    """Every skip block decodes on its own, doc ids from its doc-stream
+    offset and tftds from its tf-stream offset."""
+    offs, toffs = row["skip_offset"], row["skip_tf_offset"]
+    base, p = 0, 0
+    for b, cnt in enumerate(row["skip_count"]):
+        end = offs[b + 1] if b + 1 < len(offs) else len(row["blob"])
+        vals = vbyte.decode(row["blob"][offs[b]:end], count=cnt)
+        bdocs = base + np.cumsum(vals.astype(np.int64) >> 1)
+        assert bdocs.tolist() == docs[p:p + cnt]
+        tend = toffs[b + 1] if b + 1 < len(toffs) else len(row["tf_blob"])
+        assert _unfold_tfs(vals, row["tf_blob"][toffs[b]:tend]) == \
+            tfs[p:p + cnt]
+        base, p = int(bdocs[-1]), p + cnt
+    assert p == len(docs)
+
+
+def _one_term(cfg, files, tmp_path):
+    """Encode each file's (doc, tf) list as one fragment of term "t",
+    reduce, and return the segment row with its streams."""
+    gk = _gkey(0, 1, 0, cfg.num_buckets)
+    tables = [
+        _encode_file(cfg, [(gk, "t", d, tf, 8.0, bytes([1 + d % 200]))
+                           for d, tf in rows])[0]
+        for rows in files
+    ]
+    seg, _ = _finalize(cfg, tables, tmp_path)
+    assert seg.num_rows == 1
+    return {c: seg.column(c)[0].as_py() for c in seg.column_names}
+
+
+def test_all_tf_one_has_empty_tf_stream(tmp_path):
+    cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
+    docs = [0, 3, 4, 9, 200, 201]
+    row = _one_term(cfg, [[(d, 1) for d in docs[:3]],
+                          [(d, 1) for d in docs[3:]]], tmp_path)
+    assert row["tf_len"] == 0 and row["tf_blob"] == b""
+    assert set(row["skip_tf_offset"]) == {0}
+    assert _decode_docs(row["blob"], 6).tolist() == docs
+    _assert_blocks_decode(row, docs, [1] * 6)
+
+
+def test_no_tf_one_stores_every_tf(tmp_path):
+    cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
+    docs = [1, 2, 5, 130, 131]
+    tfs = [2, 7, 300, 3, 129]
+    row = _one_term(cfg, [list(zip(docs[:2], tfs[:2])),
+                          list(zip(docs[2:], tfs[2:]))], tmp_path)
+    folded = vbyte.decode(row["blob"], count=5)
+    assert not (folded & np.uint64(1)).any()
+    assert vbyte.decode(row["tf_blob"], count=5).tolist() == tfs
+    _assert_blocks_decode(row, docs, tfs)
+
+
+@pytest.mark.parametrize("seam_tf", [1, 3])
+def test_seam_first_posting_keeps_its_tf_flag(tmp_path, seam_tf):
+    """The reducer rewrites the second fragment's leading value from an
+    absolute doc id into a gap; the tf==1 flag in its low bit must
+    survive, with tf 1 or not.  Doc 100000 encodes wider absolute than
+    as a gap, so the skip offsets shift too."""
+    cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
+    f1 = [(99990, 2), (99995, 1), (99997, 4)]
+    f2 = [(100000, seam_tf), (100001, 1), (100004, 5)]
+    row = _one_term(cfg, [f1, f2], tmp_path)
+    docs = [d for d, _ in f1 + f2]
+    tfs = [tf for _, tf in f1 + f2]
+    assert _decode_docs(row["blob"], 6).tolist() == docs
+    assert _decode_tfs(row["blob"], row["tf_blob"], 6) == tfs
+    seam_val = int(vbyte.decode(row["blob"], count=6)[3])
+    assert seam_val == ((100000 - 99997) << 1 | (seam_tf == 1))
+    _assert_blocks_decode(row, docs, tfs)
+
+
+def test_skip_block_starting_inside_exception_run(tmp_path):
+    """Block 1 starts at a tf exception right after another exception:
+    its tf offset is the byte length of the exceptions before it (the
+    2-byte VByte of 200), not a posting count."""
+    cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
+    docs = [0, 1, 2, 3, 4, 5]
+    tfs = [1, 200, 300, 5, 1, 2]
+    row = _one_term(cfg, [list(zip(docs, tfs))], tmp_path)
+    assert row["skip_count"] == [2, 2, 2]
+    assert row["skip_tf_offset"] == [0, 2, 5]
+    _assert_blocks_decode(row, docs, tfs)

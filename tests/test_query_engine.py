@@ -266,6 +266,102 @@ class TestDocStatsSidecars:
         # single lookup hits the cache path
         assert engine.index.get_title(ids[0]) == titles[0]
 
+class TestSegmentBin:
+    """Format v6: postings live in one byte-addressed ``.bin`` per
+    segment, fetched by ``os.pread``."""
+
+    @staticmethod
+    def _clone_with_bin(built_index, tmp_path, edit):
+        import shutil
+
+        from searchengine_ray.build import segment_bin_path
+
+        index_dir, manifest = built_index
+        clone = str(tmp_path / "torn")
+        shutil.copytree(index_dir, clone)
+        path = segment_bin_path(os.path.join(
+            clone, "segments", manifest["segments"][0]["file"]))
+        edit(path)
+        return clone, path
+
+    def test_truncated_bin_refused(self, built_index, tmp_path):
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        def truncate(path):
+            os.truncate(path, os.path.getsize(path) - 1)
+
+        clone, path = self._clone_with_bin(built_index, tmp_path, truncate)
+        with pytest.raises(ValueError, match="torn") as e:
+            DiskIndexReader(clone)
+        assert path in str(e.value)
+
+    def test_missing_bin_refused(self, built_index, tmp_path):
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        clone, path = self._clone_with_bin(built_index, tmp_path, os.remove)
+        with pytest.raises(ValueError, match="missing") as e:
+            DiskIndexReader(clone)
+        assert path in str(e.value)
+
+    def test_postings_equal_docterms_every_term(self, built_index):
+        """Content parity of the exchange: for every term, the postings
+        the reader decodes (doc ids, tf, positions) are exactly the
+        docterms rows the exchange consumed."""
+        import pyarrow.parquet as pq
+
+        from searchengine_ray import vbyte
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        index_dir, _ = built_index
+        tbl = pq.read_table(os.path.join(index_dir, "docterms"),
+                            columns=["term", "doc_id", "tftd", "pos_blob"])
+        want: dict = {}
+        for t, d, tf, blob in zip(*(tbl.column(c).to_pylist()
+                                    for c in tbl.column_names)):
+            pos = np.cumsum(vbyte.decode(blob, count=tf).astype(np.int64))
+            want.setdefault(t, []).append((d, tf, pos.tolist()))
+        r = DiskIndexReader(index_dir)
+        assert r.get_vocabulary() == sorted(want)
+        for term, rows in want.items():
+            rows.sort()
+            pl = r.fetch_postings(term, with_positions=True)
+            assert pl.doc_ids.tolist() == [d for d, _, _ in rows], term
+            assert pl.tftds.tolist() == [tf for _, tf, _ in rows], term
+            assert pl.positions.tolist() == [
+                p for _, _, ps in rows for p in ps], term
+            bare = r.fetch_postings(term)
+            assert np.array_equal(bare.doc_ids, pl.doc_ids)
+            assert np.array_equal(bare.tftds, pl.tftds)
+
+    def test_posting_cache_bounded_by_bytes(self, built_index, monkeypatch):
+        from searchengine_ray.query import reader as reader_mod
+
+        index_dir, _ = built_index
+        budget = 4 << 10
+        monkeypatch.setattr(reader_mod, "POSTING_CACHE_BYTES", budget)
+        r = reader_mod.DiskIndexReader(index_dir)
+        vocab = r.get_vocabulary()
+        big = max(vocab, key=r.cf)
+        assert reader_mod._nbytes(
+            r.fetch_postings(big, with_positions=True)) > budget
+        for i, term in enumerate(vocab + [big]):
+            pos = i % 2 == 0
+            got = r.get_postings(term, with_positions=pos)
+            want = r.fetch_postings(term, with_positions=pos)
+            assert np.array_equal(got.doc_ids, want.doc_ids)
+            assert np.array_equal(got.tftds, want.tftds)
+            if pos:
+                assert np.array_equal(got.positions, want.positions)
+            assert r._cache_bytes <= budget
+            assert r._cache_bytes == sum(
+                reader_mod._nbytes(v) for v in r._cache.values())
+        # entries were evicted by bytes, far below the 1,024-entry cap,
+        # and a list larger than the whole budget is served uncached
+        assert 0 < len(r._cache) < len(vocab)
+        r.get_postings(big, with_positions=True)
+        assert (big, True) not in r._cache
+
+
 class TestRandomizedQueries:
     """Property fuzz of the full query surface vs the in-memory oracle:
     random Boolean compositions (groups, negation incl. the leading-NOT
