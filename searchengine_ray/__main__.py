@@ -116,12 +116,13 @@ def cmd_stats(args) -> int:
     """Where an index's bytes and build time went: per segment, the
     ``.bin``'s doc / tf / pos stream bytes and the parquet catalog's
     bytes; B/doc over segments/ and docstats/ (perfbench's
-    ``index_bytes_per_doc``); the manifest's per-stage seconds and
-    exchange phase split (total/max/mean per phase)."""
+    ``index_bytes_per_doc``) and, apart from it, the docweights/ bytes;
+    the manifest's per-stage seconds and exchange phase split
+    (total/max/mean per phase)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from .build import MANIFEST_NAME, segment_bin_path
+    from .build import DOCWEIGHTS_DIR, MANIFEST_NAME, segment_bin_path
 
     with open(os.path.join(args.index, MANIFEST_NAME)) as f:
         manifest = json.load(f)
@@ -146,6 +147,8 @@ def cmd_stats(args) -> int:
     print(json.dumps({
         "num_docs": num_docs,
         "bytes_per_doc": index_bytes / num_docs if num_docs else 0.0,
+        "docweights_bytes": _tree_bytes(
+            os.path.join(args.index, DOCWEIGHTS_DIR)),
         "totals": totals,
         "segments": segments,
         "stage_seconds": manifest.get("stage_seconds"),

@@ -11,15 +11,17 @@ Ray-Data-native rebuild:
     -> assign_doc_ids (one explicit global decision, ids.py)
     -> map_batches(TokenizeDocs tasks)               # SPIMI block ≙ Ray block
          emits per-doc rows: doc stats + per-term (tftd, VByte pos blob)
-    -> explode + group by (bucket, term, doc) per block (docterms v4)
+    -> explode + group by (bucket, term, doc) per block (docterms v5)
          -> write docterms/  (exploded postings, resumable intermediate)
          -> side-write docstats/ (per-doc title/doc_length/l_d/sha256,
             incl. zero-term docs; doc-range file names, idempotent)
-  docstats -> doc stats parquet + corpus scalars (tiny per-doc files)
+  docstats -> corpus scalars + docweights/ (dense doc_length and l_d
+              arrays in doc-id order, the reference's docWeights.bin)
   docterms -> heavy-hitter df detection (per-block partial counts -> tiny
               groupby-sum; the combiner-before-shuffle pattern)
   docterms -> exchange maps derive keys (NO sort, NO gather — runs are
-              already contiguous on disk):
+              already contiguous on disk; doc lengths come from
+              docweights/):
               shard   = doc_id // docs_per_shard      (bounds posting lists)
               bucket  = crc32(term) % num_buckets     (merge shuffle key)
               salt    = contiguous doc-range split for heavy terms
@@ -57,6 +59,28 @@ from .tokenizer import TokenTermCache, analyze_document, euclidean_weight, sha25
 
 MANIFEST_NAME = "manifest.json"
 SALT_WIDTH = 4096  # max fragments per (term, shard)
+MAX_SALT = 64  # max fragments a heavy term splits into per shard
+
+# corpus columns the tokenize stage reads; ID_COL is assigned by
+# ids.assign_doc_ids when the corpus does not carry it
+CONTENT_COL = "content"
+TITLE_COL = "path"
+ID_COL = "doc_id"
+
+TOKENIZE_BATCH_SIZE = 64
+# docterms output block/row-group size: tokenize emits small blocks
+# (TOKENIZE_BATCH_SIZE docs each) and the parquet writer makes one row
+# group per block — 63-row groups made the exchange maps re-decode the
+# terms dictionary ~65x more often than needed.  An identity rebatch
+# before the write coalesces blocks to this many rows.
+DOCTERMS_BLOCK_ROWS = 4096
+SEGMENT_ROW_GROUP_SIZE = 512
+
+# Per-document weights, written once at build time in doc-id order (the
+# reference's docWeights.bin, spimi.py:359-364): dense doc_length (int64)
+# and l_d (float64) arrays, indexed by doc_id - doc_id_base.  A sibling
+# of docstats/, never inside it: docstats readers scan that whole dir.
+DOCWEIGHTS_DIR = "docweights"
 
 
 def _as_array(col) -> pa.Array:
@@ -83,18 +107,7 @@ class IndexBuildConfig:
     docs_per_shard: int = 1 << 20
     num_buckets: int = 32
     heavy_df_threshold: int | None = 100_000  # df within a shard before salting
-    max_salt: int = 64
     skip_block: int = 128
-    tokenize_batch_size: int = 64
-    # docterms output block/row-group size: tokenize emits small blocks
-    # (batch_size docs each) and the parquet writer makes one row group
-    # per block — 63-row groups made the exchange maps re-decode the
-    # terms dictionary ~65x more often than needed.  An identity rebatch
-    # before the write coalesces blocks to this many rows.
-    docterms_block_rows: int = 4096
-    content_col: str = "content"
-    title_col: str = "path"
-    id_col: str = "doc_id"  # pre-assigned dense id column (None -> assign)
     # First doc id of this build (incremental indexing): a DELTA build
     # over new docs sets this to the existing index's num_docs so its id
     # space continues the base index's; ids must be dense
@@ -102,7 +115,6 @@ class IndexBuildConfig:
     # the reader refuses to serve it until merge.merge_indexes folds it
     # into a zero-based generational index.
     doc_id_base: int = 0
-    segment_row_group_size: int = 512
     analyzer: str = "reference"  # key into tokenizer.ANALYZERS
     num_reducers: int | None = None  # postings-exchange reduce partitions
 
@@ -160,16 +172,16 @@ class TokenizeDocs:
         # resolved HERE (on the worker, not at driver pickle time) so the
         # cache is the executing process's one, shared across its tasks
         cache = _worker_cache(cfg.analyzer)
-        content_arr = _as_array(batch.column(cfg.content_col))
+        content_arr = _as_array(batch.column(CONTENT_COL))
         if cfg.analyzer in VECTORIZED_ANALYZERS:
             from .batch_tokenize import analyze_batch
 
             cols = analyze_batch(content_arr, cfg.analyzer, cache)
             return pa.table(
                 {
-                    "doc_id": _as_array(batch.column(cfg.id_col)).cast(
+                    "doc_id": _as_array(batch.column(ID_COL)).cast(
                         pa.int64()),
-                    "title": _as_array(batch.column(cfg.title_col)),
+                    "title": _as_array(batch.column(TITLE_COL)),
                     "doc_length": pa.array(cols["doc_length"]),
                     "l_d": pa.array(cols["l_d"]),
                     "sha256": pa.array(_sha256_column(content_arr),
@@ -188,9 +200,9 @@ class TokenizeDocs:
 
         cfg = self.cfg
         analyze = ANALYZERS[cfg.analyzer]
-        contents = batch.column(cfg.content_col).to_pylist()
-        titles = batch.column(cfg.title_col).to_pylist()
-        doc_ids = batch.column(cfg.id_col).to_pylist()
+        contents = batch.column(CONTENT_COL).to_pylist()
+        titles = batch.column(TITLE_COL).to_pylist()
+        doc_ids = batch.column(ID_COL).to_pylist()
 
         out_doc_id, out_title, out_len, out_ld, out_sha = [], [], [], [], []
         out_terms, out_tftds, out_positions = [], [], []
@@ -251,19 +263,18 @@ def _bucket_of_uniq(uniq: np.ndarray, num_buckets: int) -> np.ndarray:
     return out
 
 
-# Docterms v3 on-disk postings layout: one row per (doc, term), grouped
+# Docterms on-disk postings layout: one row per (doc, term), grouped
 # by (bucket, term) with doc ids ascending inside each group.  ``term``
 # is dictionary-encoded (parquet dictionary pages -> exchange maps read
 # codes, never flat strings); ``bucket`` is redundant with crc32(term)
 # but RLE-compresses to ~nothing in this order and saves the map a hash
-# pass; ``doc_length`` rides per posting so the map computes BM25 wdt
-# bounds without a per-doc join.
+# pass.  A posting's doc length, for the BM25 wdt bounds, is gathered
+# by the exchange map from the build's docweights array (docterms v5).
 _POSTINGS_SCHEMA = pa.schema(
     [
         ("term", pa.dictionary(pa.int32(), pa.string())),
         ("bucket", pa.int32()),
         ("doc_id", pa.int64()),
-        ("doc_length", pa.int32()),
         ("tftd", pa.int32()),
         ("pos_blob", pa.binary()),
         # dense-segment id: the FIRST doc id of the dense-consecutive doc
@@ -295,13 +306,6 @@ def _group_segment(cfg: IndexBuildConfig, tok: pa.Table) -> pa.Table:
         return _POSTINGS_SCHEMA.empty_table()
     doc_np = _as_array(tok.column("doc_id")).to_numpy(zero_copy_only=False)
     doc_ids = np.repeat(doc_np, lens)
-    # cast BEFORE the per-posting repeat: half the memory traffic of
-    # repeating int64 then casting 50x more values
-    dls = np.repeat(
-        _as_array(tok.column("doc_length")).to_numpy(
-            zero_copy_only=False).astype(np.int32),
-        lens,
-    )
     tftds = _as_array(tok.column("tftds")).flatten().to_numpy(
         zero_copy_only=False)
     pos_blob = _as_array(tok.column("pos_blob")).flatten()
@@ -332,7 +336,6 @@ def _group_segment(cfg: IndexBuildConfig, tok: pa.Table) -> pa.Table:
             "bucket": pa.array(
                 uniq_buckets[codes_s].astype(np.int32, copy=False)),
             "doc_id": pa.array(doc_ids[order], type=pa.int64()),
-            "doc_length": pa.array(dls[order]),
             "tftd": pa.array(tftds[order].astype(np.int32, copy=False)),
             "pos_blob": pos_blob.take(pa.array(order)),
             "seg": pa.array(
@@ -420,11 +423,15 @@ def _write_docstats_block(docstats_dir: str, tbl: pa.Table) -> None:
 
 
 def _explode_arrays(
-    cfg: IndexBuildConfig, heavy: dict[str, int], batch: pa.Table
+    cfg: IndexBuildConfig, heavy: dict[str, int], batch: pa.Table,
+    doc_length: np.ndarray,
 ) -> dict | None:
-    """docterms v4 postings table -> flat per-(doc, term) arrays for the
+    """docterms postings table -> flat per-(doc, term) arrays for the
     exchange, IN FILE ORDER (already grouped by (bucket, term, doc) at
-    tokenize time — see ``_group_postings_batch``): no sort, no gather.
+    tokenize time — see ``_group_postings_batch``): no sort, no gather
+    of the payload.  ``doc_length`` is the build's docweights array
+    (indexed by doc_id - doc_id_base); each posting's length is gathered
+    from it for the wdt bounds.
 
     Positions arrive ALREADY VByte-encoded per row (since v2) and now
     already fragment-contiguous and seam-stamped (v4), so the map slices final on-disk
@@ -448,8 +455,7 @@ def _explode_arrays(
 
     doc_ids = _as_array(batch.column("doc_id")).to_numpy(
         zero_copy_only=False)
-    dls = _as_array(batch.column("doc_length")).to_numpy(
-        zero_copy_only=False)
+    dls = doc_length[doc_ids - cfg.doc_id_base]
     tftds = _as_array(batch.column("tftd")).to_numpy(zero_copy_only=False)
     pos_blob = _as_array(batch.column("pos_blob"))
     buckets = _as_array(batch.column("bucket")).to_numpy(
@@ -571,7 +577,9 @@ SEGMENT_FORMAT = 6
 # fragment doc ranges overlap under interleaved executor rebatching
 # (caught by the reducer backstop as a spurious build abort; found by
 # the round-5 hypothesis property test over random segment packings).
-DOCTERMS_FORMAT = 4
+# v5: the per-posting ``doc_length`` column is gone — the exchange maps
+# gather it from the build's docweights array (13% of docterms bytes).
+DOCTERMS_FORMAT = 5
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -632,7 +640,7 @@ def _ipc_bytes(tbl: pa.Table) -> bytes:
 @ray.remote
 def _map_runs(
     paths: list[str], cfg: IndexBuildConfig, heavy: dict[str, int],
-    num_reducers: int, avgdl: float,
+    num_reducers: int, avgdl: float, doc_length_path: str,
 ):
     """Map side of the postings exchange: a group of docterms files -> one
     stream of PRE-ENCODED posting-list fragments per reduce partition.
@@ -659,17 +667,17 @@ def _map_runs(
     prof = {"read": 0.0, "explode": 0.0, "encode": 0.0, "pack": 0.0,
             "bytes_out": 0}
     out: list[list[bytes]] = [[] for _ in range(num_reducers)]
+    doc_length = np.load(doc_length_path, mmap_mode="r")
     for path in paths:
         t = time.perf_counter()
         tbl = pq.read_table(
             path,
-            columns=["term", "bucket", "doc_id", "doc_length", "tftd",
-                     "pos_blob", "seg"],
+            columns=["term", "bucket", "doc_id", "tftd", "pos_blob", "seg"],
             read_dictionary=["term"],
         )
         prof["read"] += time.perf_counter() - t
         t = time.perf_counter()
-        arrs = _explode_arrays(cfg, heavy, tbl)
+        arrs = _explode_arrays(cfg, heavy, tbl, doc_length)
         prof["explode"] += time.perf_counter() - t
         if arrs is None:
             continue
@@ -795,7 +803,7 @@ def _encode_file_fragments(
     if int(dbyte_ends[-1]) >= 2**31 - 1:
         raise ValueError(
             "docterms file fragment stream exceeds 2 GB binary-offset "
-            "range; lower docterms_block_rows so files stay smaller"
+            "range"
         )
     dbyte_ends = dbyte_ends.astype(np.int32)
     dbyte_starts = dbyte_ends - blen_d
@@ -1170,7 +1178,7 @@ def _finalize_segment(
         f.writelines(pieces)
     os.replace(bin_path + ".tmp", bin_path)
     tmp = out_path + ".tmp"
-    pq.write_table(seg, tmp, row_group_size=cfg.segment_row_group_size)
+    pq.write_table(seg, tmp, row_group_size=SEGMENT_ROW_GROUP_SIZE)
     os.replace(tmp, out_path)
     prof["write"] = time.perf_counter() - _pt
     terms_col = seg.column("term")
@@ -1233,13 +1241,15 @@ def build_segments_exchange(
     cfg: IndexBuildConfig,
     heavy: dict[str, int],
     avgdl: float,
+    doc_length_path: str,
     num_reducers: int | None = None,
 ) -> tuple[list[dict], dict]:
-    """Run the postings exchange over the docterms files.
+    """Run the postings exchange over the docterms files; the maps read
+    each posting's doc length from the ``.npy`` at ``doc_length_path``.
 
     Returns ``(per_reducer_metrics, plan)`` where ``plan`` records the
-    scheduling decisions (map/reducer counts, task CPU slots, docterms
-    bytes) and ``phases``, the per-task profiles of each side summed and
+    scheduling decisions (map/reducer counts, docterms bytes) and
+    ``phases``, the per-task profiles of each side summed and
     skew-summarised by :func:`_phase_split` (reduce: the reducers that
     received fragments) — persisted in the segments stage marker and the
     manifest."""
@@ -1256,29 +1266,16 @@ def build_segments_exchange(
     # cluster size: M ~= 4 x cpus map tasks regardless of file count
     n_maps = max(1, min(len(files), 4 * cpus))
     groups = [files[i::n_maps] for i in range(n_maps)]
-    # exchange tasks are memory-bandwidth-heavy, and this class of host
-    # saturates its bus well below one-stream-per-core: above 8 CPUs,
-    # schedule each task with 2 CPU slots so at most cpus/2 run at once —
-    # each gets a bigger bandwidth share instead of thrashing caches.
-    # BUT only when the working set is big enough to thrash: below
-    # ~96 MB of docterms per CPU the whole exchange is a few short
-    # waves and halving concurrency doubles them (measured: 16-CPU
-    # 300k-doc exchange 5.2s at 2 slots vs 3.1s at 1; the 150 MB/CPU
-    # 1M-doc exchange equal-median with a worse tail at 1 slot).  On a
-    # multi-node cluster bytes and CPUs both scale with node count, so
-    # bytes-per-CPU stays the right per-node-bus proxy.
     total_bytes = sum(os.path.getsize(f) for f in files)
-    task_cpus = 2 if cpus > 8 and total_bytes > 96e6 * cpus else 1
     # one extra return per map: its phase profile (read by the driver only)
     map_refs = [
-        _map_runs.options(num_returns=num_reducers + 1,
-                          num_cpus=task_cpus).remote(
-            g, cfg, heavy, num_reducers, avgdl
+        _map_runs.options(num_returns=num_reducers + 1).remote(
+            g, cfg, heavy, num_reducers, avgdl, doc_length_path
         )
         for g in groups
     ]
     reduce_refs = [
-        _reduce_runs.options(num_cpus=task_cpus).remote(
+        _reduce_runs.remote(
             cfg, avgdl,
             os.path.join(segments_dir, f"segment_{r:05d}.parquet"),
             *[m[r] for m in map_refs],
@@ -1289,8 +1286,8 @@ def build_segments_exchange(
     phases = {"map": _phase_split(ray.get([m[-1] for m in map_refs])),
               "reduce": _phase_split([m.pop("prof") for m in metrics])}
     plan = {"num_maps": n_maps, "num_reducers": num_reducers,
-            "task_cpus": task_cpus, "docterms_bytes": total_bytes,
-            "cluster_cpus": cpus, "phases": phases}
+            "docterms_bytes": total_bytes, "cluster_cpus": cpus,
+            "phases": phases}
     return metrics, plan
 
 
@@ -1468,7 +1465,7 @@ def detect_heavy_terms(
     for t, e in zip(heavy_tbl.column("term").to_pylist(), est):
         if t:
             heavy[t] = min(
-                cfg.max_salt, max(2, int(np.ceil(e / threshold)))
+                MAX_SALT, max(2, int(np.ceil(e / threshold)))
             )
     return heavy
 
@@ -1517,7 +1514,7 @@ def corpus_scalars(docterms_dir: str, base: int = 0) -> tuple[int, int]:
     write, so keeping files newest-first (dropping any that overlap an
     already-kept range) recovers exactly the final pass's tiling when
     one exists.  Verified tilings delete the stale losers (so the
-    reader's sidecar scatter and the manifest lineage see a clean dir);
+    docweights scatter and the manifest lineage see a clean dir);
     anything still inconsistent raises instead of producing a wrong
     N / avgdl / checksum.  The clean-build fast path is unchanged
     (observed in the wild: storm-window task retries on the 300k
@@ -1617,6 +1614,42 @@ def _reconcile_stale_docstats(spans: list, base: int = 0) -> tuple[int, int]:
             sum(dl for _lo, _hi, _n, _u, dl, _f in kept))
 
 
+def docweights_paths(index_dir: str) -> tuple[str, str]:
+    """(doc_length.npy, l_d.npy) of an index."""
+    d = os.path.join(index_dir, DOCWEIGHTS_DIR)
+    return (os.path.join(d, "doc_length.npy"), os.path.join(d, "l_d.npy"))
+
+
+def write_doc_weights(docstats_dir: str, index_dir: str, num_docs: int,
+                      base: int = 0) -> None:
+    """Scatter the docstats files' (doc_length, l_d) into the index's two
+    dense docweights arrays, in doc-id order.  The docstats must already
+    tile base..base+num_docs-1 (``corpus_scalars`` checks that).  The
+    arrays are on-disk memmaps, so peak heap is one docstats file's
+    columns, never the corpus; each is written to a tmp file and renamed
+    into place."""
+    dl_p, ld_p = docweights_paths(index_dir)
+    os.makedirs(os.path.dirname(dl_p), exist_ok=True)
+    dl_tmp, ld_tmp = dl_p + ".tmp.npy", ld_p + ".tmp.npy"
+    dl = np.lib.format.open_memmap(
+        dl_tmp, mode="w+", dtype=np.int64, shape=(num_docs,))
+    ld = np.lib.format.open_memmap(
+        ld_tmp, mode="w+", dtype=np.float64, shape=(num_docs,))
+    for name in sorted(os.listdir(docstats_dir)):
+        if not name.endswith(".parquet"):
+            continue
+        tbl = pq.read_table(os.path.join(docstats_dir, name),
+                            columns=["doc_id", "doc_length", "l_d"])
+        ids = tbl.column("doc_id").to_numpy() - base
+        dl[ids] = tbl.column("doc_length").to_numpy()
+        ld[ids] = tbl.column("l_d").to_numpy()
+    dl.flush()
+    ld.flush()
+    del dl, ld
+    os.replace(dl_tmp, dl_p)
+    os.replace(ld_tmp, ld_p)
+
+
 def build_index(
     corpus: ray.data.Dataset,
     index_dir: str,
@@ -1642,7 +1675,7 @@ def build_index(
     if not _stage_done(index_dir, "docterms", fingerprint):
         id_val_thread = None
         id_val_err: list[BaseException] = []
-        if cfg.id_col not in corpus.schema().names:
+        if ID_COL not in corpus.schema().names:
             from .ids import assign_doc_ids
 
             corpus = assign_doc_ids(corpus, base=cfg.doc_id_base)
@@ -1661,10 +1694,8 @@ def build_index(
             # resumed build re-checks.
             import threading
 
-            _id_col = cfg.id_col
-
             def _idspan_partial(b: pa.Table) -> pa.Table:
-                ids = b.column(_id_col).to_numpy(
+                ids = b.column(ID_COL).to_numpy(
                     zero_copy_only=False).astype(np.uint64, copy=False)
                 # moments accumulate mod 2^64 (numpy uint64 wraps, C
                 # semantics); the driver compares in the same ring
@@ -1677,7 +1708,7 @@ def build_index(
 
             def _validate_ids(ds=corpus, b=cfg.doc_id_base):
                 try:
-                    parts = ds.select_columns([_id_col]).map_batches(
+                    parts = ds.select_columns([ID_COL]).map_batches(
                         _idspan_partial, batch_format="pyarrow",
                         batch_size=None,
                     ).take_all()
@@ -1712,7 +1743,7 @@ def build_index(
                     if (lo != b or hi != b + n - 1
                             or s1 != want_s1 or s2 != want_s2):
                         raise ValueError(
-                            f"pre-assigned {_id_col!r} must be a dense "
+                            f"pre-assigned {ID_COL!r} must be a dense "
                             f"permutation of {b}..{b}+N-1 (got min={lo}, "
                             f"max={hi}, rows={n}; power-sum check "
                             f"{'ok' if s1 == want_s1 and s2 == want_s2 else 'FAILED - duplicate or corrupt ids'}); "
@@ -1747,16 +1778,16 @@ def build_index(
         corpus.map_batches(
             lambda batch, _t=tokenizer: _t(batch),
             batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
+            batch_size=TOKENIZE_BATCH_SIZE,
         ).map_batches(
-            # rebatch to docterms_block_rows DOCS, then explode + group
+            # rebatch to DOCTERMS_BLOCK_ROWS docs, then explode + group
             # each block by (bucket, term, doc) and side-write its per-doc
             # stats (docterms v4): the one unavoidable gather of the
             # position payload runs HERE, in the embarrassingly-parallel
             # stage, never in the exchange
             _group_and_sidewrite,
             batch_format="pyarrow",
-            batch_size=cfg.docterms_block_rows,
+            batch_size=DOCTERMS_BLOCK_ROWS,
         ).write_parquet(
             docterms_dir,
             # ~one grouped block per file: more blocks per file multiply
@@ -1766,7 +1797,7 @@ def build_index(
             # A run split ACROSS files by the row cap stays correct:
             # each side is a disjoint ascending-doc fragment the reducer
             # merges by first_doc.
-            max_rows_per_file=max(cfg.docterms_block_rows * 64, 1 << 18),
+            max_rows_per_file=max(DOCTERMS_BLOCK_ROWS * 64, 1 << 18),
         )
         if id_val_thread is not None:
             id_val_thread.join()
@@ -1790,6 +1821,8 @@ def build_index(
         # needed now so block-max BM25 wdt bounds go into the segments
         n_docs, tot = corpus_scalars(docstats_dir, base=cfg.doc_id_base)
         avgdl = (tot / n_docs) if n_docs else 1.0
+        write_doc_weights(docstats_dir, index_dir, n_docs,
+                          base=cfg.doc_id_base)
 
         heavy = detect_heavy_terms(docterms_dir, cfg)
         stage_seconds["heavy_detect"] = (
@@ -1798,7 +1831,7 @@ def build_index(
         shutil.rmtree(segments_dir, ignore_errors=True)
         seg_metrics, exchange_plan = build_segments_exchange(
             docterms_dir, segments_dir, cfg, heavy, avgdl,
-            num_reducers=cfg.num_reducers,
+            docweights_paths(index_dir)[0], num_reducers=cfg.num_reducers,
         )
         stage_seconds["exchange"] = (
             time.perf_counter() - t0 - sum(stage_seconds.values())

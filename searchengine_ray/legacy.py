@@ -137,8 +137,9 @@ def export_legacy_index(index_dir: str, out_dir: str) -> dict:
 
     Walks the sorted vocabulary and decodes each term's postings through
     the reader's uncached fetch (``DiskIndexReader.fetch_postings``: one
-    ``os.pread`` per fragment, fragments concatenated doc_id-ascending),
-    re-encodes them to the legacy layout, and collects the legacy
+    ``os.pread`` per fragment, fragments concatenated doc_id-ascending,
+    so a merged generational index exports the same bytes as one build
+    over its whole corpus), re-encodes them to the legacy layout, and collects the legacy
     ``L_d = sqrt(sum tf^2)`` accumulator (diskindexwriter.py:73-82) from
     the same pass.  Side files:
 
@@ -159,17 +160,6 @@ def export_legacy_index(index_dir: str, out_dir: str) -> dict:
 
     os.makedirs(out_dir, exist_ok=True)
     reader = DiskIndexReader(index_dir)
-    if reader.manifest.get("merged_from"):
-        # refused since the export was a bulk (term, shard, salt) scan,
-        # which is doc-ascending only under one generation's salting.
-        # The reader fetch below orders fragments by first doc, so this
-        # could be lifted once a merged-index export has its own parity
-        # test.
-        raise ValueError(
-            "legacy export of a merged generational index is not "
-            "supported: re-export each generation, or rebuild the "
-            "merged corpus into a single-generation index"
-        )
     tf_sq = np.zeros(reader.num_docs, dtype=np.float64)
 
     terms = reader.get_vocabulary()

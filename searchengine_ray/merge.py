@@ -36,10 +36,11 @@ bounds were scaled for the old merged avgdl and their docstats tile a
 different doc-id space).  Pointing the merge at a ``build_index`` output
 dir raises instead of overwriting.
 
-Limits: per-generation salting may differ (heavy detection sees only
-its own corpus) — fine for serving (salt is an opaque row key; the
-reader orders fragments by first doc), but ``legacy.export_legacy_index``
-on a merged index is not byte-order-guaranteed and is refused there.
+Per-generation salting may differ (heavy detection sees only its own
+corpus) — fine for serving and for ``legacy.export_legacy_index``: salt
+is an opaque row key and the reader orders a term's fragments by first
+doc.  The merged docweights arrays are rewritten from the merged
+docstats.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ import time
 
 import ray
 
-from .build import (MANIFEST_NAME, SEGMENT_FORMAT, _dir_lineage,
-                    segment_bin_path)
+from .build import (MANIFEST_NAME, SEGMENT_FORMAT, SEGMENT_ROW_GROUP_SIZE,
+                    _dir_lineage, segment_bin_path, write_doc_weights)
 
 #: cfg fields that must agree across generations: they define token →
-#: (term, bucket, shard) identity.  Fields NOT here (batch sizes,
-#: reducer counts, heavy thresholds, doc_id_base) only shape the build.
+#: (term, bucket, shard) identity.  Fields NOT here (reducer counts,
+#: heavy thresholds, doc_id_base) only shape the build.
 _COMPAT_FIELDS = ("analyzer", "num_buckets", "docs_per_shard",
-                  "skip_block", "content_col", "title_col")
+                  "skip_block")
 
 
 def _wdt_bound_scale(avgdl_new: float, avgdl_gen: float) -> float:
@@ -74,8 +75,7 @@ def _wdt_bound_scale(avgdl_new: float, avgdl_gen: float) -> float:
 
 
 @ray.remote
-def _copy_segment(src: str, dst: str, scale: float,
-                  row_group_size: int) -> int:
+def _copy_segment(src: str, dst: str, scale: float) -> int:
     """Bring one segment into the merged index: its ``.bin`` is copied
     as-is, and its parquet is copied too when the generation's wdt bounds
     are already valid (scale == 1), else rewritten with max_wdt /
@@ -107,7 +107,7 @@ def _copy_segment(src: str, dst: str, scale: float,
     tbl = tbl.set_column(
         tbl.schema.get_field_index("skip_max_wdt"), "skip_max_wdt",
         pa.chunked_array([skip_scaled]))
-    pq.write_table(tbl, tmp, row_group_size=row_group_size)
+    pq.write_table(tbl, tmp, row_group_size=SEGMENT_ROW_GROUP_SIZE)
     os.replace(tmp, dst)
     return 1
 
@@ -190,8 +190,6 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
     if prev_fp != fingerprint:
         shutil.rmtree(seg_out, ignore_errors=True)
         shutil.rmtree(stats_out, ignore_errors=True)
-        shutil.rmtree(os.path.join(out_dir, "docstats_cache"),
-                      ignore_errors=True)
         if os.path.exists(manifest_path):
             os.remove(manifest_path)
 
@@ -223,12 +221,11 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
                 os.path.join(d, "segments", seg["file"]),
                 os.path.join(seg_out, dst_name),
                 scale,
-                int(cfg0.get("segment_row_group_size", 512)),
             ))
             seg_entries.append({**seg, "file": dst_name, "generation": gi})
         # docstats filenames encode absolute doc ranges -> disjoint
-        # across generations; sidecar caches (.npy) are reader-local and
-        # rebuilt for the merged dir, so only the parquet files move
+        # across generations; the docweights arrays are rewritten below
+        # over the merged docstats, so only the parquet files move
         src_stats = os.path.join(d, m.get("doc_stats_dir", "docstats"))
         for f in sorted(os.listdir(src_stats)):
             if not f.endswith(".parquet"):
@@ -239,6 +236,7 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
                 shutil.copyfile(os.path.join(src_stats, f), tmp)
                 os.replace(tmp, dst)
     ray.get(copy_refs)
+    write_doc_weights(stats_out, out_dir, num_docs)
 
     heavy: dict[str, int] = {}
     for _, m in parts:

@@ -3,15 +3,17 @@
 ``QueryEngine`` is the single-process facade combining the disk reader,
 Boolean parser/evaluator and ranked scorers — the analogue of the
 reference's SearchManager (/root/reference/engine/interface/model.py:109-151)
-minus the GUI.  ``QueryActor``/``query_pool`` wrap it for parallel serving:
-each actor caches the term dictionary + doc stats once (ST3–ST5 state) and
-answers many queries.
+minus the GUI.  ``QueryActor`` wraps it as a ``map_batches`` callable for
+parallel serving (``sharded.ShardedQueryPool`` is the bucket-sharded
+actor pool): each actor loads the term dictionary + doc stats once
+(ST3–ST5 state) and answers many queries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..tokenizer import ranked_query_terms
 from .ast import contains_phrase
 from .parser import parse_query
 from .ranked import rank_bm25_wand, rank_documents_exact
@@ -50,8 +52,6 @@ class QueryEngine:
         streams numpy arrays).  Both paths are rank-identical."""
         if use_okapi and top_k is not None and use_wand:
             if use_wand == "auto":
-                from .ranked import ranked_query_terms
-
                 total = sum(
                     self.index.df(t) for t in ranked_query_terms(raw_query)
                 )

@@ -33,10 +33,7 @@ import math
 import numpy as np
 
 from ..build import BM25_B, BM25_K1
-
-
-def ranked_query_terms(raw_query: str) -> list[str]:
-    return raw_query.lower().split()
+from ..tokenizer import ranked_query_terms
 
 
 def _wqt(n_docs: int, df: int, use_okapi: bool) -> float:

@@ -7,8 +7,9 @@ into one postings.bin.  Here the catalog is the lightweight columns
 segment parquet files — read once at construction (ST3 analogue), with
 each row's byte offset derived by one cumsum — and a term fetch is one
 ``os.pread`` per fragment into the segment's ``.bin`` (format v6).  Doc
-stats (doc_length, L_d, title: ST4/ST5 analogues) load into dense numpy
-arrays keyed by doc_id.
+stats (doc_length, L_d: ST4 analogues) are the build's dense docweights
+arrays keyed by doc_id, memory-mapped; titles (ST5) are point-read from
+docstats.  The reader only reads: it writes nothing into the index.
 
 Scale note: one reader holds the dictionary for the buckets it serves.  At
 10^12-doc scale, readers are deployed as an actor pool with each actor
@@ -29,7 +30,8 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from .. import vbyte
-from ..build import MANIFEST_NAME, SEGMENT_FORMAT, segment_bin_path
+from ..build import (MANIFEST_NAME, SEGMENT_FORMAT, docweights_paths,
+                     segment_bin_path)
 from .postings import PostingList
 
 #: Byte budget of the posting-list LRU, on top of its entry count: a few
@@ -119,93 +121,36 @@ class DiskIndexReader:
     # ---- doc stats (ST4/ST5) ----
 
     def _load_doc_stats(self) -> None:
-        """doc_length / l_d as memory-mapped sidecar arrays.
+        """doc_length / l_d: the build's docweights arrays, memory-mapped
+        read-only — the actors of a sharded pool share one page-cache
+        copy instead of each holding an O(corpus) heap array, and pages
+        load lazily.  Titles are not materialised at all: ``get_titles``
+        point-reads the docstats parquet per result page (they are only
+        needed to render top-k hits)."""
+        self._docstats_dir = os.path.join(
+            self.index_dir, self.manifest.get("doc_stats_dir", "docstats"))
+        self.doc_length, self.l_d = (
+            self._load_weights(p) for p in docweights_paths(self.index_dir))
+        self._title_cache: OrderedDict[int, str] = OrderedDict()
 
-        The first reader converts the docstats parquet into dense .npy
-        files (write-once, tmp+rename so concurrent readers race
-        safely); every reader then np.memmap's them — the actors of a
-        sharded pool share one page-cache copy instead of each holding
-        an O(corpus) heap array, and pages load lazily.  The build is
-        SHARDED (VERDICT r3 #6): stats scatter file-by-file into
-        preallocated on-disk memmaps, so peak heap is one docterms
-        file's three columns, never the corpus.  A read-only index dir
-        (ro-mounted shared artifact) falls back to building the arrays
-        in memory (ADVICE r3).  Titles are not materialised at all:
-        ``get_titles`` point-reads the parquet per result page (they
-        are only needed to render top-k hits)."""
-        ds_dir = os.path.join(
-            self.index_dir, self.manifest.get("doc_stats_dir", "docstats")
-        )
-        self._docstats_dir = ds_dir
-        cache_dir = os.environ.get(
-            "SE_RAY_DOCSTATS_CACHE",
-            os.path.join(self.index_dir, "docstats_cache"))
-        dl_p = os.path.join(cache_dir, "doc_length.npy")
-        ld_p = os.path.join(cache_dir, "l_d.npy")
-        fp_p = os.path.join(cache_dir, "_FINGERPRINT")
-        fingerprint = str(self.manifest.get("fingerprint", ""))
-        fresh = False
+    def _load_weights(self, path: str) -> np.ndarray:
+        """One docweights array; a missing, unreadable or wrong-length
+        file means a torn index."""
         try:
-            with open(fp_p) as f:
-                fresh = f.read() == fingerprint
-        except OSError:
-            pass
-        if not (fresh and os.path.exists(dl_p) and os.path.exists(ld_p)):
-            try:
-                self._build_sidecars(ds_dir, cache_dir, dl_p, ld_p,
-                                     fp_p, fingerprint)
-            except OSError:
-                # read-only index dir: serve from in-memory arrays
-                self.doc_length, self.l_d = self._scatter_stats(
-                    ds_dir,
-                    np.zeros(self.num_docs, dtype=np.int64),
-                    np.ones(self.num_docs, dtype=np.float64))
-                self._title_cache: OrderedDict[int, str] = OrderedDict()
-                return
-        self.doc_length = np.load(dl_p, mmap_mode="r")
-        self.l_d = np.load(ld_p, mmap_mode="r")
-        self._title_cache = OrderedDict()
-
-    def _scatter_stats(self, ds_dir: str, dl, ld):
-        """Scatter (doc_id -> doc_length, l_d) into the given arrays one
-        docterms file at a time (peak heap = one file's columns)."""
-        files = sorted(
-            os.path.join(ds_dir, f) for f in os.listdir(ds_dir)
-            if f.endswith(".parquet")
-        )
-        for f in files:
-            tbl = pq.read_table(f, columns=["doc_id", "doc_length", "l_d"])
-            ids = tbl.column("doc_id").to_numpy()
-            dl[ids] = tbl.column("doc_length").to_numpy()
-            ld[ids] = tbl.column("l_d").to_numpy()
-        return dl, ld
-
-    def _build_sidecars(self, ds_dir: str, cache_dir: str, dl_p: str,
-                        ld_p: str, fp_p: str, fingerprint: str) -> None:
-        os.makedirs(cache_dir, exist_ok=True)
-        n = self.num_docs
-        pid = os.getpid()
-        dl_tmp = f"{dl_p}.{pid}.tmp.npy"
-        ld_tmp = f"{ld_p}.{pid}.tmp.npy"
-        # preallocated on-disk memmaps: the scatter writes pages through
-        # the page cache; heap stays bounded by one file's columns
-        dl = np.lib.format.open_memmap(
-            dl_tmp, mode="w+", dtype=np.int64, shape=(n,))
-        ld = np.lib.format.open_memmap(
-            ld_tmp, mode="w+", dtype=np.float64, shape=(n,))
-        ld[:] = 1.0
-        self._scatter_stats(ds_dir, dl, ld)
-        dl.flush()
-        ld.flush()
-        del dl, ld
-        os.replace(dl_tmp, dl_p)
-        os.replace(ld_tmp, ld_p)
-        # fingerprint marker written LAST: a stale-marker crash
-        # window re-derives the arrays, never misreads them
-        tmp = f"{fp_p}.{pid}.tmp"
-        with open(tmp, "w") as f:
-            f.write(fingerprint)
-        os.replace(tmp, fp_p)
+            arr = np.load(path, mmap_mode="r")
+        except FileNotFoundError:
+            raise ValueError(
+                f"doc weights file {path} is missing: the index is torn, "
+                f"rebuild it") from None
+        except (ValueError, EOFError) as e:
+            raise ValueError(
+                f"doc weights file {path} is unreadable ({e}): the index "
+                f"is torn, rebuild it") from None
+        if arr.shape != (self.num_docs,):
+            raise ValueError(
+                f"doc weights file {path} has shape {arr.shape}, not "
+                f"({self.num_docs},): the index is torn, rebuild it")
+        return arr
 
     # ---- term dictionary (ST3) ----
 

@@ -134,7 +134,7 @@ def encode_position_lists(flat_positions) -> "object":
     stage pays the encode once and the shuffle ships final bytes; the
     output is always 32-bit-offset ``pa.binary()`` so every tokenize
     batch block shares one schema (a single batch's encoded positions
-    exceeding 2 GB raises — lower ``tokenize_batch_size``).
+    exceeding 2 GB raises).
     """
     import pyarrow as pa
 
@@ -156,8 +156,8 @@ def encode_position_lists(flat_positions) -> "object":
     encoded = encode(pos_gap, blen)
     if len(encoded) >= (1 << 31):
         raise ValueError(
-            "a single tokenize batch encoded >= 2 GB of positions; "
-            "lower tokenize_batch_size"
+            "a single tokenize batch encoded >= 2 GB of positions, past "
+            "the 32-bit binary-offset range"
         )
     cum = np.concatenate(([0], np.cumsum(blen, dtype=np.int64)))
     row_byte_offsets = cum[pos_offsets]

@@ -114,15 +114,12 @@ class TestBuildArtifacts:
 
     def test_manifest_exchange_plan(self, built_index):
         """The segments stage records its scheduling decisions (map /
-        reducer counts, task CPU slots, docterms bytes) so scaling-run
-        cohorts can be audited post hoc; tiny test corpora are far
-        below the 96 MB/CPU bandwidth-sharing threshold, so the plan
-        must have picked 1 CPU slot per exchange task."""
+        reducer counts, docterms bytes) so scaling-run cohorts can be
+        audited post hoc."""
         _, manifest = built_index
         plan = manifest["exchange_plan"]
         assert plan["num_maps"] >= 1
         assert plan["num_reducers"] >= 1
-        assert plan["task_cpus"] == 1
         assert plan["docterms_bytes"] > 0
 
     def test_sha256_invariant(self, built_index, small_corpus):

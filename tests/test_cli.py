@@ -80,6 +80,18 @@ def test_stats_subcommand(cli_env, capsys):
     tot = st["totals"]
     assert tot["bin_bytes"] == sum(s["bin_bytes"] for s in st["segments"])
     assert st["bytes_per_doc"] * 300 > tot["bin_bytes"] + tot["parquet_bytes"]
+    # docweights: two .npy arrays of 300 x 8 B plus their headers, kept
+    # out of bytes_per_doc
+    from searchengine_ray.build import docweights_paths
+
+    assert st["docweights_bytes"] == sum(
+        os.path.getsize(p) for p in docweights_paths(index_dir))
+    assert st["docweights_bytes"] > 2 * 300 * 8
+    counted = sum(os.path.getsize(os.path.join(root, f))
+                  for sub in ("segments", "docstats")
+                  for root, _, files in os.walk(os.path.join(index_dir, sub))
+                  for f in files)
+    assert st["bytes_per_doc"] * 300 == pytest.approx(counted)
     assert set(st["exchange_phases"]) == {"map", "reduce"}
     for side in st["exchange_phases"].values():
         for phase in side.values():

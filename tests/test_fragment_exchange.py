@@ -547,13 +547,9 @@ def test_hole_straddling_segments_end_to_end(tmp_path):
     path = os.path.join(str(tmp_path), "docterms_test.parquet")
     pq.write_table(postings, path)
 
-    tbl = pq.read_table(
-        path,
-        columns=["term", "bucket", "doc_id", "doc_length", "tftd",
-                 "pos_blob", "seg"],
-        read_dictionary=["term"],
-    )
-    arrs = _explode_arrays(cfg, {}, tbl)
+    tbl = pq.read_table(path, read_dictionary=["term"])
+    doc_length = np.full(len(docs), 2, dtype=np.int64)
+    arrs = _explode_arrays(cfg, {}, tbl, doc_length)
     wq = wdt_quantized(arrs["tftds"], arrs["dls"].astype(np.float64), AVGDL)
     frag_tbl, _ = _encode_file_fragments(
         cfg, arrs["gkey"], arrs["codes"], arrs["doc_ids"], wq,

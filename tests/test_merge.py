@@ -175,12 +175,37 @@ def test_delta_alone_refuses_to_serve(merged_setup):
         DiskIndexReader(delta_dir)
 
 
-def test_legacy_export_refuses_merged(merged_setup, tmp_path):
+def test_legacy_export_merged_matches_full_build(merged_setup, tmp_path):
+    """The legacy export of the merged index and of the full build over
+    the same corpus are the same bytes and the same side tables."""
     from searchengine_ray.legacy import export_legacy_index
 
+    full_dir, merged_dir, _, _ = merged_setup
+    out_f, out_m = str(tmp_path / "full"), str(tmp_path / "merged")
+    export_legacy_index(full_dir, out_f)
+    export_legacy_index(merged_dir, out_m)
+    for name in ("postings.bin", "doc_weights.bin"):
+        with open(os.path.join(out_f, name), "rb") as a, \
+                open(os.path.join(out_m, name), "rb") as b:
+            assert a.read() == b.read(), name
+    for name in ("term_positions.parquet", "doc_metadata.parquet"):
+        assert pq.read_table(os.path.join(out_f, name)).equals(
+            pq.read_table(os.path.join(out_m, name))), name
+
+
+def test_docweights_written_by_merge(merged_setup, oracle):
+    """merge_indexes writes the merged docweights arrays over the merged
+    docstats: one entry per doc of the whole id space."""
+    from searchengine_ray.build import docweights_paths
+
     _, merged_dir, _, _ = merged_setup
-    with pytest.raises(ValueError, match="merged generational"):
-        export_legacy_index(merged_dir, str(tmp_path / "legacy"))
+    dl_p, ld_p = docweights_paths(merged_dir)
+    dl, ld = np.load(dl_p), np.load(ld_p)
+    assert dl.shape == ld.shape == (oracle.num_docs,)
+    assert dl.tolist() == [oracle.doc_length[d]
+                           for d in range(oracle.num_docs)]
+    assert ld == pytest.approx(
+        [oracle.l_d[d] for d in range(oracle.num_docs)], rel=1e-12)
 
 
 def test_cli_merge_subcommand(merged_setup, tmp_path, capsys):

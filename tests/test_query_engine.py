@@ -164,56 +164,97 @@ class TestIndexParity:
                 assert pl.positions_of(i).tolist() == want[d]
 
 
-class TestDocStatsSidecars:
-    def test_memmap_sidecars_and_fingerprint_guard(self, built_index, oracle):
-        """Readers share write-once .npy sidecars; a stale fingerprint
-        marker (e.g. after an index rebuild) forces re-derivation."""
-        import os
+class TestDocWeights:
+    """The build writes doc_length / l_d once, as two dense arrays in
+    docweights/; the reader memory-maps them and writes nothing."""
 
-        from searchengine_ray.query.reader import DiskIndexReader
+    def test_arrays_match_oracle(self, built_index, oracle):
+        from searchengine_ray.build import docweights_paths
 
         index_dir, _ = built_index
-        r1 = DiskIndexReader(index_dir)
-        cache = os.path.join(index_dir, "docstats_cache")
-        assert os.path.exists(os.path.join(cache, "doc_length.npy"))
-        assert os.path.exists(os.path.join(cache, "_FINGERPRINT"))
-        # values match the independent oracle through the memmap
-        for d in range(0, oracle.num_docs, 53):
-            assert r1.get_document_length(d) == oracle.doc_length[d]
-        # second reader reuses the files (marker untouched)
-        before = os.path.getmtime(os.path.join(cache, "doc_length.npy"))
-        r2 = DiskIndexReader(index_dir)
-        assert os.path.getmtime(
-            os.path.join(cache, "doc_length.npy")) == before
-        assert r2.get_document_length(7) == r1.get_document_length(7)
-        # stale marker -> rebuild, same values
-        with open(os.path.join(cache, "_FINGERPRINT"), "w") as f:
-            f.write("stale")
-        r3 = DiskIndexReader(index_dir)
-        assert open(os.path.join(cache, "_FINGERPRINT")).read() != "stale"
-        assert r3.get_document_length(7) == r1.get_document_length(7)
+        dl_p, ld_p = docweights_paths(index_dir)
+        dl, ld = np.load(dl_p), np.load(ld_p)
+        assert dl.shape == ld.shape == (oracle.num_docs,)
+        assert dl.dtype == np.int64 and ld.dtype == np.float64
+        assert dl.tolist() == [oracle.doc_length[d]
+                               for d in range(oracle.num_docs)]
+        assert ld == pytest.approx(
+            [oracle.l_d[d] for d in range(oracle.num_docs)], rel=1e-12)
 
-    def test_readonly_dir_falls_back_to_memory(self, built_index,
-                                                monkeypatch, oracle):
-        """ADVICE r3: a reader on a read-only index dir (ro-mounted
-        shared artifact) must serve from in-memory stats instead of
-        crashing in the sidecar build."""
+    def test_queries_leave_index_untouched(self, ray_session, small_corpus,
+                                           tmp_path):
+        """A fresh index that no reader has opened: a QueryEngine and
+        every query kind change no path, size or mtime under it."""
+        import ray.data
+
+        from searchengine_ray.build import IndexBuildConfig, build_index
+        from searchengine_ray.query.engine import QueryEngine
+
+        index_dir = str(tmp_path / "fresh")
+        build_index(ray.data.from_arrow(small_corpus.slice(0, 60)),
+                    index_dir, IndexBuildConfig(num_buckets=4, skip_block=8),
+                    input_description="fresh60")
+
+        def snapshot():
+            out = {}
+            for root, dirs, files in os.walk(index_dir):
+                for name in dirs + files:
+                    path = os.path.join(root, name)
+                    st_ = os.stat(path)
+                    out[path] = (st_.st_size, st_.st_mtime_ns)
+            return out
+
+        before = snapshot()
+        eng = QueryEngine(index_dir)
+        for q in RANKED_QUERIES:
+            eng.ranked_query(q, use_okapi=True, use_wand=False)
+            eng.ranked_query(q, use_okapi=True, use_wand=True)
+            eng.ranked_query(q, use_okapi=False)
+        hits = []
+        for q in BOOL_QUERIES:
+            hits.extend(eng.boolean_query(q).tolist())
+        assert hits
+        eng.titles(hits[:20])
+        assert snapshot() == before
+
+    @staticmethod
+    def _clone(built_index, tmp_path, edit):
         import shutil
 
-        from searchengine_ray.query.reader import DiskIndexReader
+        from searchengine_ray.build import docweights_paths
 
         index_dir, _ = built_index
-        shutil.rmtree(os.path.join(index_dir, "docstats_cache"),
-                      ignore_errors=True)
-        monkeypatch.setattr(
-            DiskIndexReader, "_build_sidecars",
-            lambda self, *a, **k: (_ for _ in ()).throw(
-                OSError("read-only file system")),
-        )
-        r = DiskIndexReader(index_dir)
-        for d in range(0, oracle.num_docs, 53):
-            assert r.get_document_length(d) == oracle.doc_length[d]
+        clone = str(tmp_path / "torn")
+        shutil.copytree(index_dir, clone)
+        path = docweights_paths(clone)[1]
+        edit(path)
+        return clone, path
 
+    def test_missing_array_refused(self, built_index, tmp_path):
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        clone, path = self._clone(built_index, tmp_path, os.remove)
+        with pytest.raises(ValueError, match="missing") as e:
+            DiskIndexReader(clone)
+        assert path in str(e.value)
+
+    @pytest.mark.parametrize("keep", [8, -8])
+    def test_truncated_array_refused(self, built_index, tmp_path, keep):
+        """Cut inside the .npy header (8 B left) or inside its data
+        (8 B short)."""
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        def truncate(path):
+            os.truncate(path, keep if keep > 0
+                        else os.path.getsize(path) + keep)
+
+        clone, path = self._clone(built_index, tmp_path, truncate)
+        with pytest.raises(ValueError, match="torn") as e:
+            DiskIndexReader(clone)
+        assert path in str(e.value)
+
+
+class TestDocStatsSidecars:
     def test_segment_format_mismatch_raises(self, built_index, tmp_path):
         """ADVICE r3: an index written by a pre-v3 layout fails with a
         clear 'rebuild required' error, not a missing-column crash."""
