@@ -116,8 +116,9 @@ def cmd_stats(args) -> int:
     """Where an index's bytes and build time went: per segment, the
     ``.bin``'s doc / tf / pos stream bytes and the parquet catalog's
     bytes; B/doc over segments/ and docstats/ (perfbench's
-    ``index_bytes_per_doc``) and, apart from it, the docweights/ bytes;
-    the manifest's per-stage seconds and exchange phase split
+    ``index_bytes_per_doc``) and, apart from it, the docweights/ bytes
+    and the build's docterms/ bytes (the exchange's input, from the
+    manifest); the manifest's per-stage seconds and exchange phase split
     (total/max/mean per phase)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -144,16 +145,17 @@ def cmd_stats(args) -> int:
         _tree_bytes(os.path.join(args.index, "segments"))
         + _tree_bytes(os.path.join(
             args.index, manifest.get("doc_stats_dir", "docstats"))))
+    plan = manifest.get("exchange_plan") or {}
     print(json.dumps({
         "num_docs": num_docs,
         "bytes_per_doc": index_bytes / num_docs if num_docs else 0.0,
         "docweights_bytes": _tree_bytes(
             os.path.join(args.index, DOCWEIGHTS_DIR)),
+        "docterms_bytes": plan.get("docterms_bytes"),
         "totals": totals,
         "segments": segments,
         "stage_seconds": manifest.get("stage_seconds"),
-        "exchange_phases": (manifest.get("exchange_plan") or {}).get(
-            "phases"),
+        "exchange_phases": plan.get("phases"),
     }, indent=1))
     return 0
 

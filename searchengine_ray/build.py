@@ -11,12 +11,13 @@ Ray-Data-native rebuild:
     -> assign_doc_ids (one explicit global decision, ids.py)
     -> map_batches(TokenizeDocs tasks)               # SPIMI block ≙ Ray block
          emits per-doc rows: doc stats + per-term (tftd, VByte pos blob)
-    -> explode + group by (bucket, term, doc) per block (docterms v5)
+    -> explode + group by (bucket, term, doc) per block (docterms v6)
          -> write docterms/  (exploded postings, resumable intermediate)
          -> side-write docstats/ (per-doc title/doc_length/l_d/sha256,
             incl. zero-term docs; doc-range file names, idempotent)
-  docstats -> corpus scalars + docweights/ (dense doc_length and l_d
-              arrays in doc-id order, the reference's docWeights.bin)
+    -> one docstats pass: ids tile 0..N-1, corpus scalars, docweights/
+       (dense doc_length and l_d arrays in doc-id order, the reference's
+       docWeights.bin)
   docterms -> heavy-hitter df detection (per-block partial counts -> tiny
               groupby-sum; the combiner-before-shuffle pattern)
   docterms -> exchange maps derive keys (NO sort, NO gather — runs are
@@ -68,11 +69,10 @@ TITLE_COL = "path"
 ID_COL = "doc_id"
 
 TOKENIZE_BATCH_SIZE = 64
-# docterms output block/row-group size: tokenize emits small blocks
-# (TOKENIZE_BATCH_SIZE docs each) and the parquet writer makes one row
-# group per block — 63-row groups made the exchange maps re-decode the
-# terms dictionary ~65x more often than needed.  An identity rebatch
-# before the write coalesces blocks to this many rows.
+# docterms block size: tokenize emits small blocks (TOKENIZE_BATCH_SIZE
+# docs each), and the group step rebatches them to this many docs before
+# it explodes and groups each block (the parquet writer then makes one
+# row group per file, not per block).
 DOCTERMS_BLOCK_ROWS = 4096
 SEGMENT_ROW_GROUP_SIZE = 512
 
@@ -400,7 +400,7 @@ def _write_docstats_block(docstats_dir: str, tbl: pa.Table) -> None:
     different upstream blocks (the same seam phenomenon the postings
     grouping splits on); naming a multi-segment block by its overall
     (min, max) produced files whose doc RANGES overlapped other blocks'
-    even though the doc SETS were disjoint — tripping corpus_scalars'
+    even though the doc SETS were disjoint — tripping write_doc_weights'
     disjoint-range invariant on any sufficiently interleaved build.
     Writing each dense run as its own file keeps every file an exactly
     dense [lo..hi] range, so file ranges are pairwise disjoint across
@@ -579,7 +579,10 @@ SEGMENT_FORMAT = 6
 # the round-5 hypothesis property test over random segment packings).
 # v5: the per-posting ``doc_length`` column is gone — the exchange maps
 # gather it from the build's docweights array (13% of docterms bytes).
-DOCTERMS_FORMAT = 5
+# v6: one parquet row group per file, and the stage marker carries the
+# corpus scalars (num_docs, total_tokens) that the docstats pass derives
+# at the end of the stage — a v5 marker has none, so its index rebuilds.
+DOCTERMS_FORMAT = 6
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -1470,108 +1473,23 @@ def detect_heavy_terms(
     return heavy
 
 
-@ray.remote
-def _sum_doc_lengths(files: list[str]) -> tuple[int, int, list]:
-    """(rows, sum(doc_length), per-file (min_doc, max_doc, rows,
-    n_unique, sum_dl, path)) over a group of docstats files — the
-    distributed corpus-scalar aggregate (at most two int64 columns per
-    file in memory at a time, never the corpus).  The per-file records
-    feed the driver-side dense-unique invariant check and, on overlap,
-    the stale-file reconciliation."""
-    _pin_arrow_threads()
-    rows, tot = 0, 0
-    spans: list[tuple[int, int, int, int, int, str]] = []
-    for f in files:
-        t = pq.read_table(f, columns=["doc_length", "doc_id"])
-        rows += t.num_rows
-        dl = int(pa.compute.sum(t.column("doc_length")).as_py() or 0)
-        tot += dl
-        if t.num_rows:
-            ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-            spans.append((int(ids.min()), int(ids.max()), t.num_rows,
-                          int(np.unique(ids).size), dl, f))
-    return rows, tot, spans
-
-
-def corpus_scalars(docterms_dir: str, base: int = 0) -> tuple[int, int]:
-    """(num_docs, total_tokens) via a small remote tree: the driver holds
-    O(tasks) partials, never an O(corpus) column (VERDICT r3 #4 — the old
-    single-process ``pq.read_table(columns=["doc_length"])`` materialised
-    8 GB on the driver at 10^9 docs).
-
-    Also enforces the docstats dense-unique invariant (r4 advice):
-    ``_write_docstats_block``'s idempotency rests on doc-range filenames
-    being stable across lineage re-execution; if re-execution ever
-    composed batches differently, stale files with overlapping doc sets
-    would silently double-count docs here.  Each file must hold unique
-    doc ids, file doc ranges must be pairwise disjoint, and the union
-    must be dense 0..N-1.
-
-    On an overlap, instead of aborting outright, reconcile: per-doc
-    stats are a pure function of the doc, so ANY subset of files that
-    exactly tiles 0..N-1 yields the correct scalars.  Within one build,
-    every retry write lands strictly AFTER the dead attempt's stale
-    write, so keeping files newest-first (dropping any that overlap an
-    already-kept range) recovers exactly the final pass's tiling when
-    one exists.  Verified tilings delete the stale losers (so the
-    docweights scatter and the manifest lineage see a clean dir);
-    anything still inconsistent raises instead of producing a wrong
-    N / avgdl / checksum.  The clean-build fast path is unchanged
-    (observed in the wild: storm-window task retries on the 300k
-    scaling corpus left one overlapping stale file per ~10 builds,
-    aborting bench runs that are now reconciled and recorded)."""
-    files = sorted(
-        os.path.join(docterms_dir, f)
-        for f in os.listdir(docterms_dir)
-        if f.endswith(".parquet")
-    )
-    if not files:
-        return 0, 0
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_tasks = max(1, min(len(files), 2 * cpus))
-    groups = [files[i::n_tasks] for i in range(n_tasks)]
-    parts = ray.get([_sum_doc_lengths.remote(g) for g in groups])
-    rows = sum(p[0] for p in parts)
-    tot = sum(p[1] for p in parts)
-    spans = sorted(s for p in parts for s in p[2])
-    for lo, hi, n, n_uniq, _dl, _f in spans:
-        if n_uniq != n:
-            raise ValueError(
-                f"docstats invariant broken: a file holds {n - n_uniq} "
-                f"duplicate doc ids in range [{lo}, {hi}] — stale "
-                "side-write from a lineage re-execution; rebuild the "
-                "docterms stage"
-            )
-    overlap = any(b[0] <= a[1] for a, b in zip(spans, spans[1:]))
-    if not overlap:
-        if spans and (spans[0][0] != base
-                      or spans[-1][1] != base + rows - 1):
-            raise ValueError(
-                f"docstats invariant broken: {rows} rows but doc ids span "
-                f"[{spans[0][0]}, {spans[-1][1]}] (expected dense "
-                f"{base}..{base + rows - 1})"
-            )
-        return rows, tot
-    return _reconcile_stale_docstats(spans, base)
-
-
-def _reconcile_stale_docstats(spans: list, base: int = 0) -> tuple[int, int]:
+def _reconcile_stale_docstats(spans: list, base: int = 0) -> list:
     """Newest-first greedy selection of non-overlapping docstats files;
-    see ``corpus_scalars``.  ``spans`` is the per-file
-    (lo, hi, rows, n_unique, sum_dl, path) list with at least one range
-    overlap.  Returns (num_docs, total_tokens) over the kept tiling and
-    deletes the stale losers, or raises if no exact tiling emerges."""
+    see ``write_doc_weights``.  ``spans`` is the per-file
+    (lo, hi, rows, path) list, each file exactly dense, with at least
+    one range overlap.  Returns the kept spans (sorted by lo, tiling
+    base..N-1) and deletes the stale losers, or raises if no exact
+    tiling emerges."""
+    import bisect
     import warnings
 
     by_newness = sorted(
         spans,
-        key=lambda s: (os.stat(s[5]).st_mtime_ns, s[5]),
+        key=lambda s: (os.stat(s[3]).st_mtime_ns, s[3]),
         reverse=True,
     )
     kept: list = []          # sorted by lo
     dropped: list = []
-    import bisect
-
     for s in by_newness:
         lo, hi = s[0], s[1]
         i = bisect.bisect_left(kept, (lo,))
@@ -1584,7 +1502,6 @@ def _reconcile_stale_docstats(spans: list, base: int = 0) -> tuple[int, int]:
     tiled = (
         kept
         and kept[0][0] == base
-        and all(n == hi - lo + 1 for lo, hi, n, _u, _dl, _f in kept)
         and all(b[0] == a[1] + 1 for a, b in zip(kept, kept[1:]))
         # a dense tiling of [0..kept_max] covers a dropped file iff the
         # dropped range ends at or below kept_max — otherwise docs past
@@ -1600,7 +1517,7 @@ def _reconcile_stale_docstats(spans: list, base: int = 0) -> tuple[int, int]:
         )
     for s in dropped:
         try:
-            os.remove(s[5])
+            os.remove(s[3])
         except OSError:
             pass
     warnings.warn(
@@ -1610,8 +1527,7 @@ def _reconcile_stale_docstats(spans: list, base: int = 0) -> tuple[int, int]:
         RuntimeWarning,
         stacklevel=2,
     )
-    return (kept[-1][1] + 1 - base,
-            sum(dl for _lo, _hi, _n, _u, dl, _f in kept))
+    return kept
 
 
 def docweights_paths(index_dir: str) -> tuple[str, str]:
@@ -1620,34 +1536,99 @@ def docweights_paths(index_dir: str) -> tuple[str, str]:
     return (os.path.join(d, "doc_length.npy"), os.path.join(d, "l_d.npy"))
 
 
-def write_doc_weights(docstats_dir: str, index_dir: str, num_docs: int,
-                      base: int = 0) -> None:
-    """Scatter the docstats files' (doc_length, l_d) into the index's two
-    dense docweights arrays, in doc-id order.  The docstats must already
-    tile base..base+num_docs-1 (``corpus_scalars`` checks that).  The
-    arrays are on-disk memmaps, so peak heap is one docstats file's
+def _not_dense(path: str, lo: int, hi: int) -> ValueError:
+    return ValueError(
+        f"docstats invariant broken: {os.path.basename(path)} holds "
+        f"duplicate doc ids or a gap in [{lo}, {hi}] — stale side-write "
+        "from a lineage re-execution; rebuild the docterms stage"
+    )
+
+
+def write_doc_weights(docstats_dir: str, index_dir: str,
+                      base: int = 0) -> tuple[int, int]:
+    """The one pass over an index's docstats: checks that they tile
+    base..base+N-1, writes the two dense docweights arrays in doc-id
+    order and returns ``(num_docs, total_tokens)``.
+
+    The docstats invariant: ``_write_docstats_block``'s idempotency rests
+    on doc-range filenames being stable across lineage re-execution; if
+    re-execution ever composed batches differently, stale files with
+    overlapping doc sets would silently double-count docs.  So each file
+    must hold exactly the doc ids lo..hi in order, file ranges must be
+    pairwise disjoint, and their union must be dense from ``base``.
+    Each file's span (rows, doc_id min/max) comes from its parquet
+    footer; the data is read once, after the checks on the spans.
+
+    On an overlap, instead of aborting outright, reconcile: per-doc
+    stats are a pure function of the doc, so ANY subset of files that
+    exactly tiles base..N-1 yields the correct arrays and scalars.
+    Within one build, every retry write lands strictly AFTER the dead
+    attempt's stale write, so keeping files newest-first (dropping any
+    that overlap an already-kept range) recovers exactly the final
+    pass's tiling when one exists; the stale losers are deleted, so the
+    manifest lineage sees a clean dir.  Anything still inconsistent
+    raises instead of producing a wrong N / avgdl / weight (observed in
+    the wild: storm-window task retries on a 300k-doc corpus left one
+    overlapping stale file per ~10 builds).
+
+    The arrays are on-disk memmaps, so peak heap is one docstats file's
     columns, never the corpus; each is written to a tmp file and renamed
     into place."""
+    spans = []
+    for name in sorted(os.listdir(docstats_dir)):
+        if not name.endswith(".parquet"):
+            continue
+        path = os.path.join(docstats_dir, name)
+        md = pq.read_metadata(path)
+        if not md.num_rows:
+            continue
+        col = md.schema.to_arrow_schema().get_field_index("doc_id")
+        st = [md.row_group(i).column(col).statistics
+              for i in range(md.num_row_groups)]
+        lo, hi = min(s.min for s in st), max(s.max for s in st)
+        if md.num_rows != hi - lo + 1:
+            raise _not_dense(path, lo, hi)
+        spans.append((lo, hi, md.num_rows, path))
+    spans.sort()
+    if any(b[0] <= a[1] for a, b in zip(spans, spans[1:])):
+        spans = _reconcile_stale_docstats(spans, base)
+    rows = sum(s[2] for s in spans)
+    if spans and (spans[0][0] != base or spans[-1][1] != base + rows - 1):
+        raise ValueError(
+            f"docstats invariant broken: {rows} rows but doc ids span "
+            f"[{spans[0][0]}, {spans[-1][1]}] (expected dense "
+            f"{base}..{base + rows - 1})"
+        )
+
     dl_p, ld_p = docweights_paths(index_dir)
     os.makedirs(os.path.dirname(dl_p), exist_ok=True)
     dl_tmp, ld_tmp = dl_p + ".tmp.npy", ld_p + ".tmp.npy"
     dl = np.lib.format.open_memmap(
-        dl_tmp, mode="w+", dtype=np.int64, shape=(num_docs,))
+        dl_tmp, mode="w+", dtype=np.int64, shape=(rows,))
     ld = np.lib.format.open_memmap(
-        ld_tmp, mode="w+", dtype=np.float64, shape=(num_docs,))
-    for name in sorted(os.listdir(docstats_dir)):
-        if not name.endswith(".parquet"):
-            continue
-        tbl = pq.read_table(os.path.join(docstats_dir, name),
-                            columns=["doc_id", "doc_length", "l_d"])
-        ids = tbl.column("doc_id").to_numpy() - base
-        dl[ids] = tbl.column("doc_length").to_numpy()
-        ld[ids] = tbl.column("l_d").to_numpy()
-    dl.flush()
-    ld.flush()
+        ld_tmp, mode="w+", dtype=np.float64, shape=(rows,))
+    total_tokens = 0
+    try:
+        for lo, hi, _n, path in spans:
+            tbl = pq.read_table(path, columns=["doc_id", "doc_length", "l_d"])
+            if not np.array_equal(tbl.column("doc_id").to_numpy(),
+                                  np.arange(lo, hi + 1)):
+                raise _not_dense(path, lo, hi)
+            dls = tbl.column("doc_length").to_numpy()
+            dl[lo - base:hi + 1 - base] = dls
+            ld[lo - base:hi + 1 - base] = tbl.column("l_d").to_numpy()
+            total_tokens += int(dls.sum())
+        dl.flush()
+        ld.flush()
+    except BaseException:
+        del dl, ld
+        os.remove(dl_tmp)
+        os.remove(ld_tmp)
+        raise
     del dl, ld
     os.replace(dl_tmp, dl_p)
     os.replace(ld_tmp, ld_p)
+    return rows, total_tokens
 
 
 def build_index(
@@ -1673,90 +1654,21 @@ def build_index(
 
     # ---- stage 1: tokenize -> docterms ----
     if not _stage_done(index_dir, "docterms", fingerprint):
-        id_val_thread = None
-        id_val_err: list[BaseException] = []
+        expect = None
         if ID_COL not in corpus.schema().names:
             from .ids import assign_doc_ids
 
             corpus = assign_doc_ids(corpus, base=cfg.doc_id_base)
         else:
-            # the reader indexes num_docs-sized arrays by doc_id: a sparse or
-            # non-zero-based pre-assigned id column would crash at query
-            # time, and duplicate ids would silently overwrite range-named
-            # docstats files, so validate min/max/count over the id column.
-            # The pass runs CONCURRENTLY with tokenize and is joined before
-            # the docterms stage commits: as a blocking pre-pass it cost
-            # 4-7s of pure launch overhead per 300k-doc build (and
-            # Dataset.aggregate routes through shuffle machinery — 2x the
-            # cost of this map_batches partial + driver combine), while
-            # overlapped its tiny per-file tasks hide behind the
-            # tokenize stream.  On failure the stage never commits, so a
-            # resumed build re-checks.
-            import threading
-
-            def _idspan_partial(b: pa.Table) -> pa.Table:
-                ids = b.column(ID_COL).to_numpy(
-                    zero_copy_only=False).astype(np.uint64, copy=False)
-                # moments accumulate mod 2^64 (numpy uint64 wraps, C
-                # semantics); the driver compares in the same ring
-                s1 = int(ids.sum(dtype=np.uint64))
-                s2 = int((ids * ids).sum(dtype=np.uint64))
-                return pa.table({"lo": [int(ids.min())],
-                                 "hi": [int(ids.max())],
-                                 "n": [b.num_rows],
-                                 "s1": [s1], "s2": [s2]})
-
-            def _validate_ids(ds=corpus, b=cfg.doc_id_base):
-                try:
-                    parts = ds.select_columns([ID_COL]).map_batches(
-                        _idspan_partial, batch_format="pyarrow",
-                        batch_size=None,
-                    ).take_all()
-                    n = sum(p["n"] for p in parts)
-                    if not n:
-                        return
-                    lo = int(min(p["lo"] for p in parts))
-                    hi = int(max(p["hi"] for p in parts))
-                    # min/max/count alone pass compensated duplicates
-                    # (e.g. [0, 1, 1, 3]): also require the first two
-                    # power sums of the ids to equal those of b..b+n-1,
-                    # computed exactly in the mod-2^64 ring on both
-                    # sides (numpy uint64 wraps; the closed forms below
-                    # use Python big ints then reduce).  This catches
-                    # every duplicate/shift/offset corruption pattern a
-                    # retry or mis-assignment produces; only a
-                    # deliberately constructed Prouhet-Tarry-Escott
-                    # multiset (e.g. swapping {1,5,6} for {2,3,7}) can
-                    # still pass, which is outside this guard's threat
-                    # model (corruption, not adversarial input).
-                    M = 1 << 64
-                    s1 = sum(int(p["s1"]) for p in parts) % M
-                    s2 = sum(int(p["s2"]) for p in parts) % M
-
-                    def _sq_prefix(m: int) -> int:
-                        return m * (m + 1) * (2 * m + 1) // 6
-
-                    first, last = int(b), int(b) + n - 1
-                    want_s1 = ((first + last) * n // 2) % M
-                    want_s2 = (_sq_prefix(last)
-                               - _sq_prefix(first - 1)) % M
-                    if (lo != b or hi != b + n - 1
-                            or s1 != want_s1 or s2 != want_s2):
-                        raise ValueError(
-                            f"pre-assigned {ID_COL!r} must be a dense "
-                            f"permutation of {b}..{b}+N-1 (got min={lo}, "
-                            f"max={hi}, rows={n}; power-sum check "
-                            f"{'ok' if s1 == want_s1 and s2 == want_s2 else 'FAILED - duplicate or corrupt ids'}); "
-                            f"drop the column to have build_index assign "
-                            f"ids, or re-assign with "
-                            f"searchengine_ray.ids.assign_doc_ids"
-                        )
-                except BaseException as e:  # re-raised on the build thread
-                    id_val_err.append(e)
-
-            id_val_thread = threading.Thread(target=_validate_ids,
-                                             daemon=True)
-            id_val_thread.start()
+            # the reader indexes num_docs-sized arrays by doc_id, so a
+            # pre-assigned id column must be a dense permutation of
+            # base..base+N-1.  The docstats pass below checks that its
+            # files tile base..: a duplicated id lands in two dense runs,
+            # which either overlap or share a range and so rewrite one
+            # file, and either way fewer than N distinct ids remain — so
+            # the row count (footer metadata for a plain read_parquet)
+            # completes the check
+            expect = corpus.count()
         import shutil
 
         shutil.rmtree(docterms_dir, ignore_errors=True)
@@ -1775,6 +1687,7 @@ def build_index(
         # interleaving from the streaming executor cannot create
         # overlapping fragment doc ranges (the _finalize_segment seam
         # check is the backstop).
+        file_rows = max(DOCTERMS_BLOCK_ROWS * 64, 1 << 18)
         corpus.map_batches(
             lambda batch, _t=tokenizer: _t(batch),
             batch_format="pyarrow",
@@ -1797,32 +1710,49 @@ def build_index(
             # A run split ACROSS files by the row cap stays correct:
             # each side is a disjoint ascending-doc fragment the reducer
             # merges by first_doc.
-            max_rows_per_file=max(DOCTERMS_BLOCK_ROWS * 64, 1 << 18),
+            max_rows_per_file=file_rows,
+            # one row group per file: Ray's default of one per incoming
+            # batch repeats the term dictionary page in each (a 4,000-doc
+            # corpus: 33 -> 5 row groups, ~2,170 -> ~1,390 B/doc)
+            row_group_size=file_rows,
         )
-        if id_val_thread is not None:
-            id_val_thread.join()
-            if id_val_err:
-                raise id_val_err[0]
+        try:
+            n_docs, tot = write_doc_weights(docstats_dir, index_dir,
+                                            base=cfg.doc_id_base)
+            if expect is not None and n_docs != expect:
+                raise ValueError(
+                    f"{n_docs} distinct ids from {cfg.doc_id_base} for "
+                    f"{expect} rows")
+        except ValueError as e:
+            if expect is None:
+                raise
+            raise ValueError(
+                f"pre-assigned {ID_COL!r} must be a dense permutation of "
+                f"{cfg.doc_id_base}..{cfg.doc_id_base}+N-1 ({e}); drop "
+                f"the column to have build_index assign ids, or re-assign "
+                f"with searchengine_ray.ids.assign_doc_ids") from e
         stage_seconds["tokenize"] = time.perf_counter() - t0
         _commit_stage(
             index_dir, "docterms", fingerprint,
+            num_docs=n_docs, total_tokens=tot,
             files=_dir_lineage(docterms_dir),
             docstats_files=_dir_lineage(docstats_dir),
         )
 
-    # per-doc stats (incl. zero-term docs) live in docstats/; postings in
-    # docterms/ are exploded and pre-grouped for the exchange
+    # per-doc stats (incl. zero-term docs) live in docstats/ and, dense,
+    # in docweights/; postings in docterms/ are exploded and pre-grouped
+    # for the exchange
 
     # ---- stage 2: heavy-hitter detection + postings merge -> segments ----
     if not _stage_done(index_dir, "segments", fingerprint):
         import shutil
 
-        # corpus scalars via a distributed pruned-column aggregate —
-        # needed now so block-max BM25 wdt bounds go into the segments
-        n_docs, tot = corpus_scalars(docstats_dir, base=cfg.doc_id_base)
+        # the corpus scalars from the docterms marker: block-max BM25 wdt
+        # bounds go into the segments
+        with open(os.path.join(index_dir, "_STAGE_docterms.json")) as f:
+            dt_marker = json.load(f)
+        n_docs, tot = dt_marker["num_docs"], dt_marker["total_tokens"]
         avgdl = (tot / n_docs) if n_docs else 1.0
-        write_doc_weights(docstats_dir, index_dir, n_docs,
-                          base=cfg.doc_id_base)
 
         heavy = detect_heavy_terms(docterms_dir, cfg)
         stage_seconds["heavy_detect"] = (
@@ -1853,11 +1783,8 @@ def build_index(
     with open(os.path.join(index_dir, "_STAGE_segments.json")) as f:
         seg_marker = json.load(f)
     seg_files = seg_marker.get("segment_metrics", [])
-    num_docs = seg_marker.get("num_docs")
-    total_tokens = seg_marker.get("total_tokens")
-    if num_docs is None or total_tokens is None:
-        num_docs, total_tokens = corpus_scalars(
-            docstats_dir, base=cfg.doc_id_base)
+    num_docs = seg_marker["num_docs"]
+    total_tokens = seg_marker["total_tokens"]
 
     heavy_terms = seg_marker.get("heavy_terms", {})
 

@@ -40,7 +40,8 @@ Per-generation salting may differ (heavy detection sees only its own
 corpus) — fine for serving and for ``legacy.export_legacy_index``: salt
 is an opaque row key and the reader orders a term's fragments by first
 doc.  The merged docweights arrays are rewritten from the merged
-docstats.
+docstats by the build's one docstats pass, which also checks that they
+tile 0..N-1 and sum to the generations' manifest scalars.
 """
 
 from __future__ import annotations
@@ -236,7 +237,14 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
                 shutil.copyfile(os.path.join(src_stats, f), tmp)
                 os.replace(tmp, dst)
     ray.get(copy_refs)
-    write_doc_weights(stats_out, out_dir, num_docs)
+    # the docstats pass checks that the merged files tile 0..N-1; a
+    # generation missing a docstats file must not merge with zero weights
+    got = write_doc_weights(stats_out, out_dir)
+    if got != (num_docs, total_tokens):
+        raise ValueError(
+            f"merged docstats hold (num_docs, total_tokens) = {got}, but "
+            f"the generations' manifests sum to {(num_docs, total_tokens)}"
+            f" — a generation's docstats/ is incomplete; rebuild it")
 
     heavy: dict[str, int] = {}
     for _, m in parts:

@@ -19,6 +19,9 @@ from .parser import parse_query
 from .ranked import rank_bm25_wand, rank_documents_exact
 from .reader import DiskIndexReader
 
+#: ``use_wand="auto"`` takes block-max WAND at this many candidate postings
+WAND_MIN_POSTINGS = 500_000
+
 
 class QueryEngine:
     def __init__(self, index_dir: str, buckets: list[int] | None = None):
@@ -43,19 +46,20 @@ class QueryEngine:
         use_okapi: bool = True,
         top_k: int | None = 10,
         use_wand: bool | str = "auto",
-        wand_min_postings: int = 500_000,
     ) -> list[tuple[int, float]]:
         """BM25/tf-idf ranking.  ``use_wand="auto"`` picks block-max WAND
-        only when the query's total candidate postings are large enough
-        for skipping to beat the vectorized term-at-a-time scorer (WAND's
-        document-at-a-time loop is per-posting Python; the exact scorer
-        streams numpy arrays).  Both paths are rank-identical."""
+        only when the query's total candidate postings reach
+        ``WAND_MIN_POSTINGS``, where skipping beats the exact
+        term-at-a-time scorer (WAND's document-at-a-time loop is
+        per-posting Python; the exact scorer computes weights in numpy
+        but sums them per posting in a Python dict).  Both paths are
+        rank-identical."""
         if use_okapi and top_k is not None and use_wand:
             if use_wand == "auto":
                 total = sum(
                     self.index.df(t) for t in ranked_query_terms(raw_query)
                 )
-                if total >= wand_min_postings:
+                if total >= WAND_MIN_POSTINGS:
                     return rank_bm25_wand(self.index, raw_query, top_k=top_k)
             else:
                 return rank_bm25_wand(self.index, raw_query, top_k=top_k)

@@ -467,58 +467,70 @@ class TestTfStreamPaths:
 
 
 class TestCorpusScalars:
-    def test_matches_manifest(self, built_index):
-        """corpus_scalars (the distributed replacement for the driver
-        column read, VERDICT r3 #4) reproduces the manifest scalars."""
-        from searchengine_ray.build import corpus_scalars
+    """The one docstats pass (``write_doc_weights``): ids tile 0..N-1,
+    corpus scalars, docweights arrays."""
+
+    def test_matches_manifest(self, built_index, tmp_path):
+        """The pass over a built index's docstats reproduces the
+        manifest scalars and the index's docweights arrays."""
+        from searchengine_ray.build import docweights_paths, write_doc_weights
 
         index_dir, manifest = built_index
-        n, tot = corpus_scalars(os.path.join(index_dir, "docstats"))
+        n, tot = write_doc_weights(os.path.join(index_dir, "docstats"),
+                                   str(tmp_path))
         assert n == manifest["num_docs"]
         assert tot == manifest["total_tokens"]
+        for got, want in zip(docweights_paths(str(tmp_path)),
+                             docweights_paths(index_dir)):
+            with open(got, "rb") as a, open(want, "rb") as b:
+                assert a.read() == b.read()
 
-    def test_empty_dir(self, ray_session, tmp_path):
-        from searchengine_ray.build import corpus_scalars
+    def test_empty_dir(self, tmp_path):
+        from searchengine_ray.build import write_doc_weights
 
-        assert corpus_scalars(str(tmp_path)) == (0, 0)
+        assert write_doc_weights(str(tmp_path), str(tmp_path)) == (0, 0)
 
     @staticmethod
     def _write_docstats(d, name, doc_ids):
+        os.makedirs(d, exist_ok=True)
         tbl = pa.table({
             "doc_id": pa.array(doc_ids, type=pa.int64()),
             "doc_length": pa.array([3] * len(doc_ids), type=pa.int64()),
+            "l_d": pa.array([0.5] * len(doc_ids), type=pa.float64()),
         })
         pq.write_table(tbl, os.path.join(d, name))
 
-    def test_rejects_overlapping_stale_file(self, ray_session, tmp_path):
+    @staticmethod
+    def _pass(tmp_path):
+        """Run the pass over ``tmp_path/docstats`` into ``tmp_path``."""
+        from searchengine_ray.build import write_doc_weights
+
+        return write_doc_weights(str(tmp_path / "docstats"), str(tmp_path))
+
+    def test_rejects_overlapping_stale_file(self, tmp_path):
         """r4 advice: a stale docstats side-write surviving a lineage
         re-execution with a different batch composition must fail loudly
         at the consume point, not silently double-count docs.  Here the
         overlapping file is the NEWEST, so newest-first reconciliation
         cannot recover a tiling (a real retry writes after the stale
         attempt, never before) and the loud failure is preserved."""
-        from searchengine_ray.build import corpus_scalars
-
-        d = str(tmp_path)
+        d = str(tmp_path / "docstats")
         self._write_docstats(d, "docstats_a.parquet", [0, 1, 2, 3])
         self._write_docstats(d, "docstats_b.parquet", [4, 5, 6, 7])
-        assert corpus_scalars(d) == (8, 24)
+        assert self._pass(tmp_path) == (8, 24)
         # stale file overlapping [2..5] (re-execution rebatched)
         self._write_docstats(d, "docstats_stale.parquet", [2, 3, 4, 5])
         with pytest.raises(ValueError, match="overlapping doc ranges"):
-            corpus_scalars(d)
+            self._pass(tmp_path)
 
-    def test_reconciles_stale_file_older_than_retry(self, ray_session,
-                                                    tmp_path):
+    def test_reconciles_stale_file_older_than_retry(self, tmp_path):
         """The observed in-the-wild shape (storm-window task retry on the
         300k scaling corpus): a dead attempt's side-file survives, then
         the retry writes a complete differently-composed tiling AFTER
         it.  Newest-first reconciliation must keep the retry's tiling,
         return the correct scalars, delete the stale loser, and warn —
         not abort the build."""
-        from searchengine_ray.build import corpus_scalars
-
-        d = str(tmp_path)
+        d = str(tmp_path / "docstats")
         # dead attempt wrote [2..5] first
         self._write_docstats(d, "docstats_stale.parquet", [2, 3, 4, 5])
         os.utime(os.path.join(d, "docstats_stale.parquet"),
@@ -530,20 +542,17 @@ class TestCorpusScalars:
             os.utime(os.path.join(d, name),
                      ns=(2_000_000_000, 2_000_000_000))
         with pytest.warns(RuntimeWarning, match="docstats reconciliation"):
-            assert corpus_scalars(d) == (8, 24)
+            assert self._pass(tmp_path) == (8, 24)
         assert sorted(os.listdir(d)) == [
             "docstats_a.parquet", "docstats_b.parquet"]
         # dir is clean now: the fast path returns silently
-        assert corpus_scalars(d) == (8, 24)
+        assert self._pass(tmp_path) == (8, 24)
 
-    def test_reconciliation_requires_exact_tiling(self, ray_session,
-                                                  tmp_path):
+    def test_reconciliation_requires_exact_tiling(self, tmp_path):
         """If dropping overlapped files leaves a doc-id gap, the
         reconciler must raise, never return scalars over a partial
         cover."""
-        from searchengine_ray.build import corpus_scalars
-
-        d = str(tmp_path)
+        d = str(tmp_path / "docstats")
         self._write_docstats(d, "docstats_stale.parquet", [2, 3, 4, 5])
         os.utime(os.path.join(d, "docstats_stale.parquet"),
                  ns=(1_000_000_000, 1_000_000_000))
@@ -552,25 +561,26 @@ class TestCorpusScalars:
         os.utime(os.path.join(d, "docstats_a.parquet"),
                  ns=(2_000_000_000, 2_000_000_000))
         with pytest.raises(ValueError, match="no newest-first subset"):
-            corpus_scalars(d)
+            self._pass(tmp_path)
         # nothing deleted on failure
         assert len(os.listdir(d)) == 2
 
-    def test_interleaved_block_sidewrite_passes(self, ray_session, tmp_path):
+    def test_interleaved_block_sidewrite_passes(self, tmp_path):
         """A rebatched block interleaving dense segments from different
         upstream blocks ([0..3] + [8..11] + [4..7]) must side-write one
         file PER dense run — a single min..max-named file would cover a
         range overlapping its sibling blocks' and trip the disjointness
         invariant on a perfectly healthy build (observed on the 1M-doc
         scaling corpus at 16 CPUs)."""
-        from searchengine_ray.build import _write_docstats_block, corpus_scalars
+        from searchengine_ray.build import _write_docstats_block
 
-        d = str(tmp_path)
+        d = str(tmp_path / "docstats")
         interleaved = pa.table({
             "doc_id": pa.array(
                 [*range(0, 4), *range(8, 12), *range(4, 8)],
                 type=pa.int64()),
             "doc_length": pa.array([3] * 12, type=pa.int64()),
+            "l_d": pa.array([0.5] * 12, type=pa.float64()),
         })
         _write_docstats_block(d, interleaved)
         names = sorted(os.listdir(d))
@@ -579,24 +589,27 @@ class TestCorpusScalars:
             "docstats_000000000004_000000000007.parquet",
             "docstats_000000000008_000000000011.parquet",
         ]
-        assert corpus_scalars(d) == (12, 36)
+        assert self._pass(tmp_path) == (12, 36)
 
-    def test_rejects_duplicates_within_file(self, ray_session, tmp_path):
-        from searchengine_ray.build import corpus_scalars
+    def test_rejects_duplicates_within_file(self, tmp_path):
+        # [0, 1, 1, 2]: the footer's row count exceeds the id span;
+        # [0, 2, 2]: the count fits the span, the ids do not (the data
+        # check, which must leave no docweights tmp file behind)
+        for i, ids in enumerate(([0, 1, 1, 2], [0, 2, 2])):
+            root = tmp_path / str(i)
+            self._write_docstats(str(root / "docstats"),
+                                 "docstats_a.parquet", ids)
+            with pytest.raises(ValueError, match="duplicate doc ids"):
+                self._pass(root)
+            weights = root / "docweights"
+            assert not weights.exists() or not os.listdir(weights)
 
-        d = str(tmp_path)
-        self._write_docstats(d, "docstats_a.parquet", [0, 1, 1, 2])
-        with pytest.raises(ValueError, match="duplicate doc ids"):
-            corpus_scalars(d)
-
-    def test_rejects_non_dense_ids(self, ray_session, tmp_path):
-        from searchengine_ray.build import corpus_scalars
-
-        d = str(tmp_path)
+    def test_rejects_non_dense_ids(self, tmp_path):
+        d = str(tmp_path / "docstats")
         self._write_docstats(d, "docstats_a.parquet", [0, 1, 2])
         self._write_docstats(d, "docstats_b.parquet", [5, 6])  # gap 3..4
         with pytest.raises(ValueError, match="expected dense"):
-            corpus_scalars(d)
+            self._pass(tmp_path)
 
     @given(st.data())
     @hyp_settings(max_examples=30, deadline=None)
@@ -604,13 +617,15 @@ class TestCorpusScalars:
         """Property over random retry shapes: whenever a COMPLETE newer
         tiling of 0..N-1 exists (the retry pass) alongside any subset of
         an older differently-cut attempt's files, newest-first
-        reconciliation must return the exact corpus scalars, keep the
-        retry's files, and delete every stale survivor.  Pure-function
-        test on synthetic spans (no Ray) — file paths exist only to
-        carry mtimes."""
+        reconciliation must return the exact corpus scalars and arrays,
+        keep the retry's files, and delete every stale survivor.  The
+        stale files hold different stats, so a stale survivor in the
+        scatter would show in the arrays."""
+        import pathlib
         import tempfile
+        import warnings as _w
 
-        from searchengine_ray.build import _reconcile_stale_docstats
+        from searchengine_ray.build import docweights_paths
 
         def tiling(n, max_cuts):
             if n == 1:
@@ -623,6 +638,15 @@ class TestCorpusScalars:
             bounds = [0, *cuts, n]
             return [(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
 
+        def write(d, name, lo, hi, length, mtime):
+            n_ = hi - lo + 1
+            pq.write_table(pa.table({
+                "doc_id": pa.array(range(lo, hi + 1), type=pa.int64()),
+                "doc_length": pa.array([length] * n_, type=pa.int64()),
+                "l_d": pa.array([float(length)] * n_, type=pa.float64()),
+            }), os.path.join(d, name))
+            os.utime(os.path.join(d, name), ns=(mtime, mtime))
+
         n = data.draw(st.integers(min_value=2, max_value=40))
         final = tiling(n, 5)
         # the dead attempt covered a (possibly shorter) prefix with a
@@ -631,26 +655,20 @@ class TestCorpusScalars:
         stale_all = tiling(n_stale, 5)
         stale = [s for s in stale_all
                  if data.draw(st.booleans(), label=f"keep{s}")]
-        with tempfile.TemporaryDirectory() as d:
-            spans = []
+        with tempfile.TemporaryDirectory() as root:
+            d = os.path.join(root, "docstats")
+            os.makedirs(d)
             for i, (lo, hi) in enumerate(stale):
-                p = os.path.join(d, f"stale_{i}.parquet")
-                open(p, "w").close()
-                os.utime(p, ns=(10**9 + i, 10**9 + i))
-                spans.append((lo, hi, hi - lo + 1, hi - lo + 1,
-                              3 * (hi - lo + 1), p))
+                write(d, f"stale_{i}.parquet", lo, hi, 7, 10**9 + i)
             for i, (lo, hi) in enumerate(final):
-                p = os.path.join(d, f"final_{i}.parquet")
-                open(p, "w").close()
-                os.utime(p, ns=(2 * 10**9 + i, 2 * 10**9 + i))
-                spans.append((lo, hi, hi - lo + 1, hi - lo + 1,
-                              3 * (hi - lo + 1), p))
-            import warnings as _w
-
+                write(d, f"final_{i}.parquet", lo, hi, 3, 2 * 10**9 + i)
             with _w.catch_warnings():
                 _w.simplefilter("ignore", RuntimeWarning)
-                got = _reconcile_stale_docstats(sorted(spans))
+                got = self._pass(pathlib.Path(root))
             assert got == (n, 3 * n)
+            dl_p, ld_p = docweights_paths(root)
+            assert np.load(dl_p).tolist() == [3] * n
+            assert np.load(ld_p).tolist() == [3.0] * n
             # the final tiling covers every doc, so every stale file
             # overlaps a (newer) kept file: survivors are EXACTLY the
             # retry's files, every stale survivor is deleted
@@ -672,7 +690,8 @@ class TestPreassignedIdValidation:
 
     def test_duplicate_ids_rejected(self, ray_session, tmp_path):
         """Code-review r5: [0, 1, 1, 3] passes min/max/count but must be
-        caught by the power-sum moments before the index commits."""
+        caught before the index commits: its dense runs [0, 1] and [1]
+        overlap, and no subset of the docstats files tiles 0..3."""
         import ray.data
 
         from searchengine_ray.build import IndexBuildConfig, build_index
@@ -682,6 +701,20 @@ class TestPreassignedIdValidation:
             build_index(ds, str(tmp_path / "idx"),
                         IndexBuildConfig(num_buckets=2),
                         input_description="dup-ids")
+
+    def test_duplicate_singleton_runs_rejected(self, ray_session, tmp_path):
+        """[2, 0, 2, 1]: every id is its own dense run, and the two runs
+        of id 2 write the same one-doc docstats file, so 0..2 tiles
+        cleanly — only the row count sees the lost doc."""
+        import ray.data
+
+        from searchengine_ray.build import IndexBuildConfig, build_index
+
+        ds = ray.data.from_pandas(self._mini([2, 0, 2, 1]))
+        with pytest.raises(ValueError, match="dense permutation"):
+            build_index(ds, str(tmp_path / "idx"),
+                        IndexBuildConfig(num_buckets=2),
+                        input_description="dup-singleton-ids")
 
     def test_sparse_ids_rejected(self, ray_session, tmp_path):
         import ray.data

@@ -92,6 +92,13 @@ def test_stats_subcommand(cli_env, capsys):
                   for root, _, files in os.walk(os.path.join(index_dir, sub))
                   for f in files)
     assert st["bytes_per_doc"] * 300 == pytest.approx(counted)
+    # docterms: the exchange's input, as the manifest recorded it (the
+    # build leaves docterms/ in place as its resumable intermediate)
+    dt_dir = os.path.join(index_dir, "docterms")
+    assert st["docterms_bytes"] == sum(
+        os.path.getsize(os.path.join(dt_dir, f))
+        for f in os.listdir(dt_dir) if f.endswith(".parquet"))
+    assert st["docterms_bytes"] > 0
     assert set(st["exchange_phases"]) == {"map", "reduce"}
     for side in st["exchange_phases"].values():
         for phase in side.values():

@@ -208,6 +208,29 @@ def test_docweights_written_by_merge(merged_setup, oracle):
         [oracle.l_d[d] for d in range(oracle.num_docs)], rel=1e-12)
 
 
+@pytest.mark.parametrize("gen", [0, 1])
+def test_merge_refuses_generation_missing_a_docstats_file(merged_setup,
+                                                          tmp_path, gen):
+    """A generation that lost a docstats file must not merge with zero
+    doc weights for the lost docs: the docstats pass refuses the hole it
+    leaves in the base generation, and a delta missing its last docs
+    leaves fewer docs than the manifests sum to."""
+    import shutil
+
+    _, out_dir, b_dir, _ = merged_setup
+    with open(os.path.join(out_dir, "manifest.json")) as f:
+        a_dir = json.load(f)["merged_from"][0]["dir"]
+    gens = [a_dir, b_dir]
+    gens[gen] = str(tmp_path / "gen")
+    shutil.copytree([a_dir, b_dir][gen], gens[gen])
+    stats = os.path.join(gens[gen], "docstats")
+    names = sorted(f for f in os.listdir(stats) if f.endswith(".parquet"))
+    os.remove(os.path.join(stats, names[0]))
+    with pytest.raises(ValueError,
+                       match=("expected dense", "manifests sum")[gen]):
+        merge_indexes(gens, str(tmp_path / "out"))
+
+
 def test_cli_merge_subcommand(merged_setup, tmp_path, capsys):
     import json
 
