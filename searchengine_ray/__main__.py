@@ -123,7 +123,8 @@ def cmd_stats(args) -> int:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from .build import DOCWEIGHTS_DIR, MANIFEST_NAME, segment_bin_path
+    from .build import (DOCSTATS_DIR, DOCWEIGHTS_DIR, MANIFEST_NAME,
+                        segment_bin_path)
 
     with open(os.path.join(args.index, MANIFEST_NAME)) as f:
         manifest = json.load(f)
@@ -141,14 +142,14 @@ def cmd_stats(args) -> int:
               for k in ("rows", "doc_bytes", "tf_bytes", "pos_bytes",
                         "bin_bytes", "parquet_bytes")}
     num_docs = manifest["num_docs"]
+    docstats_bytes = _tree_bytes(os.path.join(args.index, DOCSTATS_DIR))
     index_bytes = (
-        _tree_bytes(os.path.join(args.index, "segments"))
-        + _tree_bytes(os.path.join(
-            args.index, manifest.get("doc_stats_dir", "docstats"))))
+        _tree_bytes(os.path.join(args.index, "segments")) + docstats_bytes)
     plan = manifest.get("exchange_plan") or {}
     print(json.dumps({
         "num_docs": num_docs,
         "bytes_per_doc": index_bytes / num_docs if num_docs else 0.0,
+        "docstats_bytes": docstats_bytes,
         "docweights_bytes": _tree_bytes(
             os.path.join(args.index, DOCWEIGHTS_DIR)),
         "docterms_bytes": plan.get("docterms_bytes"),

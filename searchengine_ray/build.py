@@ -11,7 +11,7 @@ Ray-Data-native rebuild:
     -> assign_doc_ids (one explicit global decision, ids.py)
     -> map_batches(TokenizeDocs tasks)               # SPIMI block ≙ Ray block
          emits per-doc rows: doc stats + per-term (tftd, VByte pos blob)
-    -> explode + group by (bucket, term, doc) per block (docterms v6)
+    -> explode + group by (bucket, term, doc) per block (docterms v7)
          -> write docterms/  (exploded postings, resumable intermediate)
          -> side-write docstats/ (per-doc title/doc_length/l_d/sha256,
             incl. zero-term docs; doc-range file names, idempotent)
@@ -56,7 +56,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
-from .tokenizer import TokenTermCache, analyze_document, euclidean_weight, sha256_hex
+from .tokenizer import TokenTermCache, analyze_document, euclidean_weight
 
 MANIFEST_NAME = "manifest.json"
 SALT_WIDTH = 4096  # max fragments per (term, shard)
@@ -81,6 +81,9 @@ SEGMENT_ROW_GROUP_SIZE = 512
 # and l_d (float64) arrays, indexed by doc_id - doc_id_base.  A sibling
 # of docstats/, never inside it: docstats readers scan that whole dir.
 DOCWEIGHTS_DIR = "docweights"
+# Per-document stats (doc_id, title, doc_length, l_d, sha256), one
+# parquet file per dense doc-id run (``_write_docstats_block``).
+DOCSTATS_DIR = "docstats"
 
 
 def _as_array(col) -> pa.Array:
@@ -122,26 +125,6 @@ class IndexBuildConfig:
         return asdict(self)
 
 
-def _sha256_column(arr: pa.Array) -> list[str]:
-    """sha256 per row straight off the Arrow utf-8 data buffer (zero
-    re-encode; the per-row invariant vs the source parquet).  The hash
-    itself is the cost — this loop is not the hot path."""
-    import hashlib
-
-    if pa.types.is_large_string(arr.type):
-        off_dtype = np.int64
-    else:
-        off_dtype = np.int32
-    offs = np.frombuffer(arr.buffers()[1], dtype=off_dtype,
-                         count=len(arr) + 1, offset=arr.offset *
-                         np.dtype(off_dtype).itemsize)
-    data = memoryview(arr.buffers()[2]) if arr.buffers()[2] else memoryview(b"")
-    return [
-        hashlib.sha256(data[offs[i]:offs[i + 1]]).hexdigest()
-        for i in range(len(arr))
-    ]
-
-
 _WORKER_CACHES: dict[str, TokenTermCache] = {}
 
 
@@ -175,6 +158,7 @@ class TokenizeDocs:
         content_arr = _as_array(batch.column(CONTENT_COL))
         if cfg.analyzer in VECTORIZED_ANALYZERS:
             from .batch_tokenize import analyze_batch
+            from .verify import content_digests
 
             cols = analyze_batch(content_arr, cfg.analyzer, cache)
             return pa.table(
@@ -184,8 +168,7 @@ class TokenizeDocs:
                     "title": _as_array(batch.column(TITLE_COL)),
                     "doc_length": pa.array(cols["doc_length"]),
                     "l_d": pa.array(cols["l_d"]),
-                    "sha256": pa.array(_sha256_column(content_arr),
-                                       type=pa.string()),
+                    "sha256": content_digests(content_arr),
                     "terms": cols["terms"],
                     "tftds": cols["tftds"],
                     "pos_blob": cols["pos_blob"],
@@ -197,6 +180,7 @@ class TokenizeDocs:
         """Per-doc fallback for analyzers without a vectorized batch path
         (e.g. spanish); also the parity oracle for the vectorized path."""
         from .tokenizer import ANALYZERS
+        from .verify import content_digests
 
         cfg = self.cfg
         analyze = ANALYZERS[cfg.analyzer]
@@ -204,7 +188,7 @@ class TokenizeDocs:
         titles = batch.column(TITLE_COL).to_pylist()
         doc_ids = batch.column(ID_COL).to_pylist()
 
-        out_doc_id, out_title, out_len, out_ld, out_sha = [], [], [], [], []
+        out_doc_id, out_title, out_len, out_ld = [], [], [], []
         out_terms, out_tftds, out_positions = [], [], []
         for doc_id, title, content in zip(doc_ids, titles, contents):
             term_pos, doc_length = analyze(content, cache)
@@ -217,7 +201,6 @@ class TokenizeDocs:
             out_title.append(title)
             out_len.append(doc_length)
             out_ld.append(l_d)
-            out_sha.append(sha256_hex(content))
             out_terms.append(terms)
             out_tftds.append([len(term_pos[t]) for t in terms])
             out_positions.append([term_pos[t] for t in terms])
@@ -227,7 +210,7 @@ class TokenizeDocs:
                 "title": pa.array(out_title, type=pa.string()),
                 "doc_length": pa.array(out_len, type=pa.int64()),
                 "l_d": pa.array(out_ld, type=pa.float64()),
-                "sha256": pa.array(out_sha, type=pa.string()),
+                "sha256": content_digests(batch.column(CONTENT_COL)),
                 "terms": pa.array(out_terms, type=pa.list_(pa.string())),
                 "tftds": pa.array(out_tftds, type=pa.list_(pa.int32())),
                 "pos_blob": _encode_positions_nested(out_positions),
@@ -582,7 +565,9 @@ SEGMENT_FORMAT = 6
 # v6: one parquet row group per file, and the stage marker carries the
 # corpus scalars (num_docs, total_tokens) that the docstats pass derives
 # at the end of the stage — a v5 marker has none, so its index rebuilds.
-DOCTERMS_FORMAT = 6
+# v7: docstats store ``sha256`` as 32 raw bytes (fixed_size_binary(32)),
+# not a 64-char hex string — verify refuses the old layout ("rebuild").
+DOCTERMS_FORMAT = 7
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -1649,7 +1634,7 @@ def build_index(
     stage_seconds: dict[str, float] = {}
 
     docterms_dir = os.path.join(index_dir, "docterms")
-    docstats_dir = os.path.join(index_dir, "docstats")
+    docstats_dir = os.path.join(index_dir, DOCSTATS_DIR)
     segments_dir = os.path.join(index_dir, "segments")
 
     # ---- stage 1: tokenize -> docterms ----
@@ -1791,6 +1776,7 @@ def build_index(
     manifest = {
         "version": 1,
         "segment_format": SEGMENT_FORMAT,
+        "docterms_format": DOCTERMS_FORMAT,
         "input": input_description,
         "config": cfg.to_json(),
         "fingerprint": fingerprint,
@@ -1803,7 +1789,6 @@ def build_index(
         "heavy_terms": heavy_terms,
         "exchange_plan": seg_marker.get("exchange_plan"),
         "segments": seg_files,
-        "doc_stats_dir": "docstats",
         "docstats_files": _dir_lineage(docstats_dir),
         "build_seconds": time.perf_counter() - t0,
         "stage_seconds": {

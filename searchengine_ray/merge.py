@@ -53,8 +53,9 @@ import time
 
 import ray
 
-from .build import (MANIFEST_NAME, SEGMENT_FORMAT, SEGMENT_ROW_GROUP_SIZE,
-                    _dir_lineage, segment_bin_path, write_doc_weights)
+from .build import (DOCSTATS_DIR, DOCTERMS_FORMAT, MANIFEST_NAME,
+                    SEGMENT_FORMAT, SEGMENT_ROW_GROUP_SIZE, _dir_lineage,
+                    segment_bin_path, write_doc_weights)
 
 #: cfg fields that must agree across generations: they define token →
 #: (term, bucket, shard) identity.  Fields NOT here (reducer counts,
@@ -128,10 +129,12 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
 
     expect = 0
     for d, m in parts:
-        fmt = m.get("segment_format", 0)
-        if fmt != SEGMENT_FORMAT:
-            raise ValueError(
-                f"{d}: segment format {fmt} != {SEGMENT_FORMAT}; rebuild")
+        # the docterms format fixes the docstats layout the merge copies
+        for key, want in (("segment_format", SEGMENT_FORMAT),
+                          ("docterms_format", DOCTERMS_FORMAT)):
+            if m.get(key, 0) != want:
+                raise ValueError(
+                    f"{d}: {key} {m.get(key, 0)} != {want}; rebuild")
         base = m.get("doc_id_base", 0)
         if base != expect:
             raise ValueError(
@@ -152,7 +155,7 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
     avgdl = (total_tokens / num_docs) if num_docs else 0.0
 
     seg_out = os.path.join(out_dir, "segments")
-    stats_out = os.path.join(out_dir, "docstats")
+    stats_out = os.path.join(out_dir, DOCSTATS_DIR)
 
     # Resume safety: per-file "exists with size > 0" checks are only
     # valid if the surviving files came from THIS generation set — a
@@ -227,7 +230,7 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
         # docstats filenames encode absolute doc ranges -> disjoint
         # across generations; the docweights arrays are rewritten below
         # over the merged docstats, so only the parquet files move
-        src_stats = os.path.join(d, m.get("doc_stats_dir", "docstats"))
+        src_stats = os.path.join(d, DOCSTATS_DIR)
         for f in sorted(os.listdir(src_stats)):
             if not f.endswith(".parquet"):
                 continue
@@ -254,6 +257,7 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
     manifest = {
         "version": 1,
         "segment_format": SEGMENT_FORMAT,
+        "docterms_format": DOCTERMS_FORMAT,
         "input": "merged:" + ",".join(m["input"] for _, m in parts),
         "config": {**cfg0, "doc_id_base": 0},
         "fingerprint": fingerprint,
@@ -265,7 +269,6 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
         "docs_per_shard": cfg0["docs_per_shard"],
         "heavy_terms": heavy,
         "segments": seg_entries,
-        "doc_stats_dir": "docstats",
         "docstats_files": _dir_lineage(stats_out),
         "merged_from": gen_meta,
         "build_seconds": time.perf_counter() - t0,

@@ -214,7 +214,7 @@ def _unit_sample(ds: ray.data.Dataset, vec_col: str, id_col: str,
 
 
 def _u01(ids: np.ndarray, salt: int) -> np.ndarray:
-    """Deterministic per-id uniform [0, 1) (splitmix64 finalizer over
+    """Deterministic per-id uniform [0, 1) (the SplitMix64 finalizer over
     id + salted golden-ratio increment) — reproducible sampling
     decisions under any batch composition, no RNG state shipped."""
     with np.errstate(over="ignore"):

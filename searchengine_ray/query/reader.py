@@ -30,8 +30,8 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from .. import vbyte
-from ..build import (MANIFEST_NAME, SEGMENT_FORMAT, docweights_paths,
-                     segment_bin_path)
+from ..build import (DOCSTATS_DIR, MANIFEST_NAME, SEGMENT_FORMAT,
+                     docweights_paths, segment_bin_path)
 from .postings import PostingList
 
 #: Byte budget of the posting-list LRU, on top of its entry count: a few
@@ -127,8 +127,7 @@ class DiskIndexReader:
         load lazily.  Titles are not materialised at all: ``get_titles``
         point-reads the docstats parquet per result page (they are only
         needed to render top-k hits)."""
-        self._docstats_dir = os.path.join(
-            self.index_dir, self.manifest.get("doc_stats_dir", "docstats"))
+        self._docstats_dir = os.path.join(self.index_dir, DOCSTATS_DIR)
         self.doc_length, self.l_d = (
             self._load_weights(p) for p in docweights_paths(self.index_dir))
         self._title_cache: OrderedDict[int, str] = OrderedDict()

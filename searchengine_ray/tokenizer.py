@@ -26,7 +26,6 @@ The empty term also participates in doc_term_freq and therefore in L_d
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from typing import Iterable, Iterator
@@ -172,7 +171,3 @@ def euclidean_weight(term_freqs: Iterable[int]) -> float:
     """L_d = sqrt(sum over a doc's types of (1 + ln tf)^2)
     (engine/indexing/spimi.py:110-121; the empty term participates)."""
     return math.sqrt(sum((1.0 + math.log(tf)) ** 2 for tf in term_freqs if tf > 0))
-
-
-def sha256_hex(content: str) -> str:
-    return hashlib.sha256(content.encode("utf-8")).hexdigest()

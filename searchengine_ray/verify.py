@@ -3,26 +3,24 @@
 The north-star contract requires the index to preserve per-row content
 sha256 equality against the source Parquet corpus (the reference builds
 its index directly from the files it hashes, so equality is implicit
-there; a distributed build must prove it).  The build stamps every
-docterms row with ``sha256(content)`` at tokenize time
-(`build.py:_sha256_column`); this module re-derives the digests from the
-SOURCE parquet and compares the two sides WITHOUT a join:
+there; a distributed build must prove it).  The build stores every
+document's ``sha256(content)`` in docstats as 32 raw bytes at tokenize
+time (:func:`content_digests`, docterms v7); this module re-derives the
+digests from the SOURCE parquet and compares the two sides WITHOUT a
+join:
 
 - Each side folds its rows into an order-independent multiset checksum
-  ``(count, sum64, xor64)`` over the first 8 digest bytes — two
-  commutative reductions over column-pruned reads, no shuffle, O(blocks)
-  driver state.  sum and xor together make an undetected multiset
-  difference vanishingly unlikely (a forged collision must preserve both
-  the 2^64 sum and the 2^64 xor simultaneously).
+  ``(count, sum mod 2^60, xor)`` over 60-bit row words — two commutative
+  reductions over column-pruned reads, no shuffle, O(blocks) state in
+  the calling process.  A row's word is the digest's first 60 bits, so
+  the same checksum replays in portable SQL over the source text (the
+  DuckDB oracle of ``q_content_integrity``); sum and xor together make
+  an undetected multiset difference vanishingly unlikely.
 - ``check_ids=True`` additionally binds digests to doc ids: the source
   side re-runs the deterministic ``ids.assign_doc_ids`` (pytest-verified
-  independent of partitioning) and both sides mix ``splitmix64(doc_id)``
-  into the row word before folding, catching content attached to the
-  wrong document, at the cost of the assignment's one exchange.
-
-At 10^12 rows the driver still holds only the per-block partial rows;
-a mismatch is then localised with ``bucket_checksums`` (per doc_id-range
-checksums, O(num_buckets) driver state) without re-reading content.
+  independent of partitioning) and both sides xor :func:`mix60` of the
+  doc id into the row word, catching content attached to the wrong
+  document, at the cost of the assignment's one exchange.
 """
 
 from __future__ import annotations
@@ -34,78 +32,32 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from .build import DOCSTATS_DIR
+
 _U64 = np.uint64
+_MASK60 = np.uint64((1 << 60) - 1)
+_MOD60 = 1 << 60
+_DIGEST = pa.binary(32)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (public-domain constant set)."""
-    with np.errstate(over="ignore"):
-        z = (x.astype(_U64) + _U64(0x9E3779B97F4A7C15))
-        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-        return z ^ (z >> _U64(31))
-
-
-def _string_buffer_views(arr: pa.Array):
-    """(data bytes as uint8 ndarray, row offsets int64 ndarray)."""
+def content_digests(arr: pa.Array) -> pa.FixedSizeBinaryArray:
+    """``sha256`` of each row as 32 raw bytes, hashed straight off the
+    Arrow utf-8 data buffer (no re-encode)."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
     bufs = arr.buffers()
     offs = np.frombuffer(bufs[1], dtype=off_dtype)[
-        arr.offset : arr.offset + len(arr) + 1
-    ].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] is not None else (
-        np.empty(0, dtype=np.uint8)
-    )
-    return data, offs
-
-
-def digest64_from_content(arr: pa.Array) -> np.ndarray:
-    """First 8 sha256-digest bytes per row (little-endian uint64),
-    hashed straight off the Arrow utf-8 data buffer."""
-    data, offs = _string_buffer_views(arr)
-    mv = memoryview(data)
-    out = np.empty(len(offs) - 1, dtype=_U64)
-    for i in range(len(offs) - 1):
-        d = hashlib.sha256(mv[offs[i] : offs[i + 1]]).digest()
-        out[i] = int.from_bytes(d[:8], "little")
-    return out
-
-
-def digest64_from_hex(arr: pa.Array) -> np.ndarray:
-    """First 8 digest bytes per row from 64-char sha256 hex strings,
-    fully vectorized (no per-row Python)."""
-    data, offs = _string_buffer_views(arr)
-    n = len(offs) - 1
-    if n == 0:
-        return np.empty(0, dtype=_U64)
-    if not np.all(np.diff(offs) == 64):
-        raise ValueError("sha256 column must be 64-char hex strings")
-    # gather the first 16 hex chars of each row, map to nibble values
-    idx = offs[:-1, None] + np.arange(16)
-    c = data[idx].astype(np.uint8)
-    nib = np.where(c >= 97, c - 87, np.where(c >= 65, c - 55, c - 48)).astype(
-        _U64
-    )
-    # hex pairs are big-endian per byte; bytes 0..7 are little-endian words
-    byte_vals = (nib[:, 0::2] << _U64(4)) | nib[:, 1::2]
-    shifts = (np.arange(8, dtype=np.uint64) * _U64(8))
-    with np.errstate(over="ignore"):
-        return (byte_vals << shifts[None, :]).sum(
-            axis=1, dtype=_U64
-        )
-
-
-_MASK60 = np.uint64((1 << 60) - 1)
-_MOD60 = 1 << 60
+        arr.offset : arr.offset + len(arr) + 1]
+    data = memoryview(bufs[2] if bufs[2] is not None else b"")
+    return pa.array([hashlib.sha256(data[offs[i] : offs[i + 1]]).digest()
+                     for i in range(len(arr))], type=_DIGEST)
 
 
 def mix60(ids: np.ndarray) -> np.ndarray:
     """60-bit doc_id mixer whose every step is expressible in portable
-    SQL (HUGEINT multiply + mod 2^60, xor, integer divide) — the
-    DuckDB-oracled twin of :func:`_splitmix64`.  Keeping intermediates
-    under 2^60 lets the oracle stay in signed BIGINT."""
+    SQL (HUGEINT multiply + mod 2^60, xor, integer divide).  Keeping
+    intermediates under 2^60 lets the oracle stay in signed BIGINT."""
     with np.errstate(over="ignore"):
         a = (ids.astype(_U64) * _U64(2654435761)) & _MASK60
         b = a ^ (a >> _U64(30))
@@ -113,92 +65,40 @@ def mix60(ids: np.ndarray) -> np.ndarray:
         return c ^ (c >> _U64(30))
 
 
-def digest60_hex_prefix(arr: pa.Array) -> np.ndarray:
-    """First 15 hex chars of each 64-char sha256 hex string as a
-    big-endian 60-bit integer (uint64), fully vectorized — matches SQL
-    ``CAST(concat('0x', substr(sha256(text),1,15)) AS BIGINT)``."""
-    data, offs = _string_buffer_views(arr)
-    n = len(offs) - 1
-    if n == 0:
+def _words(digests: pa.Array, ids=None) -> np.ndarray:
+    """Each row's 60-bit word: the digest's first 60 bits, big-endian —
+    SQL ``CAST(concat('0x', substr(sha256(text), 1, 15)) AS BIGINT)`` —
+    xor-ed with ``mix60(doc_id)`` when ``ids`` is given."""
+    if isinstance(digests, pa.ChunkedArray):
+        digests = digests.combine_chunks()
+    if len(digests) == 0:
         return np.empty(0, dtype=_U64)
-    if not np.all(np.diff(offs) == 64):
-        raise ValueError("sha256 column must be 64-char hex strings")
-    idx = offs[:-1, None] + np.arange(15)
-    c = data[idx].astype(np.uint8)
-    nib = np.where(c >= 97, c - 87, np.where(c >= 65, c - 55, c - 48)).astype(
-        _U64
-    )
-    shifts = (np.arange(14, -1, -1, dtype=np.uint64) * _U64(4))
-    with np.errstate(over="ignore"):
-        return (nib << shifts[None, :]).sum(axis=1, dtype=_U64)
+    w = np.frombuffer(digests.buffers()[1], dtype=">u8",
+                      count=4 * len(digests), offset=32 * digests.offset)
+    w = w[::4].astype(_U64) >> _U64(4)
+    if ids is not None:
+        w ^= mix60(ids.to_numpy(zero_copy_only=False))
+    return w
 
 
-def _doc_stats_dir(index_dir: str) -> str:
-    """Resolve the per-doc stats dir from the manifest (docterms v3 moved
-    the sha256/doc metadata to ``docstats/``; older manifests say
-    ``docterms``)."""
-    import json
-
-    try:
-        with open(os.path.join(index_dir, "manifest.json")) as f:
-            sub = json.load(f).get("doc_stats_dir", "docstats")
-    except (OSError, ValueError):
-        sub = "docstats"
-    return os.path.join(index_dir, sub)
-
-
-def index_checksum60(index_dir: str) -> pa.Table:
-    """One-row (n_docs, sum60, xor60) table over the index's stored
-    (doc_id, sha256) — the SQL-oracle-comparable form of
-    :func:`index_checksum`.  sum is mod 2^60; all values BIGINT-safe."""
-    docstats = _doc_stats_dir(index_dir)
-    ds = ray.data.read_parquet(docstats, columns=["doc_id", "sha256"])
+def _fold(ds: ray.data.Dataset, words) -> dict:
+    """``(count, sum mod 2^60, xor)`` of ``words(batch)`` over every
+    block of ``ds``: one partial row per block, summed in this process
+    (a uint64 sum wraps mod 2^64, which 2^60 divides)."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        w = digest60_hex_prefix(batch.column("sha256"))
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        v = w ^ mix60(ids.astype(_U64))
-        return _partial_table(v)
+        w = words(batch)
+        with np.errstate(over="ignore"):
+            s = int(w.sum(dtype=_U64)) % _MOD60
+        x = int(np.bitwise_xor.reduce(w)) if len(w) else 0
+        return pa.table({"n": [len(w)], "s": [s], "x": [x]})
 
-    tot = _fold_partials(ds.map_batches(partial, batch_format="pyarrow"))
-    return pa.table(
-        {
-            "n_docs": pa.array([tot["count"]], type=pa.int64()),
-            "sum60": pa.array(
-                [tot["sum64"] % _MOD60], type=pa.int64()
-            ),
-            "xor60": pa.array([tot["xor64"]], type=pa.int64()),
-        }
-    )
-
-
-def _fold_partials(ds: ray.data.Dataset) -> dict:
-    """Sum the per-block (n, sum64, xor64) partial rows on the driver."""
-    n = 0
-    s = _U64(0)
-    x = _U64(0)
-    with np.errstate(over="ignore"):
-        for row in ds.take_all():
-            n += int(row["n"])
-            s = s + _U64(row["sum64"])
-            x = x ^ _U64(row["xor64"])
-    return {"count": n, "sum64": int(s), "xor64": int(x)}
-
-
-def _partial_table(w: np.ndarray) -> pa.Table:
-    with np.errstate(over="ignore"):
-        return pa.table(
-            {
-                "n": pa.array([len(w)], type=pa.int64()),
-                "sum64": pa.array(
-                    [int(w.sum(dtype=_U64))], type=pa.uint64()
-                ),
-                "xor64": pa.array(
-                    [int(np.bitwise_xor.reduce(w)) if len(w) else 0],
-                    type=pa.uint64(),
-                ),
-            }
-        )
+    n = s = x = 0
+    for row in ds.map_batches(partial, batch_format="pyarrow").take_all():
+        n += row["n"]
+        s = (s + row["s"]) % _MOD60
+        x ^= row["x"]
+    return {"count": n, "sum60": s, "xor60": x}
 
 
 def corpus_checksum(
@@ -207,32 +107,38 @@ def corpus_checksum(
     id_col: str | None = None,
 ) -> dict:
     """Multiset checksum of ``sha256(content)`` over a corpus Dataset.
-    With ``id_col``, mixes splitmix64(doc_id) into each row word."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        w = digest64_from_content(batch.column(content_col))
-        if id_col is not None:
-            ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-            w = w ^ _splitmix64(ids.astype(_U64))
-        return _partial_table(w)
-
-    return _fold_partials(ds.map_batches(partial, batch_format="pyarrow"))
+    With ``id_col``, mixes each row's doc id into its word."""
+    return _fold(ds, lambda b: _words(
+        content_digests(b.column(content_col)),
+        b.column(id_col) if id_col is not None else None))
 
 
 def index_checksum(index_dir: str, check_ids: bool = False) -> dict:
-    """Multiset checksum of the stored per-doc sha256 column (docstats)."""
-    docstats = _doc_stats_dir(index_dir)
-    cols = ["sha256"] + (["doc_id"] if check_ids else [])
-    ds = ray.data.read_parquet(docstats, columns=cols)
+    """Multiset checksum of the index's stored per-doc digests
+    (docstats); refuses a docstats layout whose ``sha256`` is not 32
+    raw bytes instead of misreading it."""
+    docstats = os.path.join(index_dir, DOCSTATS_DIR)
+    ds = ray.data.read_parquet(
+        docstats, columns=["sha256"] + (["doc_id"] if check_ids else []))
+    typ = ds.schema().base_schema.field("sha256").type
+    if typ != _DIGEST:
+        raise ValueError(
+            f"{docstats}: sha256 column is {typ}, not {_DIGEST} (an "
+            f"index of an older docterms format): rebuild the index")
+    return _fold(ds, lambda b: _words(
+        b.column("sha256"), b.column("doc_id") if check_ids else None))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        w = digest64_from_hex(batch.column("sha256"))
-        if check_ids:
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            w = w ^ _splitmix64(ids.astype(_U64))
-        return _partial_table(w)
 
-    return _fold_partials(ds.map_batches(partial, batch_format="pyarrow"))
+def index_checksum60(index_dir: str) -> pa.Table:
+    """One-row (n_docs, sum60, xor60) BIGINT table of the id-bound index
+    checksum — the form the DuckDB oracle SQL computes from the source
+    text."""
+    c = index_checksum(index_dir, check_ids=True)
+    return pa.table({
+        "n_docs": pa.array([c["count"]], type=pa.int64()),
+        "sum60": pa.array([c["sum60"]], type=pa.int64()),
+        "xor60": pa.array([c["xor60"]], type=pa.int64()),
+    })
 
 
 def verify_index_content(
@@ -248,6 +154,7 @@ def verify_index_content(
     (pre doc-id assignment); with ``check_ids`` the deterministic
     assignment is re-derived so digests are bound to their doc ids.
     """
+    idx = index_checksum(index_dir, check_ids=check_ids)
     if isinstance(corpus, str):
         corpus = ray.data.read_parquet(corpus)
     id_col = None
@@ -261,7 +168,6 @@ def verify_index_content(
             corpus = assign_doc_ids(corpus)
         id_col = "doc_id"
     src = corpus_checksum(corpus, content_col=content_col, id_col=id_col)
-    idx = index_checksum(index_dir, check_ids=check_ids)
     return {
         "passed": src == idx,
         "check_ids": check_ids,

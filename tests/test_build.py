@@ -130,7 +130,7 @@ class TestBuildArtifacts:
         rows = small_corpus.to_pylist()
         rows.sort(key=lambda r: (r["repo"], r["path"], r["commit"]))
         want = {
-            i: hashlib.sha256(r["content"].encode()).hexdigest()
+            i: hashlib.sha256(r["content"].encode()).digest()
             for i, r in enumerate(rows)
         }
         assert len(stats) == len(rows)

@@ -92,6 +92,9 @@ def test_stats_subcommand(cli_env, capsys):
                   for root, _, files in os.walk(os.path.join(index_dir, sub))
                   for f in files)
     assert st["bytes_per_doc"] * 300 == pytest.approx(counted)
+    ds_dir = os.path.join(index_dir, "docstats")
+    assert st["docstats_bytes"] == sum(
+        os.path.getsize(os.path.join(ds_dir, f)) for f in os.listdir(ds_dir))
     # docterms: the exchange's input, as the manifest recorded it (the
     # build leaves docterms/ in place as its resumable intermediate)
     dt_dir = os.path.join(index_dir, "docterms")

@@ -313,7 +313,7 @@ def _tok_table(doc_ids, terms_per_doc):
             "doc_length": pa.array([len(t) for t in terms_per_doc],
                                    type=pa.int64()),
             "l_d": pa.array([1.0] * n),
-            "sha256": pa.array(["0" * 64] * n),
+            "sha256": pa.array([bytes(32)] * n, type=pa.binary(32)),
             "terms": pa.array(terms_per_doc, type=pa.list_(pa.string())),
             "tftds": pa.array([[1] * len(t) for t in terms_per_doc],
                               type=pa.list_(pa.int32())),

@@ -275,6 +275,31 @@ def test_merge_rejects_config_mismatch(ray_session, small_corpus,
     with pytest.raises(ValueError, match="num_buckets"):
         merge_indexes([a_dir, b2], str(root / "out"))
 
+
+@pytest.mark.parametrize("fmt", [None, 6])
+def test_merge_refuses_other_docterms_format(merged_setup, tmp_path, fmt):
+    """A generation whose docstats layout differs (an older docterms
+    format: none recorded, or v6 with hex digests) must not merge beside
+    this build's, or the merged docstats would mix two sha256 types."""
+    import shutil
+
+    _, out_dir, b_dir, _ = merged_setup
+    with open(os.path.join(out_dir, "manifest.json")) as f:
+        a_dir = json.load(f)["merged_from"][0]["dir"]
+    old = str(tmp_path / "old")
+    shutil.copytree(b_dir, old)
+    path = os.path.join(old, "manifest.json")
+    with open(path) as f:
+        m = json.load(f)
+    m.pop("docterms_format")
+    if fmt is not None:
+        m["docterms_format"] = fmt
+    with open(path, "w") as f:
+        json.dump(m, f)
+    with pytest.raises(ValueError, match="docterms_format .* rebuild"):
+        merge_indexes([a_dir, old], str(tmp_path / "out"))
+    assert not os.path.exists(tmp_path / "out")
+
 def test_remerge_different_generation_set_resets_outputs(
         merged_setup, tmp_path):
     """Code-review r5 regression: re-merging a DIFFERENT generation set
