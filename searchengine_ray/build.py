@@ -18,16 +18,14 @@ Ray-Data-native rebuild:
     -> one docstats pass: ids tile 0..N-1, corpus scalars, docweights/
        (dense doc_length and l_d arrays in doc-id order, the reference's
        docWeights.bin)
-  docterms -> heavy-hitter df detection (per-block partial counts -> tiny
-              groupby-sum; the combiner-before-shuffle pattern)
   docterms -> exchange maps derive keys (NO sort, NO gather — runs are
               already contiguous on disk; doc lengths come from
               docweights/):
               shard   = doc_id // docs_per_shard      (bounds posting lists)
               bucket  = crc32(term) % num_buckets     (merge shuffle key)
-              salt    = contiguous doc-range split for heavy terms
+              gkey    = shard * num_buckets + bucket  (reducer = gkey % P)
     -> groupby(gkey).map_groups(merge+encode)         # replaces heap merge
-    -> segments/: one posting-list *fragment* per (term, shard, salt).
+    -> segments/: one posting-list *fragment* per (term, shard).
        segment_NNNNN.bin holds each fragment's three VByte streams
        back to back (doc gaps folded with a tf==1 flag / tf exceptions
        / position gaps); segment_NNNNN.parquet is the catalog: term
@@ -37,10 +35,10 @@ Ray-Data-native rebuild:
   manifest.json: corpus scalars, per-stage lineage + per-file metrics,
        committed last -> a re-run skips completed stages (resume).
 
-Salting uses contiguous doc sub-ranges (not hashes) so a heavy term's
-fragments are doc_id-range-disjoint: the query reader concatenates fragments
-in (shard, salt) order and postings stay globally doc_id-sorted with no
-second merge pass.
+``docs_per_shard`` is the only doc-range split of a posting list: a term's
+fragments are doc_id-range-disjoint, so the query reader concatenates them
+in first-doc order and postings stay globally doc_id-sorted with no second
+merge pass.  Like the reference, a hot term is never split further.
 """
 
 from __future__ import annotations
@@ -59,8 +57,6 @@ import ray.data
 from .tokenizer import TokenTermCache, analyze_document, euclidean_weight
 
 MANIFEST_NAME = "manifest.json"
-SALT_WIDTH = 4096  # max fragments per (term, shard)
-MAX_SALT = 64  # max fragments a heavy term splits into per shard
 
 # corpus columns the tokenize stage reads; ID_COL is assigned by
 # ids.assign_doc_ids when the corpus does not carry it
@@ -109,7 +105,6 @@ def term_bucket(term: str, num_buckets: int) -> int:
 class IndexBuildConfig:
     docs_per_shard: int = 1 << 20
     num_buckets: int = 32
-    heavy_df_threshold: int | None = 100_000  # df within a shard before salting
     skip_block: int = 128
     # First doc id of this build (incremental indexing): a DELTA build
     # over new docs sets this to the existing index's num_docs so its id
@@ -342,10 +337,9 @@ def _group_postings_batch(
     this batch; the batch is split there and each dense-CONSECUTIVE
     segment is grouped independently — two dense consecutive runs from
     different batches can never overlap (they would share a doc id).
-    Within a segment, shard (= doc // docs_per_shard) and heavy-term
-    salt (= floor(rel * width / dps), width fixed per term) are
-    non-decreasing in doc, so every (gkey, term) run the exchange map
-    derives later is a CONTIGUOUS ascending-doc slice of the file — no
+    Within a segment, shard (= doc // docs_per_shard) is non-decreasing
+    in doc, so every (gkey, term) run the exchange map derives later is
+    a CONTIGUOUS ascending-doc slice of the file — no
     sort, no gather on the exchange side, and no ``preserve_order``
     pipeline throttle on this side (measured +13%% tokenize wall)."""
     docstats = tok.select(_DOCSTATS_COLS)
@@ -406,8 +400,7 @@ def _write_docstats_block(docstats_dir: str, tbl: pa.Table) -> None:
 
 
 def _explode_arrays(
-    cfg: IndexBuildConfig, heavy: dict[str, int], batch: pa.Table,
-    doc_length: np.ndarray,
+    cfg: IndexBuildConfig, batch: pa.Table, doc_length: np.ndarray,
 ) -> dict | None:
     """docterms postings table -> flat per-(doc, term) arrays for the
     exchange, IN FILE ORDER (already grouped by (bucket, term, doc) at
@@ -422,10 +415,8 @@ def _explode_arrays(
     dictionary codes (parquet dictionary pages via ``read_dictionary``
     — no per-term re-hash of a flat string column), and the bucket rides
     as an RLE-compressed column, so the only per-posting compute left is
-    shard/salt arithmetic and the wdt-bound quantization."""
-    B = cfg.num_buckets
-    dps = cfg.docs_per_shard
-
+    the exchange key (shard * num_buckets + bucket) and the wdt-bound
+    quantization."""
     term_col = batch.column("term")
     if isinstance(term_col, pa.ChunkedArray):
         term_col = term_col.combine_chunks()  # unifies chunk dictionaries
@@ -445,16 +436,7 @@ def _explode_arrays(
         zero_copy_only=False).astype(np.int64)
     segs = _as_array(batch.column("seg")).to_numpy(zero_copy_only=False)
 
-    shards = doc_ids // dps
-    salts = np.zeros(codes.size, dtype=np.int64)
-    if heavy:
-        uniq_width = np.fromiter(
-            (heavy.get(t, 0) for t in uniq), dtype=np.int64, count=len(uniq)
-        )
-        widths = uniq_width[codes]
-        rel = doc_ids - shards * dps
-        np.floor_divide(rel * widths, dps, out=salts, where=widths > 0)
-    gkey = (shards * B + buckets) * SALT_WIDTH + salts
+    gkey = (doc_ids // cfg.docs_per_shard) * cfg.num_buckets + buckets
 
     return {
         "codes": codes,
@@ -472,7 +454,6 @@ _SEGMENT_SCHEMA = pa.schema(
     [
         ("term", pa.string()),
         ("shard", pa.int32()),
-        ("salt", pa.int32()),
         ("bucket", pa.int32()),
         ("df", pa.int64()),
         ("cf", pa.int64()),
@@ -540,7 +521,9 @@ _WIRE_SCHEMA = pa.schema(
 # doc stream Lucene-style: each doc-gap value is ``gap<<1 | (tf==1)`` and
 # only tf != 1 values are stored, as VByte "exceptions" (snappy no longer
 # squeezes the mostly-1 tf bytes, so the fold keeps the index size level).
-SEGMENT_FORMAT = 6
+# v7: the catalog's ``salt`` column is gone — ``docs_per_shard`` is the
+# only doc-range split, so a build writes one row per (term, shard).
+SEGMENT_FORMAT = 7
 
 # Docterms (resumable intermediate) layout version, folded into the stage
 # fingerprints the same way.  v2: positions stored as per-(doc,term) VByte
@@ -627,8 +610,8 @@ def _ipc_bytes(tbl: pa.Table) -> bytes:
 
 @ray.remote
 def _map_runs(
-    paths: list[str], cfg: IndexBuildConfig, heavy: dict[str, int],
-    num_reducers: int, avgdl: float, doc_length_path: str,
+    paths: list[str], cfg: IndexBuildConfig, num_reducers: int,
+    avgdl: float, doc_length_path: str,
 ):
     """Map side of the postings exchange: a group of docterms files -> one
     stream of PRE-ENCODED posting-list fragments per reduce partition.
@@ -639,8 +622,11 @@ def _map_runs(
     for the identical 50k-doc merge, inverting scaling.  A classic
     map/reduce exchange with ``num_returns=num_reducers`` is M + P tasks
     and M x P objects (the information-theoretic minimum for a shuffle),
-    and each reducer fetches only its own partition.  One extra return
-    carries the task's phase profile to the driver.
+    and each reducer fetches only its own partition.  A fragment goes to
+    reducer ``gkey % num_reducers``: the keys ``shard * num_buckets +
+    bucket`` are a dense range, so reducer key counts differ by at most
+    one.  One extra return carries the task's phase profile to the
+    driver.
 
     Wire layout (exchange v2): one Arrow IPC stream of ``_WIRE_SCHEMA``
     fragment rows per (docterms file, reducer) — each row is one
@@ -665,13 +651,13 @@ def _map_runs(
         )
         prof["read"] += time.perf_counter() - t
         t = time.perf_counter()
-        arrs = _explode_arrays(cfg, heavy, tbl, doc_length)
+        arrs = _explode_arrays(cfg, tbl, doc_length)
         prof["explode"] += time.perf_counter() - t
         if arrs is None:
             continue
         # docterms v4: rows arrive grouped by (bucket, term, doc) from the
-        # tokenize stage, and shard/salt are non-decreasing in doc within
-        # each group — every (gkey, term) run is ALREADY a contiguous
+        # tokenize stage, and shard is non-decreasing in doc within each
+        # group — every (gkey, term) run is ALREADY a contiguous
         # ascending-doc slice.  The sort+gather the v2 map did here (60%
         # of map CPU, measured) is gone.
         t = time.perf_counter()
@@ -692,7 +678,7 @@ def _map_runs(
         )
         prof["encode"] += time.perf_counter() - t
         t = time.perf_counter()
-        reds = _reducer_of_vec(frag_gkeys, num_reducers)
+        reds = frag_gkeys % num_reducers
         for r in np.unique(reds):
             idx = np.flatnonzero(reds == r)
             # take() compacts the referenced buffer ranges so each wire
@@ -892,20 +878,6 @@ def _encode_file_fragments(
         schema=_WIRE_SCHEMA,
     )
     return tbl, frag_gkeys
-
-
-def _reducer_of_vec(gkeys: np.ndarray, num_reducers: int) -> np.ndarray:
-    """Vectorized ``_reducer_of`` (same Fibonacci-hash route)."""
-    with np.errstate(over="ignore"):
-        h = gkeys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return ((h >> np.uint64(17)) % np.uint64(num_reducers)).astype(np.int64)
-
-
-def _reducer_of(gkey: int, num_reducers: int) -> int:
-    """Mix before modulo: gkey is (shard*B + bucket)*SALT_WIDTH + salt, so a
-    plain ``gkey % P`` with P dividing SALT_WIDTH=4096 maps every unsalted
-    key to reducer 0 (this serialised the whole merge until fixed)."""
-    return (((gkey * 0x9E3779B97F4A7C15) % (1 << 64)) >> 17) % num_reducers
 
 
 def _finalize_segment(
@@ -1125,16 +1097,13 @@ def _finalize_segment(
         np.searchsorted(term_of_group, np.arange(n_terms + 1)).astype(
             np.int32))
 
-    salt_s = (gk_s % SALT_WIDTH).astype(np.int32)
-    rest = gk_s // SALT_WIDTH
-    bucket_s = (rest % B).astype(np.int32)
-    shard_s = (rest // B).astype(np.int32)
+    bucket_s = (gk_s % B).astype(np.int32)
+    shard_s = (gk_s // B).astype(np.int32)
     sel = pa.array(t_starts)
     seg = pa.table(
         {
             "term": col("term").take(sel),
             "shard": pa.array(shard_s[t_starts]),
-            "salt": pa.array(salt_s[t_starts]),
             "bucket": pa.array(bucket_s[t_starts]),
             "df": pa.array(np.add.reduceat(df64, t_starts),
                            type=pa.int64()),
@@ -1227,7 +1196,6 @@ def build_segments_exchange(
     docterms_dir: str,
     segments_dir: str,
     cfg: IndexBuildConfig,
-    heavy: dict[str, int],
     avgdl: float,
     doc_length_path: str,
     num_reducers: int | None = None,
@@ -1258,7 +1226,7 @@ def build_segments_exchange(
     # one extra return per map: its phase profile (read by the driver only)
     map_refs = [
         _map_runs.options(num_returns=num_reducers + 1).remote(
-            g, cfg, heavy, num_reducers, avgdl, doc_length_path
+            g, cfg, num_reducers, avgdl, doc_length_path
         )
         for g in groups
     ]
@@ -1310,152 +1278,6 @@ def _dir_lineage(path: str) -> list[dict]:
             {"file": name, "rows": md.num_rows, "bytes": os.path.getsize(full)}
         )
     return out
-
-
-def _sum_counts(tbls: list[pa.Table]) -> pa.Table:
-    """Sum (term, n) tables by term, vectorized via dictionary codes."""
-    combined = pa.concat_tables(tbls).combine_chunks()
-    dic = _as_array(combined.column("term")).dictionary_encode()
-    codes = dic.indices.to_numpy(zero_copy_only=False)
-    ns = combined.column("n").to_numpy(zero_copy_only=False)
-    sums = np.zeros(len(dic.dictionary), dtype=np.int64)
-    np.add.at(sums, codes, ns)
-    keep = np.flatnonzero(sums > 0)
-    return pa.table(
-        {
-            "term": dic.dictionary.take(pa.array(keep)),
-            "n": pa.array(sums[keep], type=pa.int64()),
-        }
-    )
-
-
-@ray.remote
-def _merge_counts(*tbls) -> pa.Table:
-    """Tree-reduce node: sum a fan-in of (term, n) partials."""
-    _pin_arrow_threads()
-    return _sum_counts([t for t in tbls if t is not None])
-
-
-@ray.remote
-def _filter_heavy(tbl: pa.Table, cutoff: float) -> pa.Table:
-    """Tree-reduce root: keep only terms whose summed sample count
-    clears the heavy cutoff — the driver then receives O(heavy set)
-    rows, never the vocabulary."""
-    _pin_arrow_threads()
-    ns = tbl.column("n").to_numpy(zero_copy_only=False)
-    keep = np.flatnonzero(ns >= cutoff)
-    return tbl.take(pa.array(keep))
-
-
-# engage the tree reduce above this many summed partial rows (tasks x
-# per-task distinct vocab); below it the driver-side sum is faster.
-HEAVY_TREE_ROWS = 4_000_000
-_HEAVY_TREE_FANIN = 8
-
-
-@ray.remote
-def _heavy_partial_counts(files: list[str]) -> tuple[pa.Table | None, int]:
-    """Per-task combiner for heavy-hitter detection: df counts of this
-    task's sample files, summed over per-chunk dictionary codes (no flat
-    term strings are ever materialized) and combined to one
-    (term, n) row per distinct term before leaving the task.  Returns
-    (table, row count) as two objects so the driver can inspect sizes
-    (to pick driver-sum vs tree-reduce) without fetching the tables."""
-    _pin_arrow_threads()
-    parts = []
-    for f in files:
-        tbl = pq.read_table(f, columns=["term"], read_dictionary=["term"])
-        for chunk in tbl.column("term").chunks:
-            flat = chunk
-            if not isinstance(flat, pa.DictionaryArray):
-                flat = flat.dictionary_encode()
-            codes = flat.indices.to_numpy(zero_copy_only=False)
-            counts = np.bincount(codes[codes >= 0],
-                                 minlength=len(flat.dictionary))
-            keep = np.flatnonzero(counts > 0)
-            parts.append(
-                pa.table(
-                    {
-                        "term": flat.dictionary.take(pa.array(keep)),
-                        "n": pa.array(counts[keep], type=pa.int64()),
-                    }
-                )
-            )
-    if not parts:
-        return None, 0
-    out = _sum_counts(parts)
-    return out, out.num_rows
-
-
-def detect_heavy_terms(
-    docterms_dir: str, cfg: IndexBuildConfig
-) -> dict[str, int]:
-    """Heavy-hitter detection: per-task partial df counts (combiner,
-    dictionary-code bincounts) -> driver final sum -> {term: salt_width}
-    for terms whose df within one shard could exceed the threshold."""
-    if cfg.heavy_df_threshold is None:
-        return {}
-    threshold = cfg.heavy_df_threshold
-
-    # deterministic file sample: df-threshold detection only steers
-    # salting (a miss means one hot reducer group, not wrong results), so
-    # estimating df from ~1/10 of the files and extrapolating with a 1.5x
-    # safety margin is enough — and keeps this pass O(sample) at any scale
-    all_files = sorted(
-        os.path.join(docterms_dir, f)
-        for f in os.listdir(docterms_dir)
-        if f.endswith(".parquet")
-    )
-    step = max(1, len(all_files) // max(4, len(all_files) // 10))
-    sample_files = all_files[::step] or all_files
-    scale_up = 1.5 * len(all_files) / len(sample_files)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n_tasks = max(1, min(len(sample_files), 2 * cpus))
-    groups = [sample_files[i::n_tasks] for i in range(n_tasks)]
-    # raw tasks reading terms DICTIONARY-ENCODED (same idiom as
-    # _map_runs): the parquet dictionary pages decode straight to codes,
-    # so counting is bincount over ints — the previous Ray Data path
-    # re-hashed every flat term string per batch, which made the stage a
-    # fixed ~10 s at ANY cpu count at 1M docs (anti-scaling, measured)
-    partial_refs = [
-        _heavy_partial_counts.options(num_returns=2).remote(g)
-        for g in groups
-    ]
-    tbl_refs = [r[0] for r in partial_refs]
-    part_rows = ray.get([r[1] for r in partial_refs])
-    total_rows = sum(part_rows)
-    if total_rows == 0:
-        return {}
-    if total_rows > HEAVY_TREE_ROWS and len(tbl_refs) > 1:
-        # tree reduce (VERDICT r3 #8): pairwise merge tasks sum the
-        # partials and the ROOT applies the heavy cutoff, so the driver
-        # receives O(heavy set) rows — never tasks x vocab
-        refs = [r for r, n in zip(tbl_refs, part_rows) if n]
-        while len(refs) > 1:
-            refs = [
-                _merge_counts.remote(*refs[i:i + _HEAVY_TREE_FANIN])
-                for i in range(0, len(refs), _HEAVY_TREE_FANIN)
-            ]
-        heavy_tbl = ray.get(
-            _filter_heavy.remote(refs[0], threshold / scale_up))
-    else:
-        # small vocab: one vectorized driver-side sum + local filter
-        tbls = [t for t in ray.get(tbl_refs)
-                if t is not None and t.num_rows]
-        all_parts = _sum_counts(tbls)
-        ns = all_parts.column("n").to_numpy(zero_copy_only=False)
-        keep = np.flatnonzero(ns >= threshold / scale_up)
-        heavy_tbl = all_parts.take(pa.array(keep))
-
-    ns = heavy_tbl.column("n").to_numpy(zero_copy_only=False)
-    est = ns * scale_up  # extrapolate sample -> corpus df estimate
-    heavy = {}
-    for t, e in zip(heavy_tbl.column("term").to_pylist(), est):
-        if t:
-            heavy[t] = min(
-                MAX_SALT, max(2, int(np.ceil(e / threshold)))
-            )
-    return heavy
 
 
 def _reconcile_stale_docstats(spans: list, base: int = 0) -> list:
@@ -1728,7 +1550,7 @@ def build_index(
     # in docweights/; postings in docterms/ are exploded and pre-grouped
     # for the exchange
 
-    # ---- stage 2: heavy-hitter detection + postings merge -> segments ----
+    # ---- stage 2: postings exchange -> segments ----
     if not _stage_done(index_dir, "segments", fingerprint):
         import shutil
 
@@ -1739,13 +1561,9 @@ def build_index(
         n_docs, tot = dt_marker["num_docs"], dt_marker["total_tokens"]
         avgdl = (tot / n_docs) if n_docs else 1.0
 
-        heavy = detect_heavy_terms(docterms_dir, cfg)
-        stage_seconds["heavy_detect"] = (
-            time.perf_counter() - t0 - sum(stage_seconds.values())
-        )
         shutil.rmtree(segments_dir, ignore_errors=True)
         seg_metrics, exchange_plan = build_segments_exchange(
-            docterms_dir, segments_dir, cfg, heavy, avgdl,
+            docterms_dir, segments_dir, cfg, avgdl,
             docweights_paths(index_dir)[0], num_reducers=cfg.num_reducers,
         )
         stage_seconds["exchange"] = (
@@ -1755,7 +1573,6 @@ def build_index(
             index_dir,
             "segments",
             fingerprint,
-            heavy_terms={t: w for t, w in heavy.items()},
             num_docs=n_docs,
             total_tokens=tot,
             exchange_plan=exchange_plan,
@@ -1771,8 +1588,6 @@ def build_index(
     num_docs = seg_marker["num_docs"]
     total_tokens = seg_marker["total_tokens"]
 
-    heavy_terms = seg_marker.get("heavy_terms", {})
-
     manifest = {
         "version": 1,
         "segment_format": SEGMENT_FORMAT,
@@ -1786,7 +1601,6 @@ def build_index(
         "avg_doc_length": (total_tokens / num_docs) if num_docs else 0.0,
         "num_buckets": cfg.num_buckets,
         "docs_per_shard": cfg.docs_per_shard,
-        "heavy_terms": heavy_terms,
         "exchange_plan": seg_marker.get("exchange_plan"),
         "segments": seg_files,
         "docstats_files": _dir_lineage(docstats_dir),

@@ -36,12 +36,14 @@ bounds were scaled for the old merged avgdl and their docstats tile a
 different doc-id space).  Pointing the merge at a ``build_index`` output
 dir raises instead of overwriting.
 
-Per-generation salting may differ (heavy detection sees only its own
-corpus) — fine for serving and for ``legacy.export_legacy_index``: salt
-is an opaque row key and the reader orders a term's fragments by first
-doc.  The merged docweights arrays are rewritten from the merged
-docstats by the build's one docstats pass, which also checks that they
-tile 0..N-1 and sum to the generations' manifest scalars.
+Generations can share a (term, shard) — with the default
+``docs_per_shard`` every generation writes its rows to shard 0 — so a
+merged term can hold several fragments per shard.  That is fine for
+serving and for ``legacy.export_legacy_index``: the reader orders a
+term's fragments by first doc.  The merged docweights arrays are
+rewritten from the merged docstats by the build's one docstats pass,
+which also checks that they tile 0..N-1 and sum to the generations'
+manifest scalars.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ from .build import (DOCSTATS_DIR, DOCTERMS_FORMAT, MANIFEST_NAME,
                     segment_bin_path, write_doc_weights)
 
 #: cfg fields that must agree across generations: they define token →
-#: (term, bucket, shard) identity.  Fields NOT here (reducer counts,
-#: heavy thresholds, doc_id_base) only shape the build.
+#: (term, bucket, shard) identity.  Fields NOT here (reducer count,
+#: doc_id_base) only shape the build.
 _COMPAT_FIELDS = ("analyzer", "num_buckets", "docs_per_shard",
                   "skip_block")
 
@@ -249,11 +251,6 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
             f"the generations' manifests sum to {(num_docs, total_tokens)}"
             f" — a generation's docstats/ is incomplete; rebuild it")
 
-    heavy: dict[str, int] = {}
-    for _, m in parts:
-        for t, w in m.get("heavy_terms", {}).items():
-            heavy[t] = max(heavy.get(t, 0), int(w))
-
     manifest = {
         "version": 1,
         "segment_format": SEGMENT_FORMAT,
@@ -267,7 +264,6 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
         "avg_doc_length": avgdl,
         "num_buckets": cfg0["num_buckets"],
         "docs_per_shard": cfg0["docs_per_shard"],
-        "heavy_terms": heavy,
         "segments": seg_entries,
         "docstats_files": _dir_lineage(stats_out),
         "merged_from": gen_meta,

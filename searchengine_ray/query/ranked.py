@@ -96,8 +96,8 @@ class _TermCursor:
         # fragments are doc-range disjoint, so ordering by any doc of
         # each (the first block's last doc) makes the concatenated block
         # list globally doc-ascending even for merged generational
-        # indexes whose per-build salting disagrees (the dictionary's
-        # (shard, salt) sort alone covers single-generation indexes)
+        # indexes, whose generations can share a (term, shard) (the
+        # dictionary's shard sort alone covers a single build)
         frags.sort(key=lambda f: int(f[1]["skip_last_doc"][0]))
         self._frags = frags
         nbs = [len(sk["skip_last_doc"]) for _, sk, _ in frags]

@@ -3,7 +3,7 @@
 
 The reference loads a SQLite term→byte-offset catalog into a dict and seeks
 into one postings.bin.  Here the catalog is the lightweight columns
-(term, shard, salt, df, cf, max_wdt and the three stream lengths) of the
+(term, shard, df, cf, max_wdt and the three stream lengths) of the
 segment parquet files — read once at construction (ST3 analogue), with
 each row's byte offset derived by one cumsum — and a term fetch is one
 ``os.pread`` per fragment into the segment's ``.bin`` (format v6).  Doc
@@ -46,14 +46,13 @@ _SKIP_COLUMNS = ("skip_last_doc", "skip_max_wdt", "skip_offset",
 
 @dataclass
 class Fragment:
-    """Locator + stats for one (term, shard, salt) posting-list fragment:
+    """Locator + stats for one (term, shard) posting-list fragment:
     its stream bytes sit at ``offset`` in the segment's ``.bin``, doc
     stream then tf exceptions then positions."""
 
     file_idx: int
     row_idx: int
     shard: int
-    salt: int
     df: int
     cf: int
     max_wdt: float
@@ -155,7 +154,7 @@ class DiskIndexReader:
 
     def _load_dictionary(self, buckets: list[int] | None) -> None:
         """Columnar dictionary: all fragment rows live in parallel numpy
-        arrays sorted by (term, shard, salt); a dict maps each term to
+        arrays sorted by (term, shard); a dict maps each term to
         its contiguous row range.  Fragment objects materialise lazily
         per lookup — at 10M+ terms this loads via one vectorized Arrow
         sort instead of per-row Python appends and holds ~40 B/row
@@ -168,7 +167,7 @@ class DiskIndexReader:
         want = set(buckets) if buckets is not None else None
         term_chunks: list[pa.Array] = []
         file_l, row_l = [], []
-        shard_l, salt_l, df_l, cf_l, maxw_l = [], [], [], [], []
+        shard_l, df_l, cf_l, maxw_l = [], [], [], []
         off_l, dlen_l, tlen_l, plen_l = [], [], [], []
         for seg in self.manifest["segments"]:
             if want is not None and not (want & set(seg["buckets"])):
@@ -178,7 +177,7 @@ class DiskIndexReader:
             self._files.append(path)
             tbl = pq.read_table(
                 path,
-                columns=["term", "shard", "salt", "bucket", "df", "cf",
+                columns=["term", "shard", "bucket", "df", "cf",
                          "max_wdt", "doc_len", "tf_len", "pos_len"],
             )
             n_rows = tbl.num_rows
@@ -204,7 +203,6 @@ class DiskIndexReader:
             file_l.append(np.full(len(rows), file_idx, dtype=np.int32))
             row_l.append(rows.astype(np.int32))
             shard_l.append(tbl.column("shard").to_numpy()[rows])
-            salt_l.append(tbl.column("salt").to_numpy()[rows])
             df_l.append(tbl.column("df").to_numpy()[rows])
             cf_l.append(tbl.column("cf").to_numpy()[rows])
             maxw_l.append(tbl.column("max_wdt").to_numpy()[rows])
@@ -217,7 +215,6 @@ class DiskIndexReader:
             self._frag_file = np.empty(0, np.int32)
             self._frag_row = np.empty(0, np.int32)
             self._frag_shard = np.empty(0, np.int32)
-            self._frag_salt = np.empty(0, np.int32)
             self._frag_df = np.empty(0, np.int64)
             self._frag_cf = np.empty(0, np.int64)
             self._frag_maxw = np.empty(0, np.float64)
@@ -230,19 +227,16 @@ class DiskIndexReader:
 
         terms_all = pa.chunked_array(term_chunks).combine_chunks()
         shard_all = np.concatenate(shard_l)
-        salt_all = np.concatenate(salt_l)
         # Arrow sorts strings by UTF-8 bytes == code-point order ==
-        # Python's sorted(); shard/salt tiebreak keeps each term's
+        # Python's sorted(); the shard tiebreak keeps each term's
         # fragments doc-range-ordered for concatenation
         order = pc.sort_indices(
-            pa.table({"t": terms_all, "sh": shard_all, "sa": salt_all}),
-            sort_keys=[("t", "ascending"), ("sh", "ascending"),
-                       ("sa", "ascending")],
+            pa.table({"t": terms_all, "sh": shard_all}),
+            sort_keys=[("t", "ascending"), ("sh", "ascending")],
         ).to_numpy().astype(np.int64)
         self._frag_file = np.concatenate(file_l)[order]
         self._frag_row = np.concatenate(row_l)[order]
         self._frag_shard = shard_all[order].astype(np.int32)
-        self._frag_salt = salt_all[order].astype(np.int32)
         self._frag_df = np.concatenate(df_l)[order].astype(np.int64)
         self._frag_cf = np.concatenate(cf_l)[order].astype(np.int64)
         self._frag_maxw = np.concatenate(maxw_l)[order].astype(np.float64)
@@ -323,11 +317,10 @@ class DiskIndexReader:
             return []
         return [
             Fragment(int(self._frag_file[i]), int(self._frag_row[i]),
-                     int(self._frag_shard[i]), int(self._frag_salt[i]),
-                     int(self._frag_df[i]), int(self._frag_cf[i]),
-                     float(self._frag_maxw[i]), int(self._frag_off[i]),
-                     int(self._frag_dlen[i]), int(self._frag_tlen[i]),
-                     int(self._frag_plen[i]))
+                     int(self._frag_shard[i]), int(self._frag_df[i]),
+                     int(self._frag_cf[i]), float(self._frag_maxw[i]),
+                     int(self._frag_off[i]), int(self._frag_dlen[i]),
+                     int(self._frag_tlen[i]), int(self._frag_plen[i]))
             for i in range(s[0], s[1])
         ]
 
@@ -398,10 +391,10 @@ class DiskIndexReader:
         # fragments cover pairwise-disjoint doc ranges (reducer
         # invariant; generations of a merged index are doc-disjoint
         # by construction), so ordering PARTS by first doc yields a
-        # globally doc-ascending list.  The dictionary's
-        # (shard, salt) sort already orders single-generation
-        # fragments; this sort makes the concat robust to merged
-        # generations whose per-build salting disagrees.
+        # globally doc-ascending list.  The dictionary's shard sort
+        # already orders a single build's fragments (one per
+        # (term, shard)); merged generations can share a
+        # (term, shard), which only this sort orders.
         parts.sort(key=lambda p: int(p.doc_ids[0]))
         return _concat_postings(parts, with_positions)
 

@@ -53,7 +53,6 @@ def built_index(ray_session, small_corpus, tmp_path_factory):
     cfg = IndexBuildConfig(
         num_buckets=4,
         skip_block=8,          # small blocks exercise WAND skipping
-        heavy_df_threshold=50,  # force salting on common terms
         docs_per_shard=128,     # force multiple shards
     )
     ds = ray.data.from_arrow(small_corpus).repartition(4)

@@ -137,69 +137,27 @@ class TestBuildArtifacts:
         for rec in stats:
             assert rec["sha256"] == want[rec["doc_id"]]
 
-    def test_heavy_tree_reduce_matches_driver_sum(
-        self, built_index, monkeypatch
+    def test_multi_shard_term_is_split_by_doc_range(
+        self, built_index, engine, oracle
     ):
-        """VERDICT r3 #8: above the vocab threshold, heavy-hitter
-        detection tree-reduces in remote tasks and the driver receives
-        only the heavy set — and the result is identical to the
-        driver-sum path."""
-        import searchengine_ray.build as b
-
-        index_dir, _ = built_index
-        docterms = os.path.join(index_dir, "docterms")
-        cfg = b.IndexBuildConfig(heavy_df_threshold=50)
-        driver_path = b.detect_heavy_terms(docterms, cfg)
-        monkeypatch.setattr(b, "HEAVY_TREE_ROWS", 0)  # force the tree
-        tree_path = b.detect_heavy_terms(docterms, cfg)
-        assert driver_path == tree_path
-        assert tree_path  # threshold=50 over 300 docs salts something
-
-    def test_heavy_tree_root_filters_synthetic_million_vocab(
-        self, ray_session
-    ):
-        """The tree root returns O(heavy) rows from a 10^6-term vocab
-        split across partials: the driver never sees the vocabulary."""
-        import ray
-
-        import searchengine_ray.build as b
-
-        n_terms, n_parts = 1_000_000, 8
-        heavy_terms = {f"hh_{i}": 5_000 + i for i in range(20)}
-        parts = []
-        for p in range(n_parts):
-            terms = [f"t{p}_{i:06d}" for i in range(n_terms // n_parts)]
-            ns = np.ones(len(terms), dtype=np.int64)
-            # every partial also carries a share of each heavy term
-            terms += list(heavy_terms)
-            ns = np.concatenate(
-                [ns, np.array([v // n_parts + 1 for v in
-                               heavy_terms.values()], dtype=np.int64)])
-            parts.append(ray.put(pa.table(
-                {"term": pa.array(terms), "n": pa.array(ns)})))
-        refs = parts
-        while len(refs) > 1:
-            refs = [
-                b._merge_counts.remote(*refs[i:i + b._HEAVY_TREE_FANIN])
-                for i in range(0, len(refs), b._HEAVY_TREE_FANIN)
-            ]
-        root = ray.get(b._filter_heavy.remote(refs[0], 4_000))
-        got = dict(zip(root.column("term").to_pylist(),
-                       root.column("n").to_pylist()))
-        want = {t: (v // n_parts + 1) * n_parts
-                for t, v in heavy_terms.items()}
-        assert got == want  # exactly the heavy set, nothing else
-
-    def test_heavy_terms_were_salted(self, built_index, engine):
+        """``docs_per_shard`` is the only doc-range split: a term whose
+        postings span several shards (128 docs each here) has one
+        fragment per shard, and get_postings concatenates them into the
+        oracle's strictly doc-ascending list."""
         _, manifest = built_index
-        # threshold=50 on a 45-word pool over 300 docs must salt something
-        assert manifest["heavy_terms"]
-        term = next(iter(manifest["heavy_terms"]))
+        dps = manifest["docs_per_shard"]
+        assert dps == 128
+        term = max(oracle.index,
+                   key=lambda t: len({d // dps for d in oracle.index[t]}))
+        want = sorted(oracle.index[term])
+        shards = {d // dps for d in want}
+        assert len(shards) >= 2
         frags = engine.index.fragments(term)
-        assert len(frags) > 1
-        # fragments are doc-range disjoint and ordered
-        pl = engine.index.get_postings(term)
-        assert all(b > a for a, b in zip(pl.doc_ids, pl.doc_ids[1:]))
+        assert len(frags) >= 2
+        assert sorted(fr.shard for fr in frags) == sorted(shards)
+        got = engine.index.get_postings(term).doc_ids.tolist()
+        assert all(b > a for a, b in zip(got, got[1:]))
+        assert got == want
 
     def test_segment_lineage_recorded(self, built_index):
         index_dir, manifest = built_index
@@ -261,7 +219,7 @@ def _segment_table(path: str) -> pa.Table:
 
 def _segment_content_hash(index_dir: str) -> str:
     """sha256 over every segment row, rows sorted by (term, shard,
-    bucket, salt) and all columns hashed, the row's ``.bin`` bytes
+    bucket) and all columns hashed, the row's ``.bin`` bytes
     included — independent of how rows are split across segment files."""
     import pyarrow.compute as pc
 
@@ -272,7 +230,7 @@ def _segment_content_hash(index_dir: str) -> str:
     )
     t = t.take(pc.sort_indices(t, sort_keys=[
         ("term", "ascending"), ("shard", "ascending"),
-        ("bucket", "ascending"), ("salt", "ascending")]))
+        ("bucket", "ascending")]))
     h = hashlib.sha256()
     for col in sorted(t.column_names):
         h.update(col.encode())
@@ -300,7 +258,6 @@ class TestReducerCountParity:
         cfg = IndexBuildConfig(
             num_buckets=4,
             skip_block=8,
-            heavy_df_threshold=50,
             docs_per_shard=128,
             num_reducers=num_reducers,
         )
@@ -315,6 +272,52 @@ class TestReducerCountParity:
         np.testing.assert_array_equal(got[2], want[2])
         assert _segment_content_hash(out_dir) == _segment_content_hash(
             index_dir)
+
+
+    @pytest.mark.parametrize("num_buckets", [8, 16, 32])
+    def test_reducers_get_equal_key_counts(
+        self, ray_session, tmp_path, num_buckets,
+    ):
+        """The exchange key is ``shard * num_buckets + bucket``, a dense
+        range, and it routes by ``gkey % num_reducers``: over 2 shards
+        every one of 8 reducers gets the same number of (shard, bucket)
+        keys."""
+        from searchengine_ray.build import (IndexBuildConfig,
+                                            build_segments_exchange)
+
+        dps, n_red = 4, 8
+        cfg = IndexBuildConfig(num_buckets=num_buckets, docs_per_shard=dps)
+        docterms = tmp_path / "docterms"
+        docterms.mkdir()
+        # one term per bucket, in every doc of both shards, rows grouped
+        # by (bucket, term, doc) as the tokenize stage writes them
+        docs = list(range(2 * dps))
+        n = num_buckets * len(docs)
+        pq.write_table(pa.table({
+            "term": pa.array([f"t{b}" for b in range(num_buckets)
+                              for _ in docs]).dictionary_encode(),
+            "bucket": pa.array([b for b in range(num_buckets) for _ in docs],
+                               pa.int32()),
+            "doc_id": pa.array(docs * num_buckets, pa.int64()),
+            "tftd": pa.array([1] * n, pa.int32()),
+            "pos_blob": pa.array([b"\x01"] * n, pa.binary()),
+            "seg": pa.array([0] * n, pa.int64()),
+        }), str(docterms / "part0.parquet"))
+        dl_path = str(tmp_path / "doc_length.npy")
+        np.save(dl_path, np.ones(len(docs), dtype=np.int64))
+        seg_dir = tmp_path / "segments"
+        build_segments_exchange(str(docterms), str(seg_dir), cfg, 1.0,
+                                dl_path, num_reducers=n_red)
+        keys = []
+        for r in range(n_red):
+            path = seg_dir / f"segment_{r:05d}.parquet"
+            t = (pq.read_table(str(path), columns=["shard", "bucket"])
+                 if path.exists() else pa.table({"shard": [], "bucket": []}))
+            keys.append(set(zip(t.column("shard").to_pylist(),
+                                t.column("bucket").to_pylist())))
+        assert [len(k) for k in keys] == [2 * num_buckets // n_red] * n_red
+        assert set().union(*keys) == {(s, b) for s in range(2)
+                                      for b in range(num_buckets)}
 
 
 class TestResume:
@@ -369,7 +372,7 @@ class TestResume:
                 t = _segment_table(os.path.join(segdir, fn))
                 t = t.take(pc.sort_indices(t, sort_keys=[
                     ("term", "ascending"), ("shard", "ascending"),
-                    ("bucket", "ascending"), ("salt", "ascending")]))
+                    ("bucket", "ascending")]))
                 for col in sorted(t.column_names):
                     h.update(str(t.column(col).to_pylist()).encode())
             return h.hexdigest()

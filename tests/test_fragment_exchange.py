@@ -30,13 +30,10 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from searchengine_ray import vbyte
 from searchengine_ray.build import (
-    SALT_WIDTH,
     WDT_QUANT,
     IndexBuildConfig,
     _encode_file_fragments,
     _finalize_segment,
-    _reducer_of,
-    _reducer_of_vec,
     segment_bin_path,
     wdt_quantized,
 )
@@ -44,8 +41,8 @@ from searchengine_ray.build import (
 AVGDL = 10.0
 
 
-def _gkey(shard: int, bucket: int, salt: int, B: int) -> int:
-    return (shard * B + bucket) * SALT_WIDTH + salt
+def _gkey(shard: int, bucket: int, B: int) -> int:
+    return shard * B + bucket
 
 
 def _encode_file(cfg, rows, seg_of=None):
@@ -140,7 +137,7 @@ def _expected(rows_by_file):
 
 
 def _make_rows(file_idx: int, docs: range, terms: list[str], B: int,
-               shard_of=lambda d: 0, salt_of=lambda t, d: 0):
+               shard_of=lambda d: 0):
     """Deterministic synthetic postings: term t appears in doc d when
     (d + hash-ish) % (t_idx + 2) == 0, tf/dl/pos derived from (t, d)."""
     rows = []
@@ -155,7 +152,7 @@ def _make_rows(file_idx: int, docs: range, terms: list[str], B: int,
 
             bucket = zlib.crc32(t.encode()) % B
             rows.append((
-                _gkey(shard_of(d), bucket, salt_of(t, d), B),
+                _gkey(shard_of(d), bucket, B),
                 t, d, tf, dl, pos,
             ))
     return rows
@@ -179,8 +176,7 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
     by_key = {}
     for i in range(seg.num_rows):
         row = {c: seg.column(c)[i].as_py() for c in seg.column_names}
-        gk = _gkey(row["shard"], row["bucket"], row["salt"],
-                   cfg.num_buckets)
+        gk = _gkey(row["shard"], row["bucket"], cfg.num_buckets)
         by_key[(gk, row["term"])] = row
 
     assert set(by_key) == set(exp)
@@ -235,7 +231,7 @@ def test_fragment_first_gap_rewrite_lengths(tmp_path):
     rewritten gap (3-byte absolute vs 1-byte gap) must still slice-decode
     at every skip offset — exercises the delta shift in skip_offset."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
-    gk = _gkey(0, 1, 0, 2)
+    gk = _gkey(0, 1, 2)
     f1 = [(gk, "alpha", d, 1, 8.0, b"\x01") for d in (100000, 100001,
                                                       100002)]
     f2 = [(gk, "alpha", d, 2, 8.0, b"\x02") for d in (100003, 100005)]
@@ -259,39 +255,11 @@ def test_fragment_first_gap_rewrite_lengths(tmp_path):
         p += cnt
 
 
-def test_fragment_salted_term_stays_split(tmp_path):
-    """A salted heavy term lands in one segment row PER SALT — fragments
-    never merge across gkeys."""
-    cfg = IndexBuildConfig(num_buckets=4, skip_block=4)
-    rows = (
-        [(_gkey(0, 3, 0, 4), "hot", d, 1, 6.0, b"p") for d in range(10)]
-        + [(_gkey(0, 3, 1, 4), "hot", d, 1, 6.0, b"p")
-           for d in range(10, 20)]
-    )
-    seg, _ = _finalize(cfg, [_encode_file(cfg, rows)[0]], tmp_path)
-    assert seg.num_rows == 2
-    salts = sorted(seg.column("salt").to_pylist())
-    assert salts == [0, 1]
-    for i in range(2):
-        row = {c: seg.column(c)[i].as_py() for c in seg.column_names}
-        docs = _decode_docs(row["blob"], row["df"])
-        lo = 0 if row["salt"] == 0 else 10
-        assert docs.tolist() == list(range(lo, lo + 10))
-
-
-def test_reducer_of_vec_matches_scalar():
-    gkeys = np.array([0, 1, 5, 4096, 123456789, 2**40 + 17], dtype=np.int64)
-    for p in (1, 8, 32, 37):
-        vec = _reducer_of_vec(gkeys, p)
-        for g, r in zip(gkeys.tolist(), vec.tolist()):
-            assert r == _reducer_of(g, p)
-
-
 def test_tf_wide_values_roundtrip(tmp_path):
     """tftds >= 128 force the VByte (non-plain-byte) tf stream on the map
     side; merged stream must still decode per block."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
-    gk = _gkey(0, 0, 0, 2)
+    gk = _gkey(0, 0, 2)
     f1 = [(gk, "big", d, 100 + 40 * d, 9.0, b"x") for d in range(3)]
     f2 = [(gk, "big", d, 300, 9.0, b"x") for d in range(3, 5)]
     seg, _ = _finalize(
@@ -365,7 +333,7 @@ def test_finalize_rejects_overlapping_fragments(tmp_path):
     """The reducer backstop: overlapping doc ranges for one term must
     raise, never silently encode a non-positive seam gap."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
-    gk = _gkey(0, 0, 0, 2)
+    gk = _gkey(0, 0, 2)
     f1 = [(gk, "t", d, 1, 5.0, b"x") for d in (0, 5)]
     f2 = [(gk, "t", d, 1, 5.0, b"x") for d in (3, 9)]  # overlaps f1
     # explicit seg ids simulate a BROKEN upstream that stamped holes-
@@ -390,7 +358,7 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
     on the non-ascending doc id so each segment's occurrence is its own
     fragment, and the reducer merges them by first_doc."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
-    gk = _gkey(0, 1, 0, 2)
+    gk = _gkey(0, 1, 2)
     rows = (
         [(gk, "alpha", d, 1 + d % 3, 8.0, bytes([d]))
          for d in range(8, 12)]
@@ -475,7 +443,7 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
                     continue
                 t = f"t{ti}"
                 rows.append((
-                    _gkey(0, zlib.crc32(t.encode()) % cfg.num_buckets, 0,
+                    _gkey(0, zlib.crc32(t.encode()) % cfg.num_buckets,
                           cfg.num_buckets),
                     t, d, 1 + (d + ti) % 5, 5.0 + d % 7,
                     bytes([(d + ti) % 251 + 1]) * (1 + d % 2),
@@ -505,8 +473,8 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
     for i in range(seg_tbl.num_rows):
         row = {c: seg_tbl.column(c)[i].as_py()
                for c in seg_tbl.column_names}
-        key = (_gkey(row["shard"], row["bucket"], row["salt"],
-                     cfg.num_buckets), row["term"])
+        key = (_gkey(row["shard"], row["bucket"], cfg.num_buckets),
+               row["term"])
         triples = exp[key]
         df = row["df"]
         assert df == len(triples)
@@ -549,7 +517,7 @@ def test_hole_straddling_segments_end_to_end(tmp_path):
 
     tbl = pq.read_table(path, read_dictionary=["term"])
     doc_length = np.full(len(docs), 2, dtype=np.int64)
-    arrs = _explode_arrays(cfg, {}, tbl, doc_length)
+    arrs = _explode_arrays(cfg, tbl, doc_length)
     wq = wdt_quantized(arrs["tftds"], arrs["dls"].astype(np.float64), AVGDL)
     frag_tbl, _ = _encode_file_fragments(
         cfg, arrs["gkey"], arrs["codes"], arrs["doc_ids"], wq,
@@ -572,7 +540,7 @@ def test_equal_doc_id_runs_also_split(tmp_path):
     breaks on <=, and the reducer's seam check then rejects the overlap
     loudly instead of emitting a corrupt list."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
-    gk = _gkey(0, 1, 0, 2)
+    gk = _gkey(0, 1, 2)
     rows = [(gk, "t", 7, 1, 5.0, b"a"), (gk, "t", 7, 2, 5.0, b"b")]
     tbl, _ = _encode_file(cfg, rows)
     assert tbl.num_rows == 2  # split, not one fragment with gap 0
@@ -600,7 +568,7 @@ def _assert_blocks_decode(row, docs, tfs):
 def _one_term(cfg, files, tmp_path):
     """Encode each file's (doc, tf) list as one fragment of term "t",
     reduce, and return the segment row with its streams."""
-    gk = _gkey(0, 1, 0, cfg.num_buckets)
+    gk = _gkey(0, 1, cfg.num_buckets)
     tables = [
         _encode_file(cfg, [(gk, "t", d, tf, 8.0, bytes([1 + d % 200]))
                            for d, tf in rows])[0]

@@ -3,8 +3,8 @@ docs 0..N-1 plus a delta index built with ``doc_id_base=N`` over new
 docs must, after ``merge.merge_indexes``, be INDISTINGUISHABLE from one
 full build over the union corpus — identical vocabulary, term stats,
 postings (with positions), Boolean results, and ranked top-k (exact and
-block-max WAND) — even though the two paths salt heavy terms
-differently (each build's heavy detection sees only its own corpus)."""
+block-max WAND) — even though a merged term can hold two fragments in
+shard 1 (docs 128..255), one per generation."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ def _cfg(**over):
     base = dict(
         num_buckets=4,
         skip_block=8,
-        heavy_df_threshold=50,
         docs_per_shard=128,
     )
     base.update(over)
@@ -276,29 +275,55 @@ def test_merge_rejects_config_mismatch(ray_session, small_corpus,
         merge_indexes([a_dir, b2], str(root / "out"))
 
 
+def _copy_with_format(src: str, dst: str, key: str, fmt) -> None:
+    """Copy generation ``src`` to ``dst`` with its manifest's ``key``
+    removed (``fmt`` None) or set to ``fmt``."""
+    import shutil
+
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "manifest.json")
+    with open(path) as f:
+        m = json.load(f)
+    m.pop(key)
+    if fmt is not None:
+        m[key] = fmt
+    with open(path, "w") as f:
+        json.dump(m, f)
+
+
 @pytest.mark.parametrize("fmt", [None, 6])
 def test_merge_refuses_other_docterms_format(merged_setup, tmp_path, fmt):
     """A generation whose docstats layout differs (an older docterms
     format: none recorded, or v6 with hex digests) must not merge beside
     this build's, or the merged docstats would mix two sha256 types."""
-    import shutil
+    _, out_dir, b_dir, _ = merged_setup
+    with open(os.path.join(out_dir, "manifest.json")) as f:
+        a_dir = json.load(f)["merged_from"][0]["dir"]
+    old = str(tmp_path / "old")
+    _copy_with_format(b_dir, old, "docterms_format", fmt)
+    with pytest.raises(ValueError, match="docterms_format .* rebuild"):
+        merge_indexes([a_dir, old], str(tmp_path / "out"))
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("fmt", [None, 6])
+def test_merge_refuses_other_segment_format(merged_setup, tmp_path, fmt):
+    """A generation of another segment format (none recorded, or v6
+    whose catalog still has a ``salt`` column) must not merge: the
+    merge copies segments as-is, and the reader reads one format."""
+    from searchengine_ray.build import SEGMENT_FORMAT
 
     _, out_dir, b_dir, _ = merged_setup
     with open(os.path.join(out_dir, "manifest.json")) as f:
         a_dir = json.load(f)["merged_from"][0]["dir"]
     old = str(tmp_path / "old")
-    shutil.copytree(b_dir, old)
-    path = os.path.join(old, "manifest.json")
-    with open(path) as f:
-        m = json.load(f)
-    m.pop("docterms_format")
-    if fmt is not None:
-        m["docterms_format"] = fmt
-    with open(path, "w") as f:
-        json.dump(m, f)
-    with pytest.raises(ValueError, match="docterms_format .* rebuild"):
+    _copy_with_format(b_dir, old, "segment_format", fmt)
+    with pytest.raises(
+            ValueError,
+            match=f"segment_format {fmt or 0} != {SEGMENT_FORMAT}; rebuild"):
         merge_indexes([a_dir, old], str(tmp_path / "out"))
     assert not os.path.exists(tmp_path / "out")
+
 
 def test_remerge_different_generation_set_resets_outputs(
         merged_setup, tmp_path):

@@ -139,7 +139,7 @@ class TestIndexParity:
     def test_term_stats_vectorized(self, engine, oracle):
         """The reduceat-based term_stats() must agree with per-term
         df()/cf() (which sum Fragment objects) over the WHOLE vocabulary
-        of a multi-shard, salted index."""
+        of a multi-shard index."""
         terms, df, cf = engine.index.term_stats()
         assert terms == sorted(oracle.index.keys())
         for i, t in enumerate(terms):
