@@ -8,11 +8,12 @@ distributed build the equivalent global decision is made once, explicitly:
 2. bucket every row by key range (stateless map),
 3. count rows per bucket (tiny groupby) and cumsum on the driver to get each
    bucket's base offset,
-4. ``groupby(bucket).map_groups``: sort the bucket by key and assign
-   ``base + arange`` — dense, collision-free, reproducible, and independent
-   of input partitioning.
+4. sort by bucket with one explicit boundary per bucket, so each bucket
+   is exactly one output block whatever the scheduling, then sort each
+   block by key and assign ``base + arange`` — dense, collision-free,
+   reproducible, and independent of input partitioning.
 
-Cost: one all-to-all exchange (the groupby), same order as any global sort.
+Cost: one all-to-all exchange (the sort), same order as any global sort.
 Buckets are sized so one bucket fits a worker (num_buckets scales with the
 input).  doc_ids are therefore globally ordered by (repo, path, commit) —
 the analogue of the reference's rglob order.
@@ -135,7 +136,9 @@ def assign_doc_ids(
         bases[b] = running
         running += counts_by_bucket[b]
 
-    # 3. sort within bucket, assign base + arange
+    # 3. one block per bucket (explicit sort boundaries, not
+    #    ``map_groups``' randomly sampled ones, which pack a varying set of
+    #    buckets into each block), then sort it by key, assign base + arange
     def assign(group: pa.Table) -> pa.Table:
         bucket = group.column("_bucket")[0].as_py()
         order = pc.sort_indices(group, sort_keys=[("_key", "ascending")])
@@ -145,4 +148,6 @@ def assign_doc_ids(
         group = group.append_column("doc_id", ids)
         return group.drop_columns(["_key", "_bucket"])
 
-    return keyed.groupby("_bucket").map_groups(assign, batch_format="pyarrow")
+    return keyed.sort(
+        "_bucket", boundaries=list(range(1, len(boundaries) + 1))
+    ).map_batches(assign, batch_format="pyarrow", batch_size=None)

@@ -9,7 +9,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+
+from tests.test_fragment_exchange import _tok_table
 
 
 class TestDocIds:
@@ -238,6 +239,18 @@ def _segment_content_hash(index_dir: str) -> str:
     return h.hexdigest()
 
 
+def _tree_bytes(index_dir: str) -> dict:
+    """{subdir/name: bytes} over the index's tokenize and exchange
+    output: docterms/, docstats/, docweights/ and segments/."""
+    out = {}
+    for sub in ("docterms", "docstats", "docweights", "segments"):
+        root = os.path.join(index_dir, sub)
+        for name in sorted(os.listdir(root)):
+            with open(os.path.join(root, name), "rb") as f:
+                out[f"{sub}/{name}"] = f.read()
+    return out
+
+
 class TestReducerCountParity:
     @pytest.mark.parametrize("num_reducers", [1, 3])
     def test_segments_independent_of_num_reducers(
@@ -301,7 +314,6 @@ class TestReducerCountParity:
             "doc_id": pa.array(docs * num_buckets, pa.int64()),
             "tftd": pa.array([1] * n, pa.int32()),
             "pos_blob": pa.array([b"\x01"] * n, pa.binary()),
-            "seg": pa.array([0] * n, pa.int64()),
         }), str(docterms / "part0.parquet"))
         dl_path = str(tmp_path / "doc_length.npy")
         np.save(dl_path, np.ones(len(docs), dtype=np.int64))
@@ -526,73 +538,28 @@ class TestCorpusScalars:
         with pytest.raises(ValueError, match="overlapping doc ranges"):
             self._pass(tmp_path)
 
-    def test_reconciles_stale_file_older_than_retry(self, tmp_path):
-        """The observed in-the-wild shape (storm-window task retry on the
-        300k scaling corpus): a dead attempt's side-file survives, then
-        the retry writes a complete differently-composed tiling AFTER
-        it.  Newest-first reconciliation must keep the retry's tiling,
-        return the correct scalars, delete the stale loser, and warn —
-        not abort the build."""
-        d = str(tmp_path / "docstats")
-        # dead attempt wrote [2..5] first
-        self._write_docstats(d, "docstats_stale.parquet", [2, 3, 4, 5])
-        os.utime(os.path.join(d, "docstats_stale.parquet"),
-                 ns=(1_000_000_000, 1_000_000_000))
-        # complete retry tiling, strictly newer
-        self._write_docstats(d, "docstats_a.parquet", [0, 1, 2, 3])
-        self._write_docstats(d, "docstats_b.parquet", [4, 5, 6, 7])
-        for name in ("docstats_a.parquet", "docstats_b.parquet"):
-            os.utime(os.path.join(d, name),
-                     ns=(2_000_000_000, 2_000_000_000))
-        with pytest.warns(RuntimeWarning, match="docstats reconciliation"):
-            assert self._pass(tmp_path) == (8, 24)
-        assert sorted(os.listdir(d)) == [
-            "docstats_a.parquet", "docstats_b.parquet"]
-        # dir is clean now: the fast path returns silently
-        assert self._pass(tmp_path) == (8, 24)
-
-    def test_reconciliation_requires_exact_tiling(self, tmp_path):
-        """If dropping overlapped files leaves a doc-id gap, the
-        reconciler must raise, never return scalars over a partial
-        cover."""
-        d = str(tmp_path / "docstats")
-        self._write_docstats(d, "docstats_stale.parquet", [2, 3, 4, 5])
-        os.utime(os.path.join(d, "docstats_stale.parquet"),
-                 ns=(1_000_000_000, 1_000_000_000))
-        # newer retry covers [0..3] but nothing re-covers 4..5
-        self._write_docstats(d, "docstats_a.parquet", [0, 1, 2, 3])
-        os.utime(os.path.join(d, "docstats_a.parquet"),
-                 ns=(2_000_000_000, 2_000_000_000))
-        with pytest.raises(ValueError, match="no newest-first subset"):
-            self._pass(tmp_path)
-        # nothing deleted on failure
-        assert len(os.listdir(d)) == 2
-
     def test_interleaved_block_sidewrite_passes(self, tmp_path):
-        """A rebatched block interleaving dense segments from different
-        upstream blocks ([0..3] + [8..11] + [4..7]) must side-write one
-        file PER dense run — a single min..max-named file would cover a
-        range overlapping its sibling blocks' and trip the disjointness
-        invariant on a perfectly healthy build (observed on the 1M-doc
-        scaling corpus at 16 CPUs)."""
-        from searchengine_ray.build import _write_docstats_block
+        """A batch holding several dense runs ([0..3] + [8..11] + [4..7],
+        as a permuted pre-assigned id column gives) writes one docterms
+        and one docstats file PER dense run, named by the run — a single
+        min..max-named file would cover a range overlapping its
+        siblings' and trip the disjointness invariant."""
+        from searchengine_ray.build import IndexBuildConfig, _group_and_write
 
-        d = str(tmp_path / "docstats")
-        interleaved = pa.table({
-            "doc_id": pa.array(
-                [*range(0, 4), *range(8, 12), *range(4, 8)],
-                type=pa.int64()),
-            "doc_length": pa.array([3] * 12, type=pa.int64()),
-            "l_d": pa.array([0.5] * 12, type=pa.float64()),
-        })
-        _write_docstats_block(d, interleaved)
-        names = sorted(os.listdir(d))
-        assert names == [
-            "docstats_000000000000_000000000003.parquet",
-            "docstats_000000000004_000000000007.parquet",
-            "docstats_000000000008_000000000011.parquet",
-        ]
-        assert self._pass(tmp_path) == (12, 36)
+        docs = [*range(0, 4), *range(8, 12), *range(4, 8)]
+        dt, ds = tmp_path / "docterms", tmp_path / "docstats"
+        dt.mkdir()
+        ds.mkdir()
+        batch = _tok_table(docs, [["x", f"d{d}"] for d in docs])
+        out = _group_and_write(batch, IndexBuildConfig(), str(dt), str(ds))
+        spans = ["000000000000_000000000003", "000000000008_000000000011",
+                 "000000000004_000000000007"]
+        assert out.column("span").to_pylist() == spans
+        assert sorted(os.listdir(ds)) == sorted(
+            f"docstats_{s}.parquet" for s in spans)
+        assert sorted(os.listdir(dt)) == sorted(
+            f"docterms_{s}.parquet" for s in spans)
+        assert self._pass(tmp_path) == (12, 24)
 
     def test_rejects_duplicates_within_file(self, tmp_path):
         # [0, 1, 1, 2]: the footer's row count exceeds the id span;
@@ -614,69 +581,107 @@ class TestCorpusScalars:
         with pytest.raises(ValueError, match="expected dense"):
             self._pass(tmp_path)
 
-    @given(st.data())
-    @hyp_settings(max_examples=30, deadline=None)
-    def test_reconcile_property_random_retry_layouts(self, data):
-        """Property over random retry shapes: whenever a COMPLETE newer
-        tiling of 0..N-1 exists (the retry pass) alongside any subset of
-        an older differently-cut attempt's files, newest-first
-        reconciliation must return the exact corpus scalars and arrays,
-        keep the retry's files, and delete every stale survivor.  The
-        stale files hold different stats, so a stale survivor in the
-        scatter would show in the arrays."""
-        import pathlib
-        import tempfile
-        import warnings as _w
+class TestDeterministicLayout:
+    """The tokenize stage's output is a function of its input dataset:
+    files are named by their dense doc-id run, and the group stage runs
+    with ``preserve_order``, so builds and retried tasks leave the same
+    bytes."""
 
-        from searchengine_ray.build import docweights_paths
+    def test_group_and_write_twice_same_bytes(self, tmp_path):
+        """A retried group task rewrites the same file names with the
+        same bytes, and leaves no tmp file behind."""
+        from searchengine_ray.build import IndexBuildConfig, _group_and_write
 
-        def tiling(n, max_cuts):
-            if n == 1:
-                return [(0, 0)]
-            k = data.draw(st.integers(min_value=0,
-                                      max_value=min(max_cuts, n - 1)))
-            cuts = sorted(data.draw(st.sets(
-                st.integers(min_value=1, max_value=n - 1),
-                min_size=k, max_size=k)))
-            bounds = [0, *cuts, n]
-            return [(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
+        docs = [*range(5, 9), *range(0, 5)]
+        batch = _tok_table(docs, [["x", f"d{d}"] for d in docs])
+        trees = []
+        for _ in range(2):
+            dt, ds = tmp_path / "docterms", tmp_path / "docstats"
+            dt.mkdir(exist_ok=True)
+            ds.mkdir(exist_ok=True)
+            _group_and_write(batch, IndexBuildConfig(num_buckets=2),
+                             str(dt), str(ds))
+            tree = {}
+            for d in (dt, ds):
+                for name in sorted(os.listdir(d)):
+                    assert name.endswith(".parquet"), name
+                    tree[f"{d.name}/{name}"] = (d / name).read_bytes()
+            trees.append(tree)
+        assert len(trees[0]) == 4
+        assert trees[0] == trees[1]
 
-        def write(d, name, lo, hi, length, mtime):
-            n_ = hi - lo + 1
-            pq.write_table(pa.table({
-                "doc_id": pa.array(range(lo, hi + 1), type=pa.int64()),
-                "doc_length": pa.array([length] * n_, type=pa.int64()),
-                "l_d": pa.array([float(length)] * n_, type=pa.float64()),
-            }), os.path.join(d, name))
-            os.utime(os.path.join(d, name), ns=(mtime, mtime))
+    @staticmethod
+    def _corpus(preassigned: bool):
+        import ray.data
 
-        n = data.draw(st.integers(min_value=2, max_value=40))
-        final = tiling(n, 5)
-        # the dead attempt covered a (possibly shorter) prefix with a
-        # different cut; any subset of its files may have survived
-        n_stale = data.draw(st.integers(min_value=1, max_value=n))
-        stale_all = tiling(n_stale, 5)
-        stale = [s for s in stale_all
-                 if data.draw(st.booleans(), label=f"keep{s}")]
-        with tempfile.TemporaryDirectory() as root:
-            d = os.path.join(root, "docstats")
-            os.makedirs(d)
-            for i, (lo, hi) in enumerate(stale):
-                write(d, f"stale_{i}.parquet", lo, hi, 7, 10**9 + i)
-            for i, (lo, hi) in enumerate(final):
-                write(d, f"final_{i}.parquet", lo, hi, 3, 2 * 10**9 + i)
-            with _w.catch_warnings():
-                _w.simplefilter("ignore", RuntimeWarning)
-                got = self._pass(pathlib.Path(root))
-            assert got == (n, 3 * n)
-            dl_p, ld_p = docweights_paths(root)
-            assert np.load(dl_p).tolist() == [3] * n
-            assert np.load(ld_p).tolist() == [3.0] * n
-            # the final tiling covers every doc, so every stale file
-            # overlaps a (newer) kept file: survivors are EXACTLY the
-            # retry's files, every stale survivor is deleted
-            assert sorted(os.listdir(d)) == sorted(
-                f"final_{i}.parquet" for i in range(len(final)))
+        from searchengine_ray.corpus import synthetic_corpus_table
+
+        tbl = synthetic_corpus_table(300, seed=5)
+        if preassigned:
+            # a rotated permutation: two dense runs, each split further
+            # at the group batches' edges
+            n = tbl.num_rows
+            tbl = tbl.append_column("doc_id", pa.array(
+                (np.arange(n) + n // 2) % n, type=pa.int64()))
+        return ray.data.from_arrow(tbl).repartition(4)
+
+    @pytest.mark.parametrize("preassigned", [True, False],
+                             ids=["preassigned_ids", "assign_doc_ids"])
+    def test_two_builds_byte_identical(self, ray_session, tmp_path,
+                                       monkeypatch, preassigned):
+        """Two builds of one corpus in one session write the same file
+        names and bytes; 64-doc group batches give several file pairs.
+        The build scopes ``preserve_order`` to its own dataset."""
+        from searchengine_ray import build
+        from searchengine_ray.build import IndexBuildConfig, build_index
+
+        monkeypatch.setattr(build, "DOCTERMS_BLOCK_ROWS", 64)
+        cfg = IndexBuildConfig(num_buckets=4, skip_block=8,
+                               docs_per_shard=128)
+        trees = []
+        for k in range(2):
+            ds = self._corpus(preassigned)
+            d = str(tmp_path / f"idx{k}")
+            m = build_index(ds, d, cfg, input_description="det")
+            assert m["num_docs"] == 300
+            assert not ds.context.execution_options.preserve_order
+            trees.append(_tree_bytes(d))
+        names = list(trees[0])
+        assert sum(n.startswith("docterms/") for n in names) >= 5
+        assert sum(n.startswith("docstats/") for n in names) >= 5
+        assert trees[0] == trees[1]
+
+    def test_worker_crash_retry_byte_identical(self, ray_session, tmp_path,
+                                               monkeypatch):
+        """A worker that dies once in the input pipeline (a test-owned
+        upstream UDF that ``os._exit``s the first time it sees the last
+        block, after earlier group batches may have written their files)
+        is retried by Ray Data, and the index is byte-identical to a
+        clean build."""
+        from searchengine_ray import build
+        from searchengine_ray.build import IndexBuildConfig, build_index
+
+        monkeypatch.setattr(build, "DOCTERMS_BLOCK_ROWS", 64)
+        cfg = IndexBuildConfig(num_buckets=4, skip_block=8,
+                               docs_per_shard=128)
+        marker = str(tmp_path / "crashed")
+
+        def crash_once(batch: pa.Table) -> pa.Table:
+            ids = batch.column("doc_id").to_numpy()
+            if 140 in ids and not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
+            return batch
+
+        clean = str(tmp_path / "clean")
+        build_index(self._corpus(True), clean, cfg, input_description="r")
+        crashed = str(tmp_path / "crashed_idx")
+        build_index(self._corpus(True).map_batches(
+            crash_once, batch_format="pyarrow"), crashed, cfg,
+            input_description="r")
+        assert os.path.exists(marker)
+        assert _tree_bytes(crashed) == _tree_bytes(clean)
+
 
 class TestPreassignedIdValidation:
     def _mini(self, ids):

@@ -45,27 +45,15 @@ def _gkey(shard: int, bucket: int, B: int) -> int:
     return shard * B + bucket
 
 
-def _encode_file(cfg, rows, seg_of=None):
+def _encode_file(cfg, rows):
     """rows: list of (gkey, term, doc_id, tftd, dl, pos_payload bytes).
 
     Replays _map_runs' prep: stable sort by (gkey, first-seen term code)
-    preserving ascending doc order inside each run.  ``seg_of``
-    (doc_id -> dense-segment id, i.e. the first doc of the doc's dense
-    run — the docterms v4 ``seg`` column) defaults to reconstructing
-    dense runs from the file's own doc set, which matches production for
-    every fixture whose segments ARE the file's dense runs; fixtures
-    with interleaved segmentations pass the true mapping explicitly.
+    preserving ascending doc order inside each run.
     """
     code_of: dict = {}
     for _, term, *_ in rows:
         code_of.setdefault(term, len(code_of))
-    if seg_of is None:
-        docs_sorted = sorted({r[2] for r in rows})
-        seg_of, lo = {}, None
-        for prev, d in zip([None] + docs_sorted, docs_sorted):
-            if prev is None or d != prev + 1:
-                lo = d
-            seg_of[d] = lo
     rows = sorted(rows, key=lambda r: (r[0], code_of[r[1]]))
     gk = np.array([r[0] for r in rows], dtype=np.int64)
     codes = np.array([code_of[r[1]] for r in rows], dtype=np.int64)
@@ -75,9 +63,7 @@ def _encode_file(cfg, rows, seg_of=None):
     wq = wdt_quantized(tf, dl, AVGDL)
     pos = pa.array([r[5] for r in rows], type=pa.binary())
     uniq = np.array(list(code_of), dtype=object)
-    seg = np.array([seg_of[r[2]] for r in rows], dtype=np.int64)
-    return _encode_file_fragments(cfg, gk, codes, doc, wq, tf, pos, uniq,
-                                  seg=seg)
+    return _encode_file_fragments(cfg, gk, codes, doc, wq, tf, pos, uniq)
 
 
 def _finalize(cfg, tables, tmp_path):
@@ -271,7 +257,7 @@ def test_tf_wide_values_roundtrip(tmp_path):
 
 
 def _tok_table(doc_ids, terms_per_doc):
-    """Minimal v2-shaped tokenized table (what _group_postings_batch
+    """Minimal v2-shaped tokenized table (what _group_and_write
     consumes): per-doc rows with list columns."""
     n = len(doc_ids)
     return pa.table(
@@ -293,39 +279,41 @@ def _tok_table(doc_ids, terms_per_doc):
 
 
 def test_group_postings_interleaved_blocks_stay_disjoint():
-    """An out-of-order rebatched block (streaming executor interleaving,
-    docterms v3) must split at dense-doc seams: every (bucket, term) run
-    in the output has strictly ascending docs, and same-term runs cover
+    """A batch holding several dense runs (a permuted pre-assigned id
+    column) is grouped run by run: every (bucket, term) run in a run's
+    postings has strictly ascending docs, and same-term runs cover
     disjoint doc ranges — the invariant _finalize_segment's seam gap
     rewrite relies on."""
     from searchengine_ray.build import IndexBuildConfig, _group_postings_batch
 
     cfg = IndexBuildConfig(num_buckets=2)
-    # blocks [0..3], [8..11], [4..7] interleaved into one batch, with a
-    # term 'x' present in every doc and block-local terms sprinkled in
+    # runs [0..3], [8..11], [4..7] in one batch, with a term 'x' present
+    # in every doc and run-local terms sprinkled in
     docs = list(range(0, 4)) + list(range(8, 12)) + list(range(4, 8))
     terms = [["x", f"blk{d // 4}"] for d in docs]
-    postings, docstats = _group_postings_batch(cfg, _tok_table(docs, terms))
-    assert docstats.num_rows == len(docs)
-    assert postings.num_rows == sum(len(t) for t in terms)
-    term_col = postings.column("term").to_pylist()
-    doc_col = postings.column("doc_id").to_pylist()
-    # collect runs: maximal stretches of one term
-    runs = []
-    for t, d in zip(term_col, doc_col):
-        if runs and runs[-1][0] == t:
-            runs[-1][1].append(d)
-        else:
-            runs.append((t, [d]))
+    out = list(_group_postings_batch(cfg, _tok_table(docs, terms)))
+    assert [span for span, _, _ in out] == [
+        "000000000000_000000000003", "000000000008_000000000011",
+        "000000000004_000000000007"]
+    assert sum(st.num_rows for _, _, st in out) == len(docs)
+    assert sum(p.num_rows for _, p, _ in out) == sum(len(t) for t in terms)
     ranges: dict[str, list[tuple[int, int]]] = {}
-    for t, ds in runs:
-        assert ds == sorted(ds), f"run of {t!r} not ascending: {ds}"
-        ranges.setdefault(t, []).append((min(ds), max(ds)))
+    for _, postings, _ in out:
+        runs = []  # maximal stretches of one term
+        for t, d in zip(postings.column("term").to_pylist(),
+                        postings.column("doc_id").to_pylist()):
+            if runs and runs[-1][0] == t:
+                runs[-1][1].append(d)
+            else:
+                runs.append((t, [d]))
+        for t, ds in runs:
+            assert ds == sorted(ds), f"run of {t!r} not ascending: {ds}"
+            ranges.setdefault(t, []).append((min(ds), max(ds)))
     for t, rs in ranges.items():
         rs = sorted(rs)
         for (alo, ahi), (blo, bhi) in zip(rs, rs[1:]):
             assert ahi < blo, f"overlapping runs for {t!r}: {rs}"
-    # 'x' spans all three segments -> exactly 3 disjoint runs
+    # 'x' spans all three dense runs -> exactly 3 disjoint runs
     assert len(ranges["x"]) == 3
 
 
@@ -336,27 +324,24 @@ def test_finalize_rejects_overlapping_fragments(tmp_path):
     gk = _gkey(0, 0, 2)
     f1 = [(gk, "t", d, 1, 5.0, b"x") for d in (0, 5)]
     f2 = [(gk, "t", d, 1, 5.0, b"x") for d in (3, 9)]  # overlaps f1
-    # explicit seg ids simulate a BROKEN upstream that stamped holes-
-    # spanning postings as one dense segment each (a correct group stage
-    # would emit four single-doc segments here, which merge cleanly) —
-    # the reducer must reject the resulting range overlap loudly
+    # files that are not dense runs (a correct group stage would write
+    # four single-doc files here, which merge cleanly): the reducer must
+    # reject the resulting range overlap loudly
     with pytest.raises(ValueError, match="overlapping doc ranges"):
         _finalize(
             cfg,
-            [_encode_file(cfg, f1, seg_of={0: 0, 5: 0})[0],
-             _encode_file(cfg, f2, seg_of={3: 3, 9: 3})[0]],
+            [_encode_file(cfg, f1)[0], _encode_file(cfg, f2)[0]],
             tmp_path)
 
 
 def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
-    """Regression (r4 advice, build.py run detector): one docterms file
-    holding two dense segments whose group orders abut on the same
-    (gkey, term) — segment A covers docs 8..11, segment B covers docs
-    4..7 and lands AFTER A in the file.  Pre-fix the encoder merged both
-    runs into one fragment and delta-encoded the negative seam gap as a
-    huge unsigned doc id with no error; the run detector must now break
-    on the non-ascending doc id so each segment's occurrence is its own
-    fragment, and the reducer merges them by first_doc."""
+    """Guard of the run detector (r4 advice): rows of one (gkey, term)
+    whose docs stop ascending — docs 8..11 then 4..7, which a docterms
+    file of one dense run never holds.  Pre-fix the encoder merged both
+    stretches into one fragment and delta-encoded the negative gap as a
+    huge unsigned doc id with no error; the run detector must break on
+    the non-ascending doc id so each stretch is its own fragment, and
+    the reducer merges them by first_doc."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     gk = _gkey(0, 1, 2)
     rows = (
@@ -389,10 +374,8 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
 
 @st.composite
 def _segment_layouts(draw):
-    """A random dense corpus cut into consecutive segments, the segments
-    permuted and packed into files — the general form of the abutting-
-    segments regression (any same-(gkey, term) adjacency, any order,
-    including lower-doc-range-after-higher within one file)."""
+    """A random dense corpus cut into consecutive segments, one docterms
+    file per segment, the files in a permuted order."""
     n_docs = draw(st.integers(min_value=4, max_value=40))
     n_cuts = draw(st.integers(min_value=0, max_value=5))
     cuts = sorted(draw(st.sets(
@@ -406,9 +389,6 @@ def _segment_layouts(draw):
                           min_size=len(segments), max_size=len(segments)))
     order = sorted(range(len(segments)), key=lambda i: (prios[i], i))
     segments = [segments[i] for i in order]
-    n_files = draw(st.integers(min_value=1, max_value=3))
-    file_of = draw(st.lists(st.integers(min_value=0, max_value=n_files - 1),
-                            min_size=len(segments), max_size=len(segments)))
     # term membership rules: term i appears in doc d iff (d+off) % m == 0;
     # the first term has m=1 so every doc (hence every file with a
     # segment) carries at least one posting
@@ -418,21 +398,20 @@ def _segment_layouts(draw):
          draw(st.integers(min_value=0, max_value=3)))
         for _ in range(n_terms - 1)
     ]
-    return segments, file_of, n_files, rules
+    return segments, rules
 
 
 @given(_segment_layouts(), st.sampled_from([2, 4]))
 @hyp_settings(max_examples=40, deadline=None)
 def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
-    """Property form of the r4-advice regression: for ANY partition of a
-    dense doc range into segments, ANY segment order, and ANY packing of
-    segments into files, encode-per-file + reduce must reproduce the
-    exact doc/tf/pos streams per (gkey, term) — fragments split wherever
-    doc ids stop ascending and the reducer reassembles them by first_doc."""
+    """For ANY partition of a dense doc range into dense runs, one
+    docterms file each (docterms v8), in ANY file order, encode-per-file
+    + reduce must reproduce the exact doc/tf/pos streams per
+    (gkey, term) — the reducer reassembles the fragments by first_doc."""
     import tempfile
     import zlib
 
-    segments, file_of, n_files, rules = layout
+    segments, rules = layout
     cfg = IndexBuildConfig(num_buckets=2, skip_block=skip_block)
 
     def postings_of(seg):
@@ -450,14 +429,8 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
                 ))
         return rows
 
-    files = [[] for _ in range(n_files)]
-    seg_of = {}
-    for seg, f in zip(segments, file_of):
-        files[f].extend(postings_of(seg))
-        for d in seg:
-            seg_of[d] = seg.start
-    tables = [_encode_file(cfg, rows, seg_of=seg_of)[0]
-              for rows in files if rows]
+    files = [postings_of(seg) for seg in segments]
+    tables = [_encode_file(cfg, rows)[0] for rows in files if rows]
 
     # expectation: per (gkey, term), triples sorted by doc id
     exp: dict = {}
@@ -497,35 +470,38 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
 
 
 def test_hole_straddling_segments_end_to_end(tmp_path):
-    """End-to-end over the PRODUCTION row order (grouped parts
-    concatenated by _group_postings_batch, round-tripped through a
-    docterms parquet file): a batch interleaved as dense blocks
-    [0], [2..3], [1] — the first two ASCEND across their seam while
-    straddling the hole that block [1] owns.  Pre-v4 the encoder merged
-    the straddling runs into one fragment whose doc range overlapped
-    block [1]'s fragment and the reducer aborted a legal build; the seg
-    column must keep every fragment inside its dense run so the merge
-    succeeds and reproduces the exact postings."""
-    from searchengine_ray.build import _explode_arrays, _group_postings_batch
+    """End-to-end over the PRODUCTION files: a batch holding the dense
+    runs [0], [2..3], [1] — the first two ASCEND across their seam while
+    straddling the hole that run [1] owns.  The group task writes one
+    docterms file per run, so no fragment spans the hole; encoding each
+    file and merging reproduces the exact postings."""
+    from searchengine_ray.build import _explode_arrays, _group_and_write
 
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     docs = [0, 2, 3, 1]
     terms = [["x", "y"] for _ in docs]  # every term in every doc
-    postings, _ = _group_postings_batch(cfg, _tok_table(docs, terms))
-    path = os.path.join(str(tmp_path), "docterms_test.parquet")
-    pq.write_table(postings, path)
+    dt, ds = tmp_path / "docterms", tmp_path / "docstats"
+    dt.mkdir()
+    ds.mkdir()
+    _group_and_write(_tok_table(docs, terms), cfg, str(dt), str(ds))
+    names = sorted(os.listdir(dt))
+    assert names == [f"docterms_{lo:012d}_{hi:012d}.parquet"
+                     for lo, hi in ((0, 0), (1, 1), (2, 3))]
 
-    tbl = pq.read_table(path, read_dictionary=["term"])
     doc_length = np.full(len(docs), 2, dtype=np.int64)
-    arrs = _explode_arrays(cfg, tbl, doc_length)
-    wq = wdt_quantized(arrs["tftds"], arrs["dls"].astype(np.float64), AVGDL)
-    frag_tbl, _ = _encode_file_fragments(
-        cfg, arrs["gkey"], arrs["codes"], arrs["doc_ids"], wq,
-        arrs["tftds"], arrs["pos_blob"], arrs["uniq"], seg=arrs["seg"])
-    # 3 dense segments x 2 terms -> one fragment each, ranges disjoint
-    assert frag_tbl.num_rows == 6
+    frags = []
+    for name in names:
+        tbl = pq.read_table(str(dt / name), read_dictionary=["term"])
+        arrs = _explode_arrays(cfg, tbl, doc_length)
+        wq = wdt_quantized(arrs["tftds"], arrs["dls"].astype(np.float64),
+                           AVGDL)
+        frags.append(_encode_file_fragments(
+            cfg, arrs["gkey"], arrs["codes"], arrs["doc_ids"], wq,
+            arrs["tftds"], arrs["pos_blob"], arrs["uniq"])[0])
+    # 3 dense runs x 2 terms -> one fragment each, ranges disjoint
+    assert sum(f.num_rows for f in frags) == 6
 
-    seg_tbl, _ = _finalize(cfg, [frag_tbl], tmp_path)
+    seg_tbl, _ = _finalize(cfg, frags, tmp_path)
     assert seg_tbl.num_rows == 2
     for i in range(seg_tbl.num_rows):
         row = {c: seg_tbl.column(c)[i].as_py()
