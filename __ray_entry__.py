@@ -472,7 +472,7 @@ def _query_vectors(sf_dir: str) -> tuple[np.ndarray, list[int]]:
     from searchengine_ray.ops.similarity import read_query_vectors
 
     qids = [0, 1, 2]
-    return read_query_vectors(f"{sf_dir}/embeddings.parquet", qids), qids
+    return read_query_vectors(f"{sf_dir}/embeddings.parquet", qids)[0], qids
 
 
 def q_knn_bruteforce(sf_dir: str) -> pa.Table:

@@ -117,9 +117,9 @@ def cmd_stats(args) -> int:
     ``.bin``'s doc / tf / pos stream bytes and the parquet catalog's
     bytes; B/doc over segments/ and docstats/ (perfbench's
     ``index_bytes_per_doc``) and, apart from it, the docweights/ bytes
-    and the build's docterms/ bytes (the exchange's input, from the
-    manifest); the manifest's per-stage seconds and exchange phase split
-    (total/max/mean per phase)."""
+    and the build's docterms/ bytes (the encoded fragments the exchange
+    routes, from the manifest); the manifest's per-stage seconds and
+    exchange phase split (total/max/mean per phase)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 

@@ -11,22 +11,23 @@ Ray-Data-native rebuild:
     -> assign_doc_ids (one explicit global decision, ids.py)
     -> map_batches(TokenizeDocs tasks)               # SPIMI block ≙ Ray block
          emits per-doc rows: doc stats + per-term (tftd, VByte pos blob)
-    -> map_batches(_group_and_write), preserve_order on (docterms v8):
+    -> map_batches(_group_and_write), preserve_order on (docterms v9):
          one file pair per dense doc-id run of each batch, both named by
          the run's [lo, hi] and written tmp + atomic rename:
-         docterms/  (postings exploded and grouped by (bucket, term, doc))
+         docterms/  (the run's postings grouped by (bucket, term, doc) and
+                     VByte-encoded: one posting-list fragment per
+                     (gkey, term), where
+                       shard  = doc_id // docs_per_shard  (bounds lists)
+                       bucket = crc32(term) % num_buckets
+                       gkey   = shard * num_buckets + bucket)
          docstats/  (per-doc title/doc_length/l_d/sha256, incl. zero-term
                      docs)
     -> one docstats pass: ids tile 0..N-1, corpus scalars, docweights/
        (dense doc_length and l_d arrays in doc-id order, the reference's
        docWeights.bin)
-  docterms -> exchange maps derive keys (NO sort, NO gather — runs are
-              already contiguous on disk; doc lengths come from
-              docweights/):
-              shard   = doc_id // docs_per_shard      (bounds posting lists)
-              bucket  = crc32(term) % num_buckets     (merge shuffle key)
-              gkey    = shard * num_buckets + bucket  (reducer = gkey % P)
-    -> raw-Ray map/reduce by gkey (merge+encode)      # replaces heap merge
+  docterms -> exchange maps only route each fragment to reducer
+              gkey % P (no decode, no encode)
+    -> raw-Ray map/reduce by gkey (merge + wdt bounds)  # the heap merge
     -> segments/: one posting-list *fragment* per (term, shard).
        segment_NNNNN.bin holds each fragment's three VByte streams
        back to back (doc gaps folded with a tf==1 flag / tf exceptions
@@ -75,7 +76,7 @@ ID_COL = "doc_id"
 TOKENIZE_BATCH_SIZE = 64
 # docterms block size: tokenize emits small blocks (TOKENIZE_BATCH_SIZE
 # docs each), and the group step rebatches them to this many docs before
-# it explodes, groups and writes each dense run of the batch.
+# it groups, encodes and writes each dense run of the batch.
 DOCTERMS_BLOCK_ROWS = 4096
 SEGMENT_ROW_GROUP_SIZE = 512
 
@@ -248,37 +249,20 @@ def _bucket_of_uniq(uniq: np.ndarray, num_buckets: int) -> np.ndarray:
     return out
 
 
-# Docterms on-disk postings layout: one row per (doc, term), grouped
-# by (bucket, term) with doc ids ascending inside each group; one file
-# per dense doc-id run (docterms v8).  ``term`` is dictionary-encoded
-# (parquet dictionary pages -> exchange maps read codes, never flat
-# strings); ``bucket`` is redundant with crc32(term) but RLE-compresses
-# to ~nothing in this order and saves the map a hash pass.  A posting's
-# doc length, for the BM25 wdt bounds, is gathered by the exchange map
-# from the build's docweights array (docterms v5).
-_POSTINGS_SCHEMA = pa.schema(
-    [
-        ("term", pa.dictionary(pa.int32(), pa.string())),
-        ("bucket", pa.int32()),
-        ("doc_id", pa.int64()),
-        ("tftd", pa.int32()),
-        ("pos_blob", pa.binary()),
-    ]
-)
-
 _DOCSTATS_COLS = ["doc_id", "title", "doc_length", "l_d", "sha256"]
 
 
 def _group_run(cfg: IndexBuildConfig, tok: pa.Table) -> pa.Table:
-    """Explode + group ONE dense doc-id run of a tokenized batch by
-    (bucket, term); docs stay ascending inside each group via the stable
-    sort."""
+    """Explode ONE dense doc-id run of a tokenized batch, group its
+    postings by (bucket, term) (docs stay ascending inside each group via
+    the stable sort) and encode them: the run's ``_WIRE_SCHEMA`` fragment
+    table, which is its docterms file (docterms v9)."""
     terms_col = _as_array(tok.column("terms"))
     lens = pa.compute.list_value_length(terms_col).to_numpy(
         zero_copy_only=False)
     flat_terms = terms_col.flatten()
     if len(flat_terms) == 0:
-        return _POSTINGS_SCHEMA.empty_table()
+        return _WIRE_SCHEMA.empty_table()
     doc_np = _as_array(tok.column("doc_id")).to_numpy(zero_copy_only=False)
     doc_ids = np.repeat(doc_np, lens)
     tftds = _as_array(tok.column("tftds")).flatten().to_numpy(
@@ -303,24 +287,17 @@ def _group_run(cfg: IndexBuildConfig, tok: pa.Table) -> pa.Table:
         key = uniq_buckets[codes] * np.int64(V) + codes.astype(np.int64)
     order = np.argsort(key, kind="stable")
     codes_s = codes[order]
-    return pa.table(
-        {
-            "term": pa.DictionaryArray.from_arrays(
-                pa.array(codes_s.astype(np.int32, copy=False)),
-                dic.dictionary),
-            "bucket": pa.array(
-                uniq_buckets[codes_s].astype(np.int32, copy=False)),
-            "doc_id": pa.array(doc_ids[order], type=pa.int64()),
-            "tftd": pa.array(tftds[order].astype(np.int32, copy=False)),
-            "pos_blob": pos_blob.take(pa.array(order)),
-        },
-        schema=_POSTINGS_SCHEMA,
-    )
+    doc_s = doc_ids[order]
+    gk = (doc_s // cfg.docs_per_shard) * cfg.num_buckets \
+        + uniq_buckets[codes_s]
+    return _encode_file_fragments(
+        cfg, gk, codes_s, doc_s, tftds[order], pos_blob.take(pa.array(order)),
+        uniq)
 
 
 def _group_postings_batch(cfg: IndexBuildConfig, tok: pa.Table):
     """One tokenized batch (v2-shaped per-doc rows) -> one
-    ``(span, grouped postings, docstats rows)`` per dense doc-id run,
+    ``(span, fragments, docstats rows)`` per dense doc-id run,
     ``span`` naming the run as ``{lo:012d}_{hi:012d}``.
 
     Correctness of the grouping contract (what the exchange relies on):
@@ -329,9 +306,9 @@ def _group_postings_batch(cfg: IndexBuildConfig, tok: pa.Table):
     can never overlap without sharing a doc id; grouping each run on its
     own keeps every fragment inside its run.  Within a run, shard
     (= doc // docs_per_shard) is non-decreasing in doc, so every
-    (gkey, term) run the exchange map derives later is a CONTIGUOUS
-    ascending-doc slice of the file — no sort and no gather on the
-    exchange side.  ``preserve_order`` upstream makes a batch one run
+    (gkey, term) run of the grouped postings is a CONTIGUOUS
+    ascending-doc slice, which the encoder turns into one fragment.
+    ``preserve_order`` upstream makes a batch one run
     for ``assign_doc_ids``-ordered input (it costs no measurable
     tokenize time: perfbench's ``build.tokenize_s`` median 2.77 s with
     it against 2.81 s without, 5 seeds each on a 4-CPU host); a permuted
@@ -368,68 +345,20 @@ def _write_parquet_atomic(tbl: pa.Table, path: str) -> None:
 def _group_and_write(batch: pa.Table, cfg: IndexBuildConfig,
                      docterms_dir: str, docstats_dir: str) -> pa.Table:
     """The group task: for each dense doc-id run of one tokenized batch,
-    write ``docterms_{span}.parquet`` (its grouped postings, when it has
-    any) and ``docstats_{span}.parquet`` (its per-doc rows).  Files are
-    named by the run alone, so a retried task rewrites the same names
-    with the same bytes.  Returns one row (the span) per run."""
+    write ``docterms_{span}.parquet`` (its encoded fragments, when it has
+    any postings) and ``docstats_{span}.parquet`` (its per-doc rows).
+    Files are named by the run alone, so a retried task rewrites the
+    same names with the same bytes.  Returns one row (the span) per
+    run."""
     spans = []
-    for span, postings, docstats in _group_postings_batch(cfg, batch):
-        if postings.num_rows:
-            _write_parquet_atomic(postings, os.path.join(
+    for span, fragments, docstats in _group_postings_batch(cfg, batch):
+        if fragments.num_rows:
+            _write_parquet_atomic(fragments, os.path.join(
                 docterms_dir, f"docterms_{span}.parquet"))
         _write_parquet_atomic(docstats, os.path.join(
             docstats_dir, f"docstats_{span}.parquet"))
         spans.append(span)
     return pa.table({"span": pa.array(spans, type=pa.string())})
-
-
-def _explode_arrays(
-    cfg: IndexBuildConfig, batch: pa.Table, doc_length: np.ndarray,
-) -> dict | None:
-    """docterms postings table -> flat per-(doc, term) arrays for the
-    exchange, IN FILE ORDER (already grouped by (bucket, term, doc) at
-    tokenize time — see ``_group_postings_batch``): no sort, no gather
-    of the payload.  ``doc_length`` is the build's docweights array
-    (indexed by doc_id - doc_id_base); each posting's length is gathered
-    from it for the wdt bounds.
-
-    Positions arrive ALREADY VByte-encoded per row (since v2) and
-    fragment-contiguous, so the map slices final on-disk bytes straight
-    off the parquet buffers.  Term identity comes from
-    dictionary codes (parquet dictionary pages via ``read_dictionary``
-    — no per-term re-hash of a flat string column), and the bucket rides
-    as an RLE-compressed column, so the only per-posting compute left is
-    the exchange key (shard * num_buckets + bucket) and the wdt-bound
-    quantization."""
-    term_col = batch.column("term")
-    if isinstance(term_col, pa.ChunkedArray):
-        term_col = term_col.combine_chunks()  # unifies chunk dictionaries
-    if not isinstance(term_col, pa.DictionaryArray):
-        term_col = term_col.dictionary_encode()
-    if len(term_col) == 0:
-        return None
-    codes = term_col.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uniq = np.asarray(term_col.dictionary.to_pylist(), dtype=object)
-
-    doc_ids = _as_array(batch.column("doc_id")).to_numpy(
-        zero_copy_only=False)
-    dls = doc_length[doc_ids - cfg.doc_id_base]
-    tftds = _as_array(batch.column("tftd")).to_numpy(zero_copy_only=False)
-    pos_blob = _as_array(batch.column("pos_blob"))
-    buckets = _as_array(batch.column("bucket")).to_numpy(
-        zero_copy_only=False).astype(np.int64)
-
-    gkey = (doc_ids // cfg.docs_per_shard) * cfg.num_buckets + buckets
-
-    return {
-        "codes": codes,
-        "uniq": uniq,
-        "doc_ids": doc_ids,
-        "dls": dls,
-        "tftds": tftds,
-        "pos_blob": pos_blob,
-        "gkey": gkey,
-    }
 
 
 _SEGMENT_SCHEMA = pa.schema(
@@ -459,30 +388,29 @@ def segment_bin_path(parquet_path: str) -> str:
     """The postings file that belongs to a segment parquet (format v6)."""
     return os.path.splitext(parquet_path)[0] + ".bin"
 
-# Wire schema of the postings exchange (exchange wire v2): maps ship
-# PRE-ENCODED per-term posting-list fragments — the final VByte streams
-# plus their skip summaries — instead of per-posting rows.  A fragment is
-# one (docterms file, gkey, term) run: its doc range is contiguous and
-# disjoint from every other fragment of the same (gkey, term), so the
-# reducer merges fragments by pure byte concatenation (rewriting only each
-# non-first fragment's leading absolute doc id into a gap) — no re-sort,
-# no re-encode, ~8x fewer wire bytes than the per-posting row wire
-# (measured 4.0 GB -> ~0.5 GB at 1M docs).  Offsets/stats ride in the
-# narrowest dtype that fits (int32 offsets within a fragment, uint8
-# quantized wdt bounds); the reducer widens to the segment schema.
+# Docterms and exchange-wire schema (docterms v9): one row per posting-
+# list fragment, i.e. per (dense doc-id run, gkey, term), already
+# VByte-encoded with its skip summaries.  The group task writes a run's
+# fragments as its docterms file, and the exchange map ships the rows to
+# reducer ``gkey % P`` as they are.  A fragment's doc range is contiguous
+# and disjoint from every other fragment of the same (gkey, term), so the
+# reducer merges fragments by pure byte concatenation (rewriting only
+# each non-first fragment's leading absolute doc id into a gap): no
+# re-sort, no re-encode.  Offsets within a fragment ride as int32; the
+# reducer widens them to the segment schema.  No wdt bound rides here:
+# the bounds need the corpus avgdl, which exists only once every group
+# task is done, so the reducer derives them from the postings it holds.
 _WIRE_SCHEMA = pa.schema(
     [
         ("gkey", pa.int64()),
         ("term", pa.string()),
         ("df", pa.int32()),
         ("cf", pa.int64()),
-        ("max_wq", pa.uint8()),
         ("first_doc", pa.int64()),   # absolute doc id of the first posting
         ("blob", pa.binary()),       # VByte gap<<1 | (tf==1), first absolute
         ("tf_blob", pa.binary()),    # VByte tftds of the tf != 1 postings
         ("pos_blob", pa.binary()),   # concatenated per-posting VByte blobs
         ("skip_last_doc", pa.list_(pa.int64())),
-        ("skip_max_wq", pa.list_(pa.uint8())),
         ("skip_offset", pa.list_(pa.int32())),     # within-fragment bytes
         ("skip_tf_offset", pa.list_(pa.int32())),
     ]
@@ -535,7 +463,10 @@ SEGMENT_FORMAT = 7
 # v8: one docterms file and one docstats file per dense doc-id run, both
 # named by the run, from a ``preserve_order`` group stage; the ``seg``
 # column is gone (a file is one run, so no fragment crosses a seam).
-DOCTERMS_FORMAT = 8
+# v9: a docterms file holds its run's encoded fragments (``_WIRE_SCHEMA``
+# without wdt bounds), not posting rows: the group task encodes, the
+# exchange maps only route, and the reducers derive the bounds.
+DOCTERMS_FORMAT = 9
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -550,12 +481,11 @@ def bm25_wdt(tftds: np.ndarray, dls: np.ndarray, avgdl: float) -> np.ndarray:
     )
 
 
-# wdt < k1+1 = 2.2, so ceil(wdt * 115) fits uint8 (max 253).  The exchange
-# ships this 1-byte upper bound instead of the 4-byte per-row doc length:
-# max_wdt / skip_max_wdt are ONLY WAND pruning bounds (ranked.py:209,244),
-# and a quantized-UP bound keeps block-max WAND exact while cutting both
-# shuffle bytes and the reduce-side float work (exact scorers recompute
-# wdt from tftd + doc stats at query time).
+# wdt < k1+1 = 2.2, so ceil(wdt * 115) fits uint8 (max 253).  max_wdt /
+# skip_max_wdt are ONLY WAND pruning bounds (ranked.py:209,244), and a
+# quantized-UP bound keeps block-max WAND exact (exact scorers recompute
+# wdt from tftd + doc stats at query time); the segments store
+# ceil(wdt * 115) / 115.
 WDT_QUANT = 115.0
 
 
@@ -594,79 +524,44 @@ def _ipc_bytes(tbl: pa.Table) -> bytes:
 
 
 @ray.remote
-def _map_runs(
-    paths: list[str], cfg: IndexBuildConfig, num_reducers: int,
-    avgdl: float, doc_length_path: str,
-):
+def _map_runs(paths: list[str], num_reducers: int):
     """Map side of the postings exchange: a group of docterms files -> one
-    stream of PRE-ENCODED posting-list fragments per reduce partition.
-
-    Raw Ray task (not a Dataset op) by design: Ray Data's sort-based
-    groupby materialises an M x M task grid whose fixed scheduling cost
-    *grows* with parallelism — measured 2.8s @ 8 cpus vs 13.6s @ 32 cpus
-    for the identical 50k-doc merge, inverting scaling.  A classic
-    map/reduce exchange with ``num_returns=num_reducers`` is M + P tasks
-    and M x P objects (the information-theoretic minimum for a shuffle),
-    and each reducer fetches only its own partition.  A fragment goes to
-    reducer ``gkey % num_reducers``: the keys ``shard * num_buckets +
+    stream of their fragment rows per reduce partition.  A fragment goes
+    to reducer ``gkey % num_reducers``: the keys ``shard * num_buckets +
     bucket`` are a dense range, so reducer key counts differ by at most
-    one.  One extra return carries the task's phase profile to the
-    driver.
+    one.  The map decodes and encodes nothing (the group task wrote the
+    final VByte streams) and reads nothing but its own files.  One extra
+    return carries the task's phase profile to the driver.
 
-    Wire layout (exchange v2): one Arrow IPC stream of ``_WIRE_SCHEMA``
-    fragment rows per (docterms file, reducer) — each row is one
-    (gkey, term) run of the file, already VByte-encoded with its skip
-    summaries (see ``_WIRE_SCHEMA`` note).  The encode happens HERE, in
-    the wide map wave, so the reduce side — the stage that pins scaling
-    on a shared memory bus — touches ~index-sized bytes, not
-    ~posting-row-sized bytes.
+    Raw Ray tasks (not Dataset ops) by measurement: a classic map/reduce
+    exchange with ``num_returns=num_reducers`` is M + P tasks and M x P
+    objects, and each reducer fetches only its own partition.  Over the
+    docterms of perfbench's seed-5 corpus (4,000 docs, P = 8) on a 4-CPU
+    host, stock Ray Data (``read_parquet`` -> ``map_batches`` adding
+    ``gkey % P`` -> ``repartition(P, keys=[...])`` under
+    ``ShuffleStrategy.HASH_SHUFFLE`` -> ``map_batches`` running
+    ``_finalize_segment`` per reducer value) took 3.2-5.2 s, median
+    4.1 s, and this exchange 0.15-3.6 s, median 1.1 s: 6 alternating
+    pairs in one Ray session, this exchange faster in every pair, the
+    segment bytes identical.
+
+    Wire layout: one Arrow IPC stream of ``_WIRE_SCHEMA`` fragment rows
+    per (docterms file, reducer).
     """
     _pin_arrow_threads()
     t_task = time.perf_counter()
-    prof = {"read": 0.0, "explode": 0.0, "encode": 0.0, "pack": 0.0,
-            "bytes_out": 0}
+    prof = {"read": 0.0, "pack": 0.0, "bytes_out": 0}
     out: list[list[bytes]] = [[] for _ in range(num_reducers)]
-    doc_length = np.load(doc_length_path, mmap_mode="r")
     for path in paths:
         t = time.perf_counter()
-        tbl = pq.read_table(
-            path,
-            columns=["term", "bucket", "doc_id", "tftd", "pos_blob"],
-            read_dictionary=["term"],
-        )
+        tbl = pq.read_table(path)
         prof["read"] += time.perf_counter() - t
         t = time.perf_counter()
-        arrs = _explode_arrays(cfg, tbl, doc_length)
-        prof["explode"] += time.perf_counter() - t
-        if arrs is None:
-            continue
-        # rows arrive grouped by (bucket, term, doc) from the
-        # tokenize stage, and shard is non-decreasing in doc within each
-        # group — every (gkey, term) run is ALREADY a contiguous
-        # ascending-doc slice.  The sort+gather the v2 map did here (60%
-        # of map CPU, measured) is gone.
-        t = time.perf_counter()
-        gk = arrs["gkey"]
-        codes_s = arrs["codes"]
-        pos_s = arrs["pos_blob"]
-        doc_s = arrs["doc_ids"]
-        wq_s = wdt_quantized(arrs["tftds"], arrs["dls"], avgdl)
-        tf_s = arrs["tftds"]
-        uniq = arrs["uniq"]
-        # encode + pack per file (not per task) so each file's exploded
-        # arrays can be freed before the next file is read — slices keep
-        # their parent buffers alive, and holding a whole file group's
-        # data made big maps page-cache hostile at the 2M-doc scale
-        frag_tbl, frag_gkeys = _encode_file_fragments(
-            cfg, gk, codes_s, doc_s, wq_s, tf_s, pos_s, uniq)
-        prof["encode"] += time.perf_counter() - t
-        t = time.perf_counter()
-        reds = frag_gkeys % num_reducers
+        reds = tbl.column("gkey").to_numpy() % num_reducers
         for r in np.unique(reds):
-            idx = np.flatnonzero(reds == r)
             # take() compacts the referenced buffer ranges so each wire
             # stream carries only its own fragments' bytes
-            blob = _ipc_bytes(frag_tbl.take(pa.array(idx)))
+            blob = _ipc_bytes(tbl.take(pa.array(np.flatnonzero(reds == r))))
             prof["bytes_out"] += len(blob)
             out[int(r)].append(blob)
         prof["pack"] += time.perf_counter() - t
@@ -679,21 +574,18 @@ def _encode_file_fragments(
     gk: np.ndarray,
     codes: np.ndarray,
     doc: np.ndarray,
-    wq: np.ndarray,
     tf32: np.ndarray,
     pos_arr: pa.Array,
     uniq: np.ndarray,
-) -> tuple[pa.Table, np.ndarray]:
-    """One docterms file's sorted postings -> a ``_WIRE_SCHEMA`` fragment
-    table, one row per (gkey, term) run, fully VByte-encoded.
+) -> pa.Table:
+    """One dense doc-id run's grouped postings -> its docterms file: a
+    ``_WIRE_SCHEMA`` fragment table, one row per (gkey, term) run, fully
+    VByte-encoded.
 
-    Inputs are the file's posting arrays with every (gkey, term) run
-    CONTIGUOUS and doc ids ascending inside each run (the tokenize stage
-    writes each docterms file this way, one dense doc-id run per file).
-    ONE global VByte encode + cumsum
-    covers every run; per-run blobs are zero-copy offset slices over the
-    shared buffers (compacted later by the per-reducer ``take``).
-    Returns (fragment table, per-row gkey array) for reducer routing.
+    Inputs are the run's posting arrays with every (gkey, term) run
+    CONTIGUOUS and doc ids ascending inside each run (``_group_run``
+    sorts them so).  ONE global VByte encode + cumsum covers every run;
+    per-run blobs are zero-copy offset slices over the shared buffers.
     """
     from . import vbyte
 
@@ -729,7 +621,7 @@ def _encode_file_fragments(
     # VByte-encoding a wrapped unsigned value.
     if n > 1 and int(np.min(gap, initial=1, where=~new)) <= 0:
         raise ValueError(
-            "non-positive intra-run doc gap in docterms fragment encode; "
+            "non-positive intra-run doc gap in the fragment encode; "
             "run-break invariant violated"
         )
     # DocDelta fold (format v6): the low bit flags tf == 1, so only the
@@ -742,8 +634,7 @@ def _encode_file_fragments(
     dbyte_ends = np.cumsum(blen_d, dtype=np.int64)
     if int(dbyte_ends[-1]) >= 2**31 - 1:
         raise ValueError(
-            "docterms file fragment stream exceeds 2 GB binary-offset "
-            "range"
+            "docterms run's doc stream exceeds 2 GB binary-offset range"
         )
     dbyte_ends = dbyte_ends.astype(np.int32)
     dbyte_starts = dbyte_ends - blen_d
@@ -758,7 +649,7 @@ def _encode_file_fragments(
     tbyte_ends = np.cumsum(blen_t, dtype=np.int64)
     if int(tbyte_ends[-1]) >= 2**31 - 1:
         raise ValueError(
-            "docterms file tf stream exceeds 2 GB binary-offset range"
+            "docterms run's tf stream exceeds 2 GB binary-offset range"
         )
     tbyte_ends = tbyte_ends.astype(np.int32)
     tbyte_starts = tbyte_ends - blen_t
@@ -778,7 +669,8 @@ def _encode_file_fragments(
     )
     if int(pos_row_off[n]) >= 2**31 - 1:
         raise ValueError(
-            "docterms file position stream exceeds 2 GB binary-offset range"
+            "docterms run's position stream exceeds 2 GB binary-offset "
+            "range"
         )
     frag_p_start = pos_row_off[run_starts].astype(np.int32)
     frag_p_end = pos_row_off[run_ends].astype(np.int32)
@@ -788,7 +680,6 @@ def _encode_file_fragments(
     tf64 = tf32.astype(np.int64)
     df32 = (run_ends - run_starts).astype(np.int32)
     cf = np.add.reduceat(tf64, run_starts)
-    max_wq = np.maximum.reduceat(wq, run_starts)
     first_doc = doc[run_starts].astype(np.int64)
 
     # skip blocks: skip_n-regular within the fragment (the reducer
@@ -801,7 +692,6 @@ def _encode_file_fragments(
     gbs = run_starts[block_frag] + skip_n * within
     gbe = np.minimum(gbs + skip_n, run_ends[block_frag])
     skip_last_v = doc[gbe - 1].astype(np.int64)
-    skip_max_wq_v = np.maximum.reduceat(wq, gbs)
     skip_off_v = (dbyte_starts[gbs] - frag_d_start[block_frag]).astype(
         np.int32)
     skip_tf_off_v = tbyte_starts[gbs] - frag_t_start[block_frag]
@@ -820,22 +710,18 @@ def _encode_file_fragments(
 
     term_strings = pa.array(uniq, type=pa.string()).take(
         pa.array(codes[run_starts]))
-    frag_gkeys = gk[run_starts]
-    tbl = pa.table(
+    return pa.table(
         {
-            "gkey": pa.array(frag_gkeys, type=pa.int64()),
+            "gkey": pa.array(gk[run_starts], type=pa.int64()),
             "term": term_strings,
             "df": pa.array(df32),
             "cf": pa.array(cf, type=pa.int64()),
-            "max_wq": pa.array(max_wq, type=pa.uint8()),
             "first_doc": pa.array(first_doc, type=pa.int64()),
             "blob": _bin(frag_d_start, int(frag_d_end[-1]), encoded_d),
             "tf_blob": _bin(frag_t_start, int(frag_t_end[-1]), encoded_t),
             "pos_blob": _bin(frag_p_start, int(frag_p_end[-1]), pos_data),
             "skip_last_doc": pa.ListArray.from_arrays(
                 list_off, pa.array(skip_last_v, type=pa.int64())),
-            "skip_max_wq": pa.ListArray.from_arrays(
-                list_off, pa.array(skip_max_wq_v, type=pa.uint8())),
             "skip_offset": pa.ListArray.from_arrays(
                 list_off, pa.array(skip_off_v)),
             "skip_tf_offset": pa.ListArray.from_arrays(
@@ -843,13 +729,13 @@ def _encode_file_fragments(
         },
         schema=_WIRE_SCHEMA,
     )
-    return tbl, frag_gkeys
 
 
 def _finalize_segment(
     tables: list,
     cfg: IndexBuildConfig,
     avgdl: float,
+    doc_length: np.ndarray,
     out_path: str,
     prof: dict,
 ):
@@ -874,11 +760,16 @@ def _finalize_segment(
       sub-``skip_block`` seam blocks coalesce up to ~skip_block postings
       (``skip_count`` records each block's true size — format v4);
     - each merged row's doc, tf and pos bytes go back to back into the
-      ``.bin``, and the parquet keeps their three lengths (format v6).
+      ``.bin``, and the parquet keeps their three lengths (format v6);
+    - the wdt bounds come from one VByte decode of the partition's doc
+      streams and one of its tf exceptions: each posting's doc id and tf,
+      its length from ``doc_length`` (the build's docweights array,
+      indexed by doc_id - doc_id_base) and ``avgdl`` give its quantized
+      wdt, whose maxima over each coalesced block and each merged row are
+      ``skip_max_wdt`` and ``max_wdt``.
 
-    No posting is decoded or re-encoded: the reduce side of the shuffle
-    moves ~index-sized bytes, which is what lets the exchange scale
-    past the one-bus copy roofline that pinned the row-wire design.
+    No posting is re-encoded: the reduce side of the shuffle moves
+    ~index-sized bytes.
     """
     from . import vbyte
 
@@ -918,7 +809,6 @@ def _finalize_segment(
 
     df64 = col("df").to_numpy().astype(np.int64)
     cf_f = col("cf").to_numpy()
-    maxwq_f = col("max_wq").to_numpy()
     blob_a = col("blob")
     tf_a = col("tf_blob")
     pos_a = col("pos_blob")
@@ -936,7 +826,6 @@ def _finalize_segment(
     last_col = col("skip_last_doc")
     nb = pa.compute.list_value_length(last_col).to_numpy().astype(np.int64)
     last_vals = last_col.flatten().to_numpy()
-    maxwq_vals = col("skip_max_wq").flatten().to_numpy()
     off_vals = col("skip_offset").flatten().to_numpy().astype(np.int64)
     tfoff_vals = col("skip_tf_offset").flatten().to_numpy().astype(np.int64)
     frag_last = last_vals[np.cumsum(nb) - 1]
@@ -988,7 +877,22 @@ def _finalize_segment(
 
     tf_off_all = _offsets(tf_a)
     pos_off_all = _offsets(pos_a)
-    doc_len = np.add.reduceat(out_frag_len, t_starts)
+    tf_data, pos_data = _data(tf_a), _data(pos_a)
+
+    # each posting's quantized wdt, in fragment order: a fragment's doc
+    # stream holds df values ``gap<<1 | (tf==1)``, its first gap absolute
+    vals = vbyte.decode(blob_data[blob_off[0]:blob_off[-1]],
+                        count=int(df64.sum())).astype(np.int64)
+    post_start = np.cumsum(df64) - df64
+    dsum = np.cumsum(vals >> 1)
+    docs = dsum - np.repeat(dsum[post_start] - (vals[post_start] >> 1), df64)
+    tfs = np.ones(vals.size, dtype=np.int64)
+    tf_exc = (vals & 1) == 0
+    tfs[tf_exc] = vbyte.decode(tf_data[tf_off_all[0]:tf_off_all[-1]],
+                               count=int(tf_exc.sum()))
+    wq = wdt_quantized(tfs, doc_length[docs - cfg.doc_id_base], avgdl)
+
+    doc_len =np.add.reduceat(out_frag_len, t_starts)
     tf_len = tf_off_all[t_ends] - tf_off_all[t_starts]
     pos_len = pos_off_all[t_ends] - pos_off_all[t_starts]
 
@@ -999,7 +903,6 @@ def _finalize_segment(
     nf_ends = np.cumsum(new_len)
     nf_starts = nf_ends - new_len
     nf_mv = memoryview(nf_buf)
-    tf_data, pos_data = _data(tf_a), _data(pos_a)
     sources = (
         [nf_mv[a:b] for a, b in zip(nf_starts.tolist(), nf_ends.tolist())]
         + [blob_data[a:b] for a, b in zip(
@@ -1040,7 +943,7 @@ def _finalize_segment(
     # blocks within a term until each group holds >= skip_n postings
     # (groups land in [skip_n, 2*skip_n) except a term's last) — byte
     # ranges stay contiguous because gaps are continuous after the
-    # first-value rewrite
+    # first-value rewrite.  ``exc`` is each block's first posting.
     csum = np.cumsum(counts)
     exc = csum - counts
     blocks_per_term = np.add.reduceat(nb, t_starts)
@@ -1055,7 +958,7 @@ def _finalize_segment(
     gends = np.append(gstarts[1:], tot_blocks)
     g_count = np.add.reduceat(counts, gstarts).astype(np.int32)
     g_last = last_vals[gends - 1].astype(np.int64)
-    g_maxwq = np.maximum.reduceat(maxwq_vals, gstarts)
+    g_maxwq = np.maximum.reduceat(wq, exc[gstarts])
     g_off = new_off_block[gstarts]
     g_tfoff = new_tfoff_block[gstarts]
     term_of_group = term_of_block[gstarts]
@@ -1076,8 +979,8 @@ def _finalize_segment(
             "cf": pa.array(np.add.reduceat(cf_f, t_starts),
                            type=pa.int64()),
             "max_wdt": pa.array(
-                np.maximum.reduceat(maxwq_f, t_starts).astype(np.float64)
-                / WDT_QUANT),
+                np.maximum.reduceat(wq, post_start[t_starts]).astype(
+                    np.float64) / WDT_QUANT),
             "doc_len": pa.array(doc_len.astype(np.int32)),
             "tf_len": pa.array(tf_len.astype(np.int32)),
             "pos_len": pa.array(pos_len.astype(np.int32)),
@@ -1120,6 +1023,7 @@ def _finalize_segment(
 def _reduce_runs(
     cfg: IndexBuildConfig,
     avgdl: float,
+    doc_length_path: str,
     out_path: str,
     *blob_lists: list[bytes],
 ):
@@ -1129,10 +1033,12 @@ def _reduce_runs(
 
     Each blob is one Arrow IPC stream of ``_WIRE_SCHEMA`` fragment rows;
     the read is zero-copy off the wire bytes, so unpack touches only IPC
-    headers, not fragment payloads."""
+    headers, not fragment payloads.  The wdt bounds read each posting's
+    doc length from the ``.npy`` at ``doc_length_path``, memory-mapped."""
     _pin_arrow_threads()
     t_task = time.perf_counter()
     prof = {"merge": 0.0, "write": 0.0, "bytes_in": 0}
+    doc_length = np.load(doc_length_path, mmap_mode="r")
     tables: list = []
     for blobs in blob_lists:
         for b in blobs:
@@ -1141,7 +1047,8 @@ def _reduce_runs(
             if tbl.num_rows:
                 tables.append(tbl)
     prof["unpack"] = time.perf_counter() - t_task
-    metrics = _finalize_segment(tables, cfg, avgdl, out_path, prof)
+    metrics = _finalize_segment(tables, cfg, avgdl, doc_length, out_path,
+                                prof)
     prof["wall"] = time.perf_counter() - t_task  # metrics["prof"] is prof
     return metrics
 
@@ -1166,8 +1073,9 @@ def build_segments_exchange(
     doc_length_path: str,
     num_reducers: int | None = None,
 ) -> tuple[list[dict], dict]:
-    """Run the postings exchange over the docterms files; the maps read
-    each posting's doc length from the ``.npy`` at ``doc_length_path``.
+    """Run the postings exchange over the docterms files; the reducers
+    read each posting's doc length from the ``.npy`` at
+    ``doc_length_path``.
 
     Returns ``(per_reducer_metrics, plan)`` where ``plan`` records the
     scheduling decisions (map/reducer counts, docterms bytes) and
@@ -1192,13 +1100,12 @@ def build_segments_exchange(
     # one extra return per map: its phase profile (read by the driver only)
     map_refs = [
         _map_runs.options(num_returns=num_reducers + 1).remote(
-            g, cfg, num_reducers, avgdl, doc_length_path
-        )
+            g, num_reducers)
         for g in groups
     ]
     reduce_refs = [
         _reduce_runs.remote(
-            cfg, avgdl,
+            cfg, avgdl, doc_length_path,
             os.path.join(segments_dir, f"segment_{r:05d}.parquet"),
             *[m[r] for m in map_refs],
         )
@@ -1402,11 +1309,11 @@ def build_index(
             batch_size=TOKENIZE_BATCH_SIZE,
         )
         _preserve_order(tokenized).map_batches(
-            # rebatch to DOCTERMS_BLOCK_ROWS docs, then explode + group
-            # each dense run by (bucket, term, doc) and write its file
-            # pair: the one unavoidable gather of the position payload
-            # runs HERE, in the embarrassingly-parallel stage, never in
-            # the exchange
+            # rebatch to DOCTERMS_BLOCK_ROWS docs, then group each dense
+            # run by (bucket, term, doc), encode its fragments and write
+            # its file pair: the gather of the position payload and the
+            # VByte encode run HERE, in the embarrassingly-parallel
+            # stage, never in the exchange
             _group_and_write,
             fn_args=(cfg, docterms_dir, docstats_dir),
             batch_format="pyarrow",
@@ -1436,8 +1343,8 @@ def build_index(
         )
 
     # per-doc stats (incl. zero-term docs) live in docstats/ and, dense,
-    # in docweights/; postings in docterms/ are exploded and pre-grouped
-    # for the exchange
+    # in docweights/; docterms/ holds the encoded fragments the exchange
+    # routes
 
     # ---- stage 2: postings exchange -> segments ----
     if not _stage_done(index_dir, "segments", fingerprint):

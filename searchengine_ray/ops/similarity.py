@@ -13,7 +13,6 @@ Both return (query_id, vec_id, score, rank) rows.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 
@@ -44,25 +43,20 @@ def vec_matrix(col, dim: int | None = None) -> np.ndarray:
         flat.astype(np.float64, copy=False).reshape(-1, d))
 
 
-#: stats of the most recent read_query_vectors on this driver: parquet
-#: row groups scanned vs total (lets tests assert predicate pushdown).
-LAST_QV_FETCH_STATS: dict = {}
-
-
 def read_query_vectors(
     path: str,
     qids: list[int],
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict]:
     """Driver-side fetch of ONLY the query rows, in ``qids`` order.
 
     The id predicate is pushed into the parquet scan
     (``pyarrow.dataset`` filter), so row groups whose [min, max] id
     statistics exclude every query id are skipped without being read —
     at real scale this is O(row groups containing the ids), not
-    O(table).  Row groups scanned vs total are recorded in
-    ``LAST_QV_FETCH_STATS``."""
+    O(table).  Returns ``(vectors, stats)``, ``stats`` holding the
+    parquet row groups scanned vs total."""
     import operator
     from functools import reduce
 
@@ -81,10 +75,6 @@ def read_query_vectors(
     n_scan = sum(
         len(f.split_by_row_group(filt, schema=dsrc.schema)) for f in frags
     )
-    LAST_QV_FETCH_STATS.clear()
-    LAST_QV_FETCH_STATS.update(
-        {"row_groups_total": n_total, "row_groups_scanned": n_scan}
-    )
     tbl = dsrc.to_table(columns=[id_col, vec_col], filter=filt)
     ids = tbl.column(id_col).to_numpy()
     take = []
@@ -95,7 +85,8 @@ def read_query_vectors(
                 f"read_query_vectors: {id_col}={q} not found in {path}"
             )
         take.append(int(hit[0]))
-    return vec_matrix(tbl.take(take).column(vec_col))
+    return (vec_matrix(tbl.take(take).column(vec_col)),
+            {"row_groups_total": n_total, "row_groups_scanned": n_scan})
 
 
 def _topk_merge(rows: list[dict], k: int) -> pa.Table:
@@ -518,20 +509,19 @@ def build_ivf_index(
     return meta
 
 
-#: stats of the most recent ivf_query on this driver: cells probed vs
-#: total, parquet files read vs total (lets tests assert pruning).
-LAST_IVF_QUERY_STATS: dict = {}
-
-
 def ivf_query(
     index_dir: str,
     queries: np.ndarray,
     query_ids: list[int] | None = None,
     k: int = 10,
     nprobe: int = 4,
-) -> pa.Table:
+) -> tuple[pa.Table, dict]:
     """Approximate top-k against a materialized IVF index: reads ONLY the
-    union of the queries' ``nprobe`` nearest cell partitions."""
+    union of the queries' ``nprobe`` nearest cell partitions, listed in
+    the index's build-time cell manifest (``meta.json``'s
+    ``cell_files``).  Returns ``(top-k table, stats)``, ``stats`` holding
+    the cells probed and the parquet files and bytes read, each vs
+    total."""
     centroids = np.load(os.path.join(index_dir, "centroids.npy"))
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
@@ -542,45 +532,28 @@ def ivf_query(
     cells = sorted({int(c) for row in probe for c in row})
     cells_root = os.path.join(index_dir, "cells")
     cell_files = meta.get("cell_files")
-    if cell_files is not None:
-        # manifest path (VERDICT r3 #9): open only manifest-listed files;
-        # no directory walk, stats straight from build-time metadata
-        read_files = [
-            os.path.join(cells_root, f["file"])
-            for c in cells
-            for f in cell_files.get(str(c), ())
-        ]
-        files_total = sum(len(v) for v in cell_files.values())
-        bytes_read = sum(
-            f["bytes"] for c in cells for f in cell_files.get(str(c), ()))
-        bytes_total = sum(
-            f["bytes"] for v in cell_files.values() for f in v)
-    else:
-        # legacy index without a manifest: fall back to the glob walk
-        paths = [
-            p for c in cells
-            if os.path.isdir(p := os.path.join(cells_root, f"cell={c}"))
-        ]
-        all_files = glob.glob(os.path.join(cells_root, "**", "*.parquet"),
-                              recursive=True)
-        read_files = [
-            f for p in paths
-            for f in glob.glob(os.path.join(p, "*.parquet"))
-        ]
-        files_total = len(all_files)
-        bytes_read = sum(os.path.getsize(f) for f in read_files)
-        bytes_total = sum(os.path.getsize(f) for f in all_files)
-    LAST_IVF_QUERY_STATS.clear()
-    LAST_IVF_QUERY_STATS.update(
-        {
-            "cells_probed": len(cells),
-            "cells_total": meta["n_clusters"],
-            "files_read": len(read_files),
-            "files_total": files_total,
-            "bytes_read": bytes_read,
-            "bytes_total": bytes_total,
-        }
-    )
+    if cell_files is None:
+        raise ValueError(
+            f"IVF index {index_dir} has no cell manifest (cell_files in "
+            "meta.json): an index of an older layout, rebuild it with "
+            "build_ivf_index")
+    # open only manifest-listed files: no directory walk, stats straight
+    # from build-time metadata
+    read_files = [
+        os.path.join(cells_root, f["file"])
+        for c in cells
+        for f in cell_files.get(str(c), ())
+    ]
+    stats = {
+        "cells_probed": len(cells),
+        "cells_total": meta["n_clusters"],
+        "files_read": len(read_files),
+        "files_total": sum(len(v) for v in cell_files.values()),
+        "bytes_read": sum(
+            f["bytes"] for c in cells for f in cell_files.get(str(c), ())),
+        "bytes_total": sum(
+            f["bytes"] for v in cell_files.values() for f in v),
+    }
     if not read_files:
         # every probed cell partition is missing/empty (tiny index or
         # pathological centroid fit): return an empty, correctly-typed
@@ -592,7 +565,7 @@ def ivf_query(
                 "score": pa.array([], type=pa.float64()),
                 "rank": pa.array([], type=pa.int64()),
             }
-        )
+        ), stats
     q_ref = ray.put(q)
     probe_ref = ray.put(probe)
     dim = meta["dim"]
@@ -641,7 +614,7 @@ def ivf_query(
     return tbl.set_column(
         0, "query_id",
         pa.array(qmap[tbl.column("query_id").to_numpy()], type=pa.int64()),
-    )
+    ), stats
 
 
 def knn_ivf(
@@ -669,4 +642,4 @@ def knn_ivf(
         build_ivf_index(ds, index_dir, n_clusters=n_clusters, vec_col=vec_col,
                         id_col=id_col, sample_size=sample_size, seed=seed)
     return ivf_query(index_dir, queries, query_ids=query_ids, k=k,
-                     nprobe=nprobe)
+                     nprobe=nprobe)[0]

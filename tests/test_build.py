@@ -160,6 +160,41 @@ class TestBuildArtifacts:
         assert all(b > a for a, b in zip(got, got[1:]))
         assert got == want
 
+    def test_wdt_bounds_match_postings(self, built_index):
+        """The reducer derives the wdt bounds from the fragments it
+        merges: every fragment's ``max_wdt`` is max(ceil(wdt * 115)) / 115
+        over its own postings, with each doc's length from docweights
+        and the corpus avgdl, and every ``skip_max_wdt`` entry is the
+        same maximum over its block (blocks cut by ``skip_count``)."""
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        index_dir, manifest = built_index
+        dps = manifest["docs_per_shard"]
+        r = DiskIndexReader(index_dir)
+        avgdl = manifest["total_tokens"] / manifest["num_docs"]
+        k1, b = 1.2, 0.75
+        n_frags = n_blocks = 0
+        for term in r.get_vocabulary():
+            pl = r.fetch_postings(term)
+            for fr in r.fragments(term):
+                sel = pl.doc_ids // dps == fr.shard
+                assert int(sel.sum()) == fr.df
+                tf = pl.tftds[sel].astype(np.float64)
+                dl = np.asarray(r.doc_length)[pl.doc_ids[sel]]
+                wdt = (k1 + 1.0) * tf / (
+                    k1 * ((1.0 - b) + b * (dl / avgdl)) + tf)
+                q = np.ceil(wdt * 115.0)
+                assert fr.max_wdt == q.max() / 115.0, term
+                skips = r.skip_lists(fr)
+                ends = np.cumsum(skips["skip_count"])
+                assert ends[-1] == fr.df
+                for blk, lo, hi in zip(skips["skip_max_wdt"],
+                                       ends - skips["skip_count"], ends):
+                    assert blk == q[lo:hi].max() / 115.0, term
+                n_frags += 1
+                n_blocks += len(ends)
+        assert n_blocks > n_frags > len(r.get_vocabulary())
+
     def test_segment_lineage_recorded(self, built_index):
         index_dir, manifest = built_index
         for seg in manifest["segments"]:
@@ -172,8 +207,7 @@ class TestBuildArtifacts:
         bytes the maps sent are exactly the bytes the reducers read."""
         _, manifest = built_index
         phases = manifest["exchange_plan"]["phases"]
-        assert {"read", "explode", "encode", "pack", "bytes_out",
-                "wall"} <= set(phases["map"])
+        assert set(phases["map"]) == {"read", "pack", "bytes_out", "wall"}
         assert {"unpack", "merge", "write", "bytes_in",
                 "wall"} <= set(phases["reduce"])
         for side in ("map", "reduce"):
@@ -296,25 +330,25 @@ class TestReducerCountParity:
         every one of 8 reducers gets the same number of (shard, bucket)
         keys."""
         from searchengine_ray.build import (IndexBuildConfig,
+                                            _encode_file_fragments,
                                             build_segments_exchange)
 
         dps, n_red = 4, 8
         cfg = IndexBuildConfig(num_buckets=num_buckets, docs_per_shard=dps)
         docterms = tmp_path / "docterms"
         docterms.mkdir()
-        # one term per bucket, in every doc of both shards, rows grouped
-        # by (bucket, term, doc) as the tokenize stage writes them
-        docs = list(range(2 * dps))
-        n = num_buckets * len(docs)
-        pq.write_table(pa.table({
-            "term": pa.array([f"t{b}" for b in range(num_buckets)
-                              for _ in docs]).dictionary_encode(),
-            "bucket": pa.array([b for b in range(num_buckets) for _ in docs],
-                               pa.int32()),
-            "doc_id": pa.array(docs * num_buckets, pa.int64()),
-            "tftd": pa.array([1] * n, pa.int32()),
-            "pos_blob": pa.array([b"\x01"] * n, pa.binary()),
-        }), str(docterms / "part0.parquet"))
+        # one term per bucket, in every doc of both shards, postings
+        # grouped by (bucket, term, doc) and encoded as the group task
+        # writes them
+        docs = np.arange(2 * dps)
+        n = num_buckets * docs.size
+        bucket = np.repeat(np.arange(num_buckets), docs.size)
+        doc = np.tile(docs, num_buckets)
+        pq.write_table(_encode_file_fragments(
+            cfg, (doc // dps) * num_buckets + bucket, bucket, doc,
+            np.ones(n, np.int32), pa.array([b"\x01"] * n, pa.binary()),
+            np.array([f"t{b}" for b in range(num_buckets)], dtype=object),
+        ), str(docterms / "part0.parquet"))
         dl_path = str(tmp_path / "doc_length.npy")
         np.save(dl_path, np.ones(len(docs), dtype=np.int64))
         seg_dir = tmp_path / "segments"
@@ -681,6 +715,115 @@ class TestDeterministicLayout:
             input_description="r")
         assert os.path.exists(marker)
         assert _tree_bytes(crashed) == _tree_bytes(clean)
+
+
+class TestExchangeFaults:
+    """The exchange over a committed docterms stage: a broken input on
+    either side fails the build before the segments commit, and the
+    re-run resumes from the docterms marker; a worker killed mid-exchange
+    is retried by Ray.  Either way the index ends byte-identical to a
+    clean build."""
+
+    CFG = dict(num_buckets=4, skip_block=8, docs_per_shard=128)
+
+    @pytest.fixture(scope="class")
+    def clean(self, ray_session, tmp_path_factory):
+        """A clean build with several docterms files (64-doc group
+        batches), so the exchange runs several maps."""
+        from searchengine_ray import build
+
+        d = str(tmp_path_factory.mktemp("faults") / "clean")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(build, "DOCTERMS_BLOCK_ROWS", 64)
+            m = build.build_index(TestDeterministicLayout._corpus(True), d,
+                                  build.IndexBuildConfig(**self.CFG),
+                                  input_description="faults")
+        assert m["exchange_plan"]["num_maps"] >= 2
+        return d
+
+    def _exchange_only(self, clean, d):
+        """A copy of ``clean`` whose exchange has not run: the docterms
+        stage is committed, the segments stage and manifest are not."""
+        import shutil
+
+        shutil.copytree(clean, d)
+        shutil.rmtree(os.path.join(d, "segments"))
+        for name in ("_STAGE_segments.json", "manifest.json"):
+            os.remove(os.path.join(d, name))
+
+    def _build(self, d):
+        from searchengine_ray.build import IndexBuildConfig, build_index
+
+        return build_index(TestDeterministicLayout._corpus(True), d,
+                           IndexBuildConfig(**self.CFG),
+                           input_description="faults")
+
+    @pytest.mark.parametrize("side", ["map", "reduce"])
+    def test_broken_input_raises_then_resumes(self, clean, tmp_path, side):
+        """map: one docterms file swapped for garbage bytes; reduce:
+        ``docweights/doc_length.npy``, which the reducers memory-map,
+        truncated by one entry."""
+        import ray
+
+        d = str(tmp_path / "idx")
+        self._exchange_only(clean, d)
+        if side == "map":
+            dt = os.path.join(d, "docterms")
+            names = sorted(os.listdir(dt))
+            path = os.path.join(dt, names[len(names) // 2])
+            broken, error = b"not a parquet file" * 64, "magic bytes"
+        else:
+            path = os.path.join(d, "docweights", "doc_length.npy")
+            with open(path, "rb") as f:
+                broken, error = f.read()[:-8], "mmap length"
+        with open(path, "rb") as f:
+            good = f.read()
+        with open(path, "wb") as f:
+            f.write(broken)
+        marker = os.path.join(d, "_STAGE_docterms.json")
+        marker_mtime = os.stat(marker).st_mtime_ns
+        with pytest.raises(ray.exceptions.RayTaskError, match=error):
+            self._build(d)
+        assert not os.path.exists(os.path.join(d, "_STAGE_segments.json"))
+        assert not os.path.exists(os.path.join(d, "manifest.json"))
+
+        with open(path, "wb") as f:
+            f.write(good)
+        self._build(d)
+        assert os.stat(marker).st_mtime_ns == marker_mtime  # resumed
+        assert _tree_bytes(d) == _tree_bytes(clean)
+
+    @pytest.mark.parametrize("side", ["map", "reduce"])
+    def test_worker_killed_mid_exchange_is_retried(self, clean, tmp_path,
+                                                   monkeypatch, side):
+        """A test-owned wrapper around one exchange side ``os._exit``s
+        its worker once: a map before it routes anything, a reducer
+        after it has written its segment.  Ray retries the task, and the
+        index is byte-identical to a clean build."""
+        import ray
+
+        from searchengine_ray import build
+
+        name = "_map_runs" if side == "map" else "_reduce_runs"
+        inner = getattr(build, name)._function
+        crashed = str(tmp_path / "crashed")
+
+        def crash_once(*args):
+            if side == "map" and not os.path.exists(crashed):
+                open(crashed, "w").close()
+                os._exit(1)
+            out = inner(*args)
+            if not os.path.exists(crashed):
+                open(crashed, "w").close()
+                os._exit(1)
+            return out
+
+        monkeypatch.setattr(build, name, ray.remote(crash_once))
+        d = str(tmp_path / "idx")
+        self._exchange_only(clean, d)
+        self._build(d)
+        assert os.path.exists(crashed)
+        assert _tree_bytes(d) == _tree_bytes(clean)
 
 
 class TestPreassignedIdValidation:

@@ -1,7 +1,7 @@
-"""Unit tests for the fragment-encoded postings exchange (wire v2 /
-segment format v6): the map-side ``_encode_file_fragments`` kernel and the
-reduce-side ``_finalize_segment`` merge, exercised directly on synthetic
-posting arrays — no Ray, no parquet corpus.
+"""Unit tests for the fragment-encoded postings exchange (docterms v9 /
+segment format v7): the group-side ``_encode_file_fragments`` kernel and
+the reduce-side ``_finalize_segment`` merge and wdt bounds, exercised
+directly on synthetic posting arrays — no Ray, no parquet corpus.
 
 Invariants under test (build.py ``_WIRE_SCHEMA`` / ``_finalize_segment``
 docstrings):
@@ -15,7 +15,9 @@ docstrings):
 - every skip block slice-decodes independently given the previous block's
   last doc, and ``skip_count`` sums to df;
 - seam blocks coalesce to >= skip_block postings (except a term's last);
-- df/cf/max_wdt and the per-block wdt maxima aggregate exactly.
+- df/cf/max_wdt and the per-block wdt maxima aggregate exactly; the
+  reducer derives the bounds from the fragments' own postings and the
+  doc lengths.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ def _gkey(shard: int, bucket: int, B: int) -> int:
 
 
 def _encode_file(cfg, rows):
-    """rows: list of (gkey, term, doc_id, tftd, dl, pos_payload bytes).
+    """rows: list of (gkey, term, doc_id, tftd, dl, pos_payload bytes);
+    the dl rides to the reducer through ``_doc_length``, not the file.
 
-    Replays _map_runs' prep: stable sort by (gkey, first-seen term code)
-    preserving ascending doc order inside each run.
+    Replays _group_run's prep: stable sort by (gkey, first-seen term
+    code) preserving ascending doc order inside each run.
     """
     code_of: dict = {}
     for _, term, *_ in rows:
@@ -59,19 +62,27 @@ def _encode_file(cfg, rows):
     codes = np.array([code_of[r[1]] for r in rows], dtype=np.int64)
     doc = np.array([r[2] for r in rows], dtype=np.int64)
     tf = np.array([r[3] for r in rows], dtype=np.int32)
-    dl = np.array([r[4] for r in rows], dtype=np.float64)
-    wq = wdt_quantized(tf, dl, AVGDL)
     pos = pa.array([r[5] for r in rows], type=pa.binary())
     uniq = np.array(list(code_of), dtype=object)
-    return _encode_file_fragments(cfg, gk, codes, doc, wq, tf, pos, uniq)
+    return _encode_file_fragments(cfg, gk, codes, doc, tf, pos, uniq)
 
 
-def _finalize(cfg, tables, tmp_path):
+def _doc_length(*files):
+    """The docweights ``doc_length`` array of the files' rows: each
+    doc's dl at its id, 0 for ids no row names."""
+    rows = [r for f in files for r in f]
+    dl = np.zeros(1 + max(r[2] for r in rows), dtype=np.int64)
+    for r in rows:
+        dl[r[2]] = r[4]
+    return dl
+
+
+def _finalize(cfg, tables, tmp_path, doc_length):
     """Run the reducer; returns its parquet with each row's three ``.bin``
     streams attached as ``blob`` / ``tf_blob`` / ``pos_blob`` columns."""
     out = os.path.join(str(tmp_path), "segment_test.parquet")
     prof = {"merge": 0.0, "write": 0.0, "bytes_in": 0}
-    meta = _finalize_segment(list(tables), cfg, AVGDL, out, prof)
+    meta = _finalize_segment(list(tables), cfg, AVGDL, doc_length, out, prof)
     seg = pq.read_table(out)
     with open(segment_bin_path(out), "rb") as f:
         data = f.read()
@@ -153,8 +164,8 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         _make_rows(1, range(40, 90), terms, cfg.num_buckets),
         _make_rows(2, range(90, 101), terms, cfg.num_buckets),
     ]
-    tables = [_encode_file(cfg, rows)[0] for rows in files]
-    seg, meta = _finalize(cfg, tables, tmp_path)
+    tables = [_encode_file(cfg, rows) for rows in files]
+    seg, meta = _finalize(cfg, tables, tmp_path, _doc_length(*files))
     exp = _expected(files)
 
     assert seg.num_rows == len(exp)
@@ -177,7 +188,7 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         assert row["pos_blob"] == e["pos"]
         wq = wdt_quantized(np.asarray(e["tfs"], np.int32),
                            np.asarray(e["dls"]), AVGDL)
-        assert row["max_wdt"] == pytest.approx(int(wq.max()) / WDT_QUANT)
+        assert row["max_wdt"] == int(wq.max()) / WDT_QUANT
 
         # ---- skip-block invariants ----
         counts = row["skip_count"]
@@ -199,8 +210,7 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
                     else len(row["tf_blob"]))
             btfs = _unfold_tfs(vals, row["tf_blob"][toffs[b]:tend])
             assert btfs == e["tfs"][p:p + cnt]
-            assert maxw[b] == pytest.approx(int(wq[p:p + cnt].max())
-                                            / WDT_QUANT)
+            assert maxw[b] == int(wq[p:p + cnt].max()) / WDT_QUANT
             base = bdocs[-1]
             p += cnt
         # coalescing bound: each merged block owns a distinct
@@ -221,8 +231,8 @@ def test_fragment_first_gap_rewrite_lengths(tmp_path):
     f1 = [(gk, "alpha", d, 1, 8.0, b"\x01") for d in (100000, 100001,
                                                       100002)]
     f2 = [(gk, "alpha", d, 2, 8.0, b"\x02") for d in (100003, 100005)]
-    tables = [_encode_file(cfg, f1)[0], _encode_file(cfg, f2)[0]]
-    seg, _ = _finalize(cfg, tables, tmp_path)
+    tables = [_encode_file(cfg, f1), _encode_file(cfg, f2)]
+    seg, _ = _finalize(cfg, tables, tmp_path, _doc_length(f1, f2))
     row = {c: seg.column(c)[0].as_py() for c in seg.column_names}
     assert row["df"] == 5
     docs = _decode_docs(row["blob"], 5)
@@ -249,7 +259,8 @@ def test_tf_wide_values_roundtrip(tmp_path):
     f1 = [(gk, "big", d, 100 + 40 * d, 9.0, b"x") for d in range(3)]
     f2 = [(gk, "big", d, 300, 9.0, b"x") for d in range(3, 5)]
     seg, _ = _finalize(
-        cfg, [_encode_file(cfg, f1)[0], _encode_file(cfg, f2)[0]], tmp_path)
+        cfg, [_encode_file(cfg, f1), _encode_file(cfg, f2)], tmp_path,
+        _doc_length(f1, f2))
     row = {c: seg.column(c)[0].as_py() for c in seg.column_names}
     tfs = _decode_tfs(row["blob"], row["tf_blob"], row["df"])
     assert tfs == [100, 140, 180, 300, 300]
@@ -280,8 +291,8 @@ def _tok_table(doc_ids, terms_per_doc):
 
 def test_group_postings_interleaved_blocks_stay_disjoint():
     """A batch holding several dense runs (a permuted pre-assigned id
-    column) is grouped run by run: every (bucket, term) run in a run's
-    postings has strictly ascending docs, and same-term runs cover
+    column) is grouped and encoded run by run: every fragment of a run
+    decodes to strictly ascending docs, and same-term fragments cover
     disjoint doc ranges — the invariant _finalize_segment's seam gap
     rewrite relies on."""
     from searchengine_ray.build import IndexBuildConfig, _group_postings_batch
@@ -296,18 +307,16 @@ def test_group_postings_interleaved_blocks_stay_disjoint():
         "000000000000_000000000003", "000000000008_000000000011",
         "000000000004_000000000007"]
     assert sum(st.num_rows for _, _, st in out) == len(docs)
-    assert sum(p.num_rows for _, p, _ in out) == sum(len(t) for t in terms)
+    assert sum(pa.compute.sum(f.column("df")).as_py()
+               for _, f, _ in out) == sum(len(t) for t in terms)
     ranges: dict[str, list[tuple[int, int]]] = {}
-    for _, postings, _ in out:
-        runs = []  # maximal stretches of one term
-        for t, d in zip(postings.column("term").to_pylist(),
-                        postings.column("doc_id").to_pylist()):
-            if runs and runs[-1][0] == t:
-                runs[-1][1].append(d)
-            else:
-                runs.append((t, [d]))
-        for t, ds in runs:
-            assert ds == sorted(ds), f"run of {t!r} not ascending: {ds}"
+    for _, frags, _ in out:
+        for t, df, blob, first in zip(
+                *(frags.column(c).to_pylist()
+                  for c in ("term", "df", "blob", "first_doc"))):
+            ds = _decode_docs(blob, df).tolist()
+            assert ds[0] == first
+            assert ds == sorted(set(ds)), f"{t!r} not ascending: {ds}"
             ranges.setdefault(t, []).append((min(ds), max(ds)))
     for t, rs in ranges.items():
         rs = sorted(rs)
@@ -330,8 +339,8 @@ def test_finalize_rejects_overlapping_fragments(tmp_path):
     with pytest.raises(ValueError, match="overlapping doc ranges"):
         _finalize(
             cfg,
-            [_encode_file(cfg, f1)[0], _encode_file(cfg, f2)[0]],
-            tmp_path)
+            [_encode_file(cfg, f1), _encode_file(cfg, f2)],
+            tmp_path, _doc_length(f1, f2))
 
 
 def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
@@ -350,7 +359,7 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
         + [(gk, "alpha", d, 1 + d % 3, 8.0, bytes([d]))
            for d in range(4, 8)]
     )
-    tbl, _ = _encode_file(cfg, rows)
+    tbl = _encode_file(cfg, rows)
     # the same-(gkey, term) abutting runs stay separate fragments
     assert tbl.num_rows == 2
     assert tbl.column("first_doc").to_pylist() == [8, 4]
@@ -360,7 +369,7 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
         assert frag_docs.tolist() == sorted(frag_docs.tolist())
         assert int(frag_docs.max()) < 1 << 32  # no unsigned wrap
 
-    seg, _ = _finalize(cfg, [tbl], tmp_path)
+    seg, _ = _finalize(cfg, [tbl], tmp_path, _doc_length(rows))
     assert seg.num_rows == 1
     df = seg.column("df")[0].as_py()
     assert df == 8
@@ -430,7 +439,7 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
         return rows
 
     files = [postings_of(seg) for seg in segments]
-    tables = [_encode_file(cfg, rows)[0] for rows in files if rows]
+    tables = [_encode_file(cfg, rows) for rows in files if rows]
 
     # expectation: per (gkey, term), triples sorted by doc id
     exp: dict = {}
@@ -441,7 +450,7 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
         exp[key].sort()
 
     with tempfile.TemporaryDirectory() as td:
-        seg_tbl, meta = _finalize(cfg, tables, td)
+        seg_tbl, meta = _finalize(cfg, tables, td, _doc_length(*files))
     assert seg_tbl.num_rows == len(exp)
     for i in range(seg_tbl.num_rows):
         row = {c: seg_tbl.column(c)[i].as_py()
@@ -473,9 +482,9 @@ def test_hole_straddling_segments_end_to_end(tmp_path):
     """End-to-end over the PRODUCTION files: a batch holding the dense
     runs [0], [2..3], [1] — the first two ASCEND across their seam while
     straddling the hole that run [1] owns.  The group task writes one
-    docterms file per run, so no fragment spans the hole; encoding each
-    file and merging reproduces the exact postings."""
-    from searchengine_ray.build import _explode_arrays, _group_and_write
+    docterms file of encoded fragments per run, so no fragment spans the
+    hole; merging the files' fragments reproduces the exact postings."""
+    from searchengine_ray.build import _WIRE_SCHEMA, _group_and_write
 
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     docs = [0, 2, 3, 1]
@@ -489,19 +498,12 @@ def test_hole_straddling_segments_end_to_end(tmp_path):
                      for lo, hi in ((0, 0), (1, 1), (2, 3))]
 
     doc_length = np.full(len(docs), 2, dtype=np.int64)
-    frags = []
-    for name in names:
-        tbl = pq.read_table(str(dt / name), read_dictionary=["term"])
-        arrs = _explode_arrays(cfg, tbl, doc_length)
-        wq = wdt_quantized(arrs["tftds"], arrs["dls"].astype(np.float64),
-                           AVGDL)
-        frags.append(_encode_file_fragments(
-            cfg, arrs["gkey"], arrs["codes"], arrs["doc_ids"], wq,
-            arrs["tftds"], arrs["pos_blob"], arrs["uniq"])[0])
+    frags = [pq.read_table(str(dt / name)) for name in names]
+    assert all(f.schema == _WIRE_SCHEMA for f in frags)
     # 3 dense runs x 2 terms -> one fragment each, ranges disjoint
     assert sum(f.num_rows for f in frags) == 6
 
-    seg_tbl, _ = _finalize(cfg, frags, tmp_path)
+    seg_tbl, _ = _finalize(cfg, frags, tmp_path, doc_length)
     assert seg_tbl.num_rows == 2
     for i in range(seg_tbl.num_rows):
         row = {c: seg_tbl.column(c)[i].as_py()
@@ -518,10 +520,10 @@ def test_equal_doc_id_runs_also_split(tmp_path):
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     gk = _gkey(0, 1, 2)
     rows = [(gk, "t", 7, 1, 5.0, b"a"), (gk, "t", 7, 2, 5.0, b"b")]
-    tbl, _ = _encode_file(cfg, rows)
+    tbl = _encode_file(cfg, rows)
     assert tbl.num_rows == 2  # split, not one fragment with gap 0
     with pytest.raises(ValueError, match="overlapping doc ranges"):
-        _finalize(cfg, [tbl], tmp_path)
+        _finalize(cfg, [tbl], tmp_path, _doc_length(rows))
 
 
 def _assert_blocks_decode(row, docs, tfs):
@@ -545,12 +547,10 @@ def _one_term(cfg, files, tmp_path):
     """Encode each file's (doc, tf) list as one fragment of term "t",
     reduce, and return the segment row with its streams."""
     gk = _gkey(0, 1, cfg.num_buckets)
-    tables = [
-        _encode_file(cfg, [(gk, "t", d, tf, 8.0, bytes([1 + d % 200]))
-                           for d, tf in rows])[0]
-        for rows in files
-    ]
-    seg, _ = _finalize(cfg, tables, tmp_path)
+    files = [[(gk, "t", d, tf, 8, bytes([1 + d % 200])) for d, tf in rows]
+             for rows in files]
+    tables = [_encode_file(cfg, rows) for rows in files]
+    seg, _ = _finalize(cfg, tables, tmp_path, _doc_length(*files))
     assert seg.num_rows == 1
     return {c: seg.column(c)[0].as_py() for c in seg.column_names}
 

@@ -291,11 +291,12 @@ def _copy_with_format(src: str, dst: str, key: str, fmt) -> None:
         json.dump(m, f)
 
 
-@pytest.mark.parametrize("fmt", [None, 6])
+@pytest.mark.parametrize("fmt", [None, 6, 8])
 def test_merge_refuses_other_docterms_format(merged_setup, tmp_path, fmt):
-    """A generation whose docstats layout differs (an older docterms
-    format: none recorded, or v6 with hex digests) must not merge beside
-    this build's, or the merged docstats would mix two sha256 types."""
+    """A generation of an older docterms format (none recorded, v6 with
+    hex digests, or v8 with posting-row docterms) must not merge beside
+    this build's: the merge refuses any other recorded format, so the
+    merged docstats never mix two layouts."""
     _, out_dir, b_dir, _ = merged_setup
     with open(os.path.join(out_dir, "manifest.json")) as f:
         a_dir = json.load(f)["merged_from"][0]["dir"]

@@ -117,16 +117,15 @@ class TestIVF:
     def test_materialized_index_prunes_reads(self, emb, tmp_path):
         """VERDICT r1 #4 'done' criterion: the query path must read less
         than the full dataset (file/byte assertion on the cell layout)."""
-        from searchengine_ray.ops import similarity
         from searchengine_ray.ops.similarity import build_ivf_index, ivf_query
 
         ds, vecs = emb
         index_dir = str(tmp_path / "ivf")
         meta = build_ivf_index(ds, index_dir, n_clusters=8)
         assert meta["n_clusters"] == 8
-        out = ivf_query(index_dir, vecs[[5]], query_ids=[5], k=10, nprobe=2)
+        out, stats = ivf_query(index_dir, vecs[[5]], query_ids=[5], k=10,
+                               nprobe=2)
         assert len(out) == 10
-        stats = similarity.LAST_IVF_QUERY_STATS
         assert stats["cells_probed"] == 2
         assert stats["files_read"] < stats["files_total"]
         assert 0 < stats["bytes_read"] < stats["bytes_total"]
@@ -143,6 +142,22 @@ class TestIVF:
                     index_dir=index_dir).to_pylist()
         assert a == b
         assert a[0]["vec_id"] == 1
+
+    def test_index_without_cell_manifest_refused(self, tmp_path):
+        """An IVF index whose meta.json lists no ``cell_files`` (an
+        older layout) is refused with "rebuild", not read by walking
+        its cell directories."""
+        import json
+
+        from searchengine_ray.ops.similarity import ivf_query
+
+        index_dir = tmp_path / "ivf_old"
+        index_dir.mkdir()
+        np.save(str(index_dir / "centroids.npy"), np.eye(2))
+        (index_dir / "meta.json").write_text(json.dumps(
+            {"n_clusters": 2, "dim": 2, "id_col": "vec_id"}))
+        with pytest.raises(ValueError, match="no cell manifest.*rebuild"):
+            ivf_query(str(index_dir), np.eye(2)[[0]], k=1, nprobe=1)
 
 
 class TestKMeansParallelInit:
@@ -208,7 +223,6 @@ class TestQueryVectorFetch:
     def test_row_group_pruning_and_values(self, tmp_path):
         import pyarrow.parquet as pq
 
-        from searchengine_ray.ops import similarity
         from searchengine_ray.ops.similarity import read_query_vectors
 
         rng = np.random.default_rng(7)
@@ -225,15 +239,14 @@ class TestQueryVectorFetch:
         path = str(tmp_path / "emb.parquet")
         pq.write_table(tbl, path, row_group_size=100)  # 20 row groups
 
-        got = read_query_vectors(path, [0, 1, 2])
-        stats = dict(similarity.LAST_QV_FETCH_STATS)
+        got, stats = read_query_vectors(path, [0, 1, 2])
         assert stats["row_groups_total"] == 20
         assert stats["row_groups_scanned"] == 1  # ids 0-2 live in group 0
         assert np.allclose(got, vecs[:3].astype(np.float64))
 
         # qids order is preserved even when not ascending
-        got2 = read_query_vectors(path, [1500, 3])
-        assert similarity.LAST_QV_FETCH_STATS["row_groups_scanned"] == 2
+        got2, stats2 = read_query_vectors(path, [1500, 3])
+        assert stats2["row_groups_scanned"] == 2
         assert np.allclose(got2[0], vecs[1500].astype(np.float64))
         assert np.allclose(got2[1], vecs[3].astype(np.float64))
 

@@ -347,20 +347,30 @@ class TestSegmentBin:
     def test_postings_equal_docterms_every_term(self, built_index):
         """Content parity of the exchange: for every term, the postings
         the reader decodes (doc ids, tf, positions) are exactly the
-        docterms rows the exchange consumed."""
+        postings of the docterms fragments the exchange consumed, each
+        fragment decoded here on its own (first doc id absolute, tf==1
+        folded into the doc stream, per-posting position gaps)."""
         import pyarrow.parquet as pq
 
         from searchengine_ray import vbyte
         from searchengine_ray.query.reader import DiskIndexReader
 
         index_dir, _ = built_index
-        tbl = pq.read_table(os.path.join(index_dir, "docterms"),
-                            columns=["term", "doc_id", "tftd", "pos_blob"])
+        tbl = pq.read_table(
+            os.path.join(index_dir, "docterms"),
+            columns=["term", "df", "blob", "tf_blob", "pos_blob"])
         want: dict = {}
-        for t, d, tf, blob in zip(*(tbl.column(c).to_pylist()
-                                    for c in tbl.column_names)):
-            pos = np.cumsum(vbyte.decode(blob, count=tf).astype(np.int64))
-            want.setdefault(t, []).append((d, tf, pos.tolist()))
+        for t, df, blob, tf_blob, pos_blob in zip(
+                *(tbl.column(c).to_pylist() for c in tbl.column_names)):
+            vals = vbyte.decode(blob, count=df).astype(np.int64)
+            tfs = np.ones(df, dtype=np.int64)
+            exc = (vals & 1) == 0
+            tfs[exc] = vbyte.decode(tf_blob, count=int(exc.sum()))
+            gaps = vbyte.decode(pos_blob, count=int(tfs.sum()))
+            for d, tf, g in zip(np.cumsum(vals >> 1).tolist(), tfs.tolist(),
+                                np.split(gaps.astype(np.int64),
+                                         np.cumsum(tfs)[:-1])):
+                want.setdefault(t, []).append((d, tf, np.cumsum(g).tolist()))
         r = DiskIndexReader(index_dir)
         assert r.get_vocabulary() == sorted(want)
         for term, rows in want.items():
