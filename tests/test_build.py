@@ -114,12 +114,13 @@ class TestBuildArtifacts:
         assert manifest["total_tokens"] == oracle.total_tokens
 
     def test_manifest_exchange_plan(self, built_index):
-        """The segments stage records its scheduling decisions (map /
-        reducer counts, docterms bytes) so scaling-run cohorts can be
-        audited post hoc."""
+        """The segments stage records its scheduling decisions (reducer
+        count, docterms bytes) so scaling-run cohorts can be audited post
+        hoc.  There is no map side: the reducers read the docterms."""
         _, manifest = built_index
         plan = manifest["exchange_plan"]
-        assert plan["num_maps"] >= 1
+        assert set(plan) == {"num_reducers", "docterms_bytes",
+                             "cluster_cpus", "phases"}
         assert plan["num_reducers"] >= 1
         assert plan["docterms_bytes"] > 0
 
@@ -203,36 +204,41 @@ class TestBuildArtifacts:
 
     def test_manifest_exchange_phases(self, built_index):
         """The manifest carries the exchange's per-phase split: totals
-        plus max/mean task skew for each map and reduce phase, and the
-        bytes the maps sent are exactly the bytes the reducers read."""
-        _, manifest = built_index
+        plus max/mean task skew for each reduce phase, and the bytes the
+        reducers read are exactly the compressed bytes of all docterms
+        row groups, so every row group is read once."""
+        index_dir, manifest = built_index
         phases = manifest["exchange_plan"]["phases"]
-        assert set(phases["map"]) == {"read", "pack", "bytes_out", "wall"}
-        assert {"unpack", "merge", "write", "bytes_in",
-                "wall"} <= set(phases["reduce"])
-        for side in ("map", "reduce"):
-            for name, st in phases[side].items():
-                assert st["max"] >= st["mean"] >= 0, (side, name, st)
-                assert st["total"] >= st["max"], (side, name, st)
-        assert phases["map"]["bytes_out"]["total"] > 0
-        assert (phases["map"]["bytes_out"]["total"]
-                == phases["reduce"]["bytes_in"]["total"])
+        assert set(phases) == {"reduce"}
+        assert set(phases["reduce"]) == {"read", "merge", "write",
+                                         "bytes_in", "wall"}
+        for name, st in phases["reduce"].items():
+            assert st["max"] >= st["mean"] >= 0, (name, st)
+            assert st["total"] >= st["max"], (name, st)
+        dt = os.path.join(index_dir, "docterms")
+        row_group_bytes = 0
+        for name in os.listdir(dt):
+            md = pq.read_metadata(os.path.join(dt, name))
+            for i in range(md.num_row_groups):
+                rg = md.row_group(i)
+                row_group_bytes += sum(rg.column(c).total_compressed_size
+                                       for c in range(rg.num_columns))
+        assert row_group_bytes > 0
+        assert phases["reduce"]["bytes_in"]["total"] == row_group_bytes
 
     def test_exchange_time_phases_do_not_overlap(self, built_index):
-        """Each side's time phases are disjoint slices of its tasks'
+        """The reducers' time phases are disjoint slices of their tasks'
         wall time, so their totals sum to at most the ``wall`` total —
         a phase that re-counts its own sub-phases breaks this."""
         _, manifest = built_index
-        phases = manifest["exchange_plan"]["phases"]
-        for side, bytes_key in (("map", "bytes_out"),
-                                ("reduce", "bytes_in")):
-            timed = {k: v["total"] for k, v in phases[side].items()
-                     if k not in ("wall", bytes_key)}
-            # each total is rounded to 1 µs
-            slack = 1e-6 * (len(timed) + 1)
-            assert (sum(timed.values())
-                    <= phases[side]["wall"]["total"] + slack), (
-                side, timed, phases[side]["wall"])
+        reduce = manifest["exchange_plan"]["phases"]["reduce"]
+        timed = {k: v["total"] for k, v in reduce.items()
+                 if k not in ("wall", "bytes_in")}
+        assert set(timed) == {"read", "merge", "write"}
+        # each total is rounded to 1 µs
+        slack = 1e-6 * (len(timed) + 1)
+        assert sum(timed.values()) <= reduce["wall"]["total"] + slack, (
+            timed, reduce["wall"])
 
 
 def _segment_table(path: str) -> pa.Table:
@@ -321,6 +327,31 @@ class TestReducerCountParity:
             index_dir)
 
 
+    @staticmethod
+    def _one_term_per_bucket(tmp_path, num_buckets, dps, write):
+        """A docterms dir holding one file, written by ``write``: one
+        term per bucket, in every doc of two shards, postings grouped by
+        (gkey, term, doc) and encoded as the group task encodes them;
+        plus the doc_length array.  Returns (docterms dir, .npy path)."""
+        from searchengine_ray.build import _encode_file_fragments
+
+        docterms = tmp_path / "docterms"
+        docterms.mkdir()
+        docs = np.arange(2 * dps)
+        n = num_buckets * docs.size
+        bucket = np.repeat(np.arange(num_buckets), docs.size)
+        doc = np.tile(docs, num_buckets)
+        gk = (doc // dps) * num_buckets + bucket
+        order = np.argsort(gk, kind="stable")
+        write(_encode_file_fragments(
+            gk[order], bucket[order], doc[order], np.ones(n, np.int32),
+            pa.array([b"\x01"] * n, pa.binary()),
+            np.array([f"t{b}" for b in range(num_buckets)], dtype=object),
+        ), str(docterms / "part0.parquet"))
+        dl_path = str(tmp_path / "doc_length.npy")
+        np.save(dl_path, np.ones(len(docs), dtype=np.int64))
+        return str(docterms), dl_path
+
     @pytest.mark.parametrize("num_buckets", [8, 16, 32])
     def test_reducers_get_equal_key_counts(
         self, ray_session, tmp_path, num_buckets,
@@ -328,31 +359,19 @@ class TestReducerCountParity:
         """The exchange key is ``shard * num_buckets + bucket``, a dense
         range, and it routes by ``gkey % num_reducers``: over 2 shards
         every one of 8 reducers gets the same number of (shard, bucket)
-        keys."""
+        keys, read from the file's one row group per gkey."""
         from searchengine_ray.build import (IndexBuildConfig,
-                                            _encode_file_fragments,
+                                            _write_docterms,
                                             build_segments_exchange)
 
         dps, n_red = 4, 8
         cfg = IndexBuildConfig(num_buckets=num_buckets, docs_per_shard=dps)
-        docterms = tmp_path / "docterms"
-        docterms.mkdir()
-        # one term per bucket, in every doc of both shards, postings
-        # grouped by (bucket, term, doc) and encoded as the group task
-        # writes them
-        docs = np.arange(2 * dps)
-        n = num_buckets * docs.size
-        bucket = np.repeat(np.arange(num_buckets), docs.size)
-        doc = np.tile(docs, num_buckets)
-        pq.write_table(_encode_file_fragments(
-            cfg, (doc // dps) * num_buckets + bucket, bucket, doc,
-            np.ones(n, np.int32), pa.array([b"\x01"] * n, pa.binary()),
-            np.array([f"t{b}" for b in range(num_buckets)], dtype=object),
-        ), str(docterms / "part0.parquet"))
-        dl_path = str(tmp_path / "doc_length.npy")
-        np.save(dl_path, np.ones(len(docs), dtype=np.int64))
+        docterms, dl_path = self._one_term_per_bucket(
+            tmp_path, num_buckets, dps, _write_docterms)
+        md = pq.read_metadata(os.path.join(docterms, "part0.parquet"))
+        assert md.num_row_groups == 2 * num_buckets
         seg_dir = tmp_path / "segments"
-        build_segments_exchange(str(docterms), str(seg_dir), cfg, 1.0,
+        build_segments_exchange(docterms, str(seg_dir), cfg, 1.0,
                                 dl_path, num_reducers=n_red)
         keys = []
         for r in range(n_red):
@@ -364,6 +383,33 @@ class TestReducerCountParity:
         assert [len(k) for k in keys] == [2 * num_buckets // n_red] * n_red
         assert set().union(*keys) == {(s, b) for s in range(2)
                                       for b in range(num_buckets)}
+
+    @pytest.mark.parametrize("stats", [True, False],
+                             ids=["two_gkeys", "no_statistics"])
+    def test_reducer_refuses_unrouted_row_groups(self, ray_session, tmp_path,
+                                                 stats):
+        """A docterms row group that does not name one gkey in its
+        statistics — several gkeys in one row group, or no statistics —
+        cannot be routed: every reducer refuses it, and no segment is
+        written."""
+        import ray
+
+        from searchengine_ray.build import (IndexBuildConfig,
+                                            build_segments_exchange)
+
+        docterms, dl_path = self._one_term_per_bucket(
+            tmp_path, 8, 4, lambda t, p: pq.write_table(
+                t, p, write_statistics=stats))
+        md = pq.read_metadata(os.path.join(docterms, "part0.parquet"))
+        assert md.num_row_groups == 1
+        seg_dir = tmp_path / "segments"
+        with pytest.raises(ray.exceptions.RayTaskError,
+                           match="rebuild the docterms stage"):
+            build_segments_exchange(
+                docterms, str(seg_dir),
+                IndexBuildConfig(num_buckets=8, docs_per_shard=4), 1.0,
+                dl_path, num_reducers=4)
+        assert not os.listdir(seg_dir)
 
 
 class TestResume:
@@ -685,6 +731,37 @@ class TestDeterministicLayout:
         assert sum(n.startswith("docstats/") for n in names) >= 5
         assert trees[0] == trees[1]
 
+    def test_segments_independent_of_block_rows(self, ray_session, tmp_path,
+                                                monkeypatch):
+        """The group batch size cuts posting lists into fragments at other
+        doc ids, but the reducers cut skip blocks from each merged list's
+        postings, so 64-doc batches (several docterms and docstats files)
+        and the default (one file each) leave the same segment bytes."""
+        from searchengine_ray import build
+        from searchengine_ray.build import IndexBuildConfig, build_index
+
+        cfg = IndexBuildConfig(num_buckets=4, skip_block=8,
+                               docs_per_shard=128)
+        trees, plans = [], []
+        for rows in (64, build.DOCTERMS_BLOCK_ROWS):
+            monkeypatch.setattr(build, "DOCTERMS_BLOCK_ROWS", rows)
+            d = str(tmp_path / f"idx{rows}")
+            m = build_index(self._corpus(False), d, cfg,
+                            input_description="rows")
+            trees.append(_tree_bytes(d))
+            plans.append(m["exchange_plan"]["num_reducers"])
+        assert plans[0] == plans[1]
+
+        def names(tree, sub):
+            return sorted(n for n in tree if n.startswith(sub + "/"))
+
+        assert len(names(trees[0], "docstats")) >= 5
+        assert names(trees[1], "docstats") == [
+            "docstats/docstats_000000000000_000000000299.parquet"]
+        assert names(trees[0], "segments") == names(trees[1], "segments")
+        for n in names(trees[0], "segments"):
+            assert trees[0][n] == trees[1][n], n
+
     def test_worker_crash_retry_byte_identical(self, ray_session, tmp_path,
                                                monkeypatch):
         """A worker that dies once in the input pipeline (a test-owned
@@ -718,10 +795,10 @@ class TestDeterministicLayout:
 
 
 class TestExchangeFaults:
-    """The exchange over a committed docterms stage: a broken input on
-    either side fails the build before the segments commit, and the
-    re-run resumes from the docterms marker; a worker killed mid-exchange
-    is retried by Ray.  Either way the index ends byte-identical to a
+    """The exchange over a committed docterms stage: a broken docterms
+    file or docweights array fails the build before the segments commit,
+    and the re-run resumes from the docterms marker; a reducer killed
+    mid-exchange is retried by Ray.  Either way the index ends byte-identical to a
     clean build."""
 
     CFG = dict(num_buckets=4, skip_block=8, docs_per_shard=128)
@@ -729,7 +806,7 @@ class TestExchangeFaults:
     @pytest.fixture(scope="class")
     def clean(self, ray_session, tmp_path_factory):
         """A clean build with several docterms files (64-doc group
-        batches), so the exchange runs several maps."""
+        batches), so every reducer reads several files."""
         from searchengine_ray import build
 
         d = str(tmp_path_factory.mktemp("faults") / "clean")
@@ -738,7 +815,7 @@ class TestExchangeFaults:
             m = build.build_index(TestDeterministicLayout._corpus(True), d,
                                   build.IndexBuildConfig(**self.CFG),
                                   input_description="faults")
-        assert m["exchange_plan"]["num_maps"] >= 2
+        assert len(os.listdir(os.path.join(d, "docterms"))) >= 2
         return d
 
     def _exchange_only(self, clean, d):
@@ -758,16 +835,16 @@ class TestExchangeFaults:
                            IndexBuildConfig(**self.CFG),
                            input_description="faults")
 
-    @pytest.mark.parametrize("side", ["map", "reduce"])
+    @pytest.mark.parametrize("side", ["docterms", "reduce"])
     def test_broken_input_raises_then_resumes(self, clean, tmp_path, side):
-        """map: one docterms file swapped for garbage bytes; reduce:
-        ``docweights/doc_length.npy``, which the reducers memory-map,
-        truncated by one entry."""
+        """docterms: one docterms file, whose footer every reducer reads,
+        swapped for garbage bytes; reduce: ``docweights/doc_length.npy``,
+        which the reducers memory-map, truncated by one entry."""
         import ray
 
         d = str(tmp_path / "idx")
         self._exchange_only(clean, d)
-        if side == "map":
+        if side == "docterms":
             dt = os.path.join(d, "docterms")
             names = sorted(os.listdir(dt))
             path = os.path.join(dt, names[len(names) // 2])
@@ -793,32 +870,26 @@ class TestExchangeFaults:
         assert os.stat(marker).st_mtime_ns == marker_mtime  # resumed
         assert _tree_bytes(d) == _tree_bytes(clean)
 
-    @pytest.mark.parametrize("side", ["map", "reduce"])
     def test_worker_killed_mid_exchange_is_retried(self, clean, tmp_path,
-                                                   monkeypatch, side):
-        """A test-owned wrapper around one exchange side ``os._exit``s
-        its worker once: a map before it routes anything, a reducer
-        after it has written its segment.  Ray retries the task, and the
-        index is byte-identical to a clean build."""
+                                                   monkeypatch):
+        """A test-owned wrapper around the reducer ``os._exit``s its
+        worker once, after it has written its segment.  Ray retries the
+        task, and the index is byte-identical to a clean build."""
         import ray
 
         from searchengine_ray import build
 
-        name = "_map_runs" if side == "map" else "_reduce_runs"
-        inner = getattr(build, name)._function
+        inner = build._reduce_runs._function
         crashed = str(tmp_path / "crashed")
 
         def crash_once(*args):
-            if side == "map" and not os.path.exists(crashed):
-                open(crashed, "w").close()
-                os._exit(1)
             out = inner(*args)
             if not os.path.exists(crashed):
                 open(crashed, "w").close()
                 os._exit(1)
             return out
 
-        monkeypatch.setattr(build, name, ray.remote(crash_once))
+        monkeypatch.setattr(build, "_reduce_runs", ray.remote(crash_once))
         d = str(tmp_path / "idx")
         self._exchange_only(clean, d)
         self._build(d)

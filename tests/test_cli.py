@@ -102,7 +102,7 @@ def test_stats_subcommand(cli_env, capsys):
         os.path.getsize(os.path.join(dt_dir, f))
         for f in os.listdir(dt_dir) if f.endswith(".parquet"))
     assert st["docterms_bytes"] > 0
-    assert set(st["exchange_phases"]) == {"map", "reduce"}
+    assert set(st["exchange_phases"]) == {"reduce"}
     for side in st["exchange_phases"].values():
         for phase in side.values():
             assert set(phase) == {"total", "max", "mean"}

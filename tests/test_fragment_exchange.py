@@ -1,4 +1,4 @@
-"""Unit tests for the fragment-encoded postings exchange (docterms v9 /
+"""Unit tests for the fragment-encoded postings exchange (docterms v10 /
 segment format v7): the group-side ``_encode_file_fragments`` kernel and
 the reduce-side ``_finalize_segment`` merge and wdt bounds, exercised
 directly on synthetic posting arrays — no Ray, no parquet corpus.
@@ -14,7 +14,8 @@ docstrings):
   segment's ``.bin`` at the lengths its parquet row records;
 - every skip block slice-decodes independently given the previous block's
   last doc, and ``skip_count`` sums to df;
-- seam blocks coalesce to >= skip_block postings (except a term's last);
+- skip blocks are regular, ``skip_block`` postings each from the list's
+  first (the last may be shorter), wherever the fragment seams fall;
 - df/cf/max_wdt and the per-block wdt maxima aggregate exactly; the
   reducer derives the bounds from the fragments' own postings and the
   doc lengths.
@@ -47,7 +48,7 @@ def _gkey(shard: int, bucket: int, B: int) -> int:
     return shard * B + bucket
 
 
-def _encode_file(cfg, rows):
+def _encode_file(rows):
     """rows: list of (gkey, term, doc_id, tftd, dl, pos_payload bytes);
     the dl rides to the reducer through ``_doc_length``, not the file.
 
@@ -64,7 +65,7 @@ def _encode_file(cfg, rows):
     tf = np.array([r[3] for r in rows], dtype=np.int32)
     pos = pa.array([r[5] for r in rows], type=pa.binary())
     uniq = np.array(list(code_of), dtype=object)
-    return _encode_file_fragments(cfg, gk, codes, doc, tf, pos, uniq)
+    return _encode_file_fragments(gk, codes, doc, tf, pos, uniq)
 
 
 def _doc_length(*files):
@@ -164,7 +165,7 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         _make_rows(1, range(40, 90), terms, cfg.num_buckets),
         _make_rows(2, range(90, 101), terms, cfg.num_buckets),
     ]
-    tables = [_encode_file(cfg, rows) for rows in files]
+    tables = [_encode_file(rows) for rows in files]
     seg, meta = _finalize(cfg, tables, tmp_path, _doc_length(*files))
     exp = _expected(files)
 
@@ -213,13 +214,14 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
             assert maxw[b] == int(wq[p:p + cnt].max()) / WDT_QUANT
             base = bdocs[-1]
             p += cnt
-        # coalescing bound: each merged block owns a distinct
-        # floor(cum_postings / skip_block) value, so the skip table is
-        # never LARGER than a perfectly regular one ...
+        # the skip table is never LARGER than a perfectly regular one
+        # and no block exceeds 2x skip_block ...
         assert len(counts) <= -(-df // skip_block)
-        # ... and no block exceeds 2x skip_block (map-side blocks are
-        # capped at skip_block; a group spans at most one boundary)
         assert all(1 <= c < 2 * skip_block for c in counts)
+        # ... because it IS the regular one: skip_block postings per
+        # block from the list's first, wherever the file seams fall
+        assert counts == [skip_block] * (df // skip_block) + (
+            [df % skip_block] if df % skip_block else [])
 
 
 def test_fragment_first_gap_rewrite_lengths(tmp_path):
@@ -231,7 +233,7 @@ def test_fragment_first_gap_rewrite_lengths(tmp_path):
     f1 = [(gk, "alpha", d, 1, 8.0, b"\x01") for d in (100000, 100001,
                                                       100002)]
     f2 = [(gk, "alpha", d, 2, 8.0, b"\x02") for d in (100003, 100005)]
-    tables = [_encode_file(cfg, f1), _encode_file(cfg, f2)]
+    tables = [_encode_file(f1), _encode_file(f2)]
     seg, _ = _finalize(cfg, tables, tmp_path, _doc_length(f1, f2))
     row = {c: seg.column(c)[0].as_py() for c in seg.column_names}
     assert row["df"] == 5
@@ -259,7 +261,7 @@ def test_tf_wide_values_roundtrip(tmp_path):
     f1 = [(gk, "big", d, 100 + 40 * d, 9.0, b"x") for d in range(3)]
     f2 = [(gk, "big", d, 300, 9.0, b"x") for d in range(3, 5)]
     seg, _ = _finalize(
-        cfg, [_encode_file(cfg, f1), _encode_file(cfg, f2)], tmp_path,
+        cfg, [_encode_file(f1), _encode_file(f2)], tmp_path,
         _doc_length(f1, f2))
     row = {c: seg.column(c)[0].as_py() for c in seg.column_names}
     tfs = _decode_tfs(row["blob"], row["tf_blob"], row["df"])
@@ -339,7 +341,7 @@ def test_finalize_rejects_overlapping_fragments(tmp_path):
     with pytest.raises(ValueError, match="overlapping doc ranges"):
         _finalize(
             cfg,
-            [_encode_file(cfg, f1), _encode_file(cfg, f2)],
+            [_encode_file(f1), _encode_file(f2)],
             tmp_path, _doc_length(f1, f2))
 
 
@@ -359,7 +361,7 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
         + [(gk, "alpha", d, 1 + d % 3, 8.0, bytes([d]))
            for d in range(4, 8)]
     )
-    tbl = _encode_file(cfg, rows)
+    tbl = _encode_file(rows)
     # the same-(gkey, term) abutting runs stay separate fragments
     assert tbl.num_rows == 2
     assert tbl.column("first_doc").to_pylist() == [8, 4]
@@ -439,7 +441,7 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
         return rows
 
     files = [postings_of(seg) for seg in segments]
-    tables = [_encode_file(cfg, rows) for rows in files if rows]
+    tables = [_encode_file(rows) for rows in files if rows]
 
     # expectation: per (gkey, term), triples sorted by doc id
     exp: dict = {}
@@ -520,7 +522,7 @@ def test_equal_doc_id_runs_also_split(tmp_path):
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     gk = _gkey(0, 1, 2)
     rows = [(gk, "t", 7, 1, 5.0, b"a"), (gk, "t", 7, 2, 5.0, b"b")]
-    tbl = _encode_file(cfg, rows)
+    tbl = _encode_file(rows)
     assert tbl.num_rows == 2  # split, not one fragment with gap 0
     with pytest.raises(ValueError, match="overlapping doc ranges"):
         _finalize(cfg, [tbl], tmp_path, _doc_length(rows))
@@ -549,7 +551,7 @@ def _one_term(cfg, files, tmp_path):
     gk = _gkey(0, 1, cfg.num_buckets)
     files = [[(gk, "t", d, tf, 8, bytes([1 + d % 200])) for d, tf in rows]
              for rows in files]
-    tables = [_encode_file(cfg, rows) for rows in files]
+    tables = [_encode_file(rows) for rows in files]
     seg, _ = _finalize(cfg, tables, tmp_path, _doc_length(*files))
     assert seg.num_rows == 1
     return {c: seg.column(c)[0].as_py() for c in seg.column_names}
@@ -608,3 +610,51 @@ def test_skip_block_starting_inside_exception_run(tmp_path):
     assert row["skip_count"] == [2, 2, 2]
     assert row["skip_tf_offset"] == [0, 2, 5]
     _assert_blocks_decode(row, docs, tfs)
+
+
+def test_skip_blocks_do_not_depend_on_fragment_seams(tmp_path):
+    """One posting list cut into fragments at different seams (3 + 5 + 2
+    postings, or one fragment) merges to the same segment row and the
+    same ``.bin`` bytes: regular skip blocks of ``skip_block`` postings
+    from the list's first, whose byte offsets count each seam posting at
+    its rewritten gap length."""
+    cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
+    docs = [3, 9, 100000, 100001, 100007, 100200, 100300, 100301,
+            200000, 200009]
+    tfs = [1, 4, 1, 300, 1, 2, 1, 1, 7, 1]
+    posts = list(zip(docs, tfs))
+    rows = []
+    for k, cuts in enumerate(([0, 3, 8, 10], [0, 10])):
+        d = tmp_path / f"cut{k}"
+        d.mkdir()
+        rows.append(_one_term(cfg, [posts[a:b] for a, b in
+                                    zip(cuts, cuts[1:])], d))
+    assert rows[0] == rows[1]
+    assert rows[0]["skip_count"] == [4, 4, 2]
+    assert rows[0]["skip_last_doc"] == [100001, 100301, 200009]
+    _assert_blocks_decode(rows[0], docs, tfs)
+
+
+@pytest.mark.parametrize("base", [0, 10**9],
+                         ids=["int32_key", "lexsort_key"])
+def test_group_run_orders_fragments_by_gkey(base):
+    """``_group_run`` sorts postings by (gkey, term) on both of its sort
+    paths: the packed int32 key, and the two-key sort once gkey x vocab
+    passes 2^31 (one-doc shards at doc ids near 10^9).  Either way the
+    fragment table is in gkey order, one fragment per (gkey, term), and
+    each fragment decodes to its own docs, so its docterms file cuts one
+    row group per gkey."""
+    from searchengine_ray.build import _group_run, term_bucket
+
+    cfg = IndexBuildConfig(num_buckets=4, docs_per_shard=1)
+    docs = [base + d for d in range(6)]
+    terms = [["x", "y", f"z{d % 2}"] for d in range(6)]
+    frags = _group_run(cfg, _tok_table(docs, terms))
+    gk = frags.column("gkey").to_pylist()
+    assert gk == sorted(gk)
+    keys = list(zip(gk, frags.column("term").to_pylist()))
+    assert len(set(keys)) == len(keys) == 18
+    for (g, t), df, blob in zip(keys, frags.column("df").to_pylist(),
+                                frags.column("blob").to_pylist()):
+        (d,) = _decode_docs(blob, df).tolist()
+        assert g == d * cfg.num_buckets + term_bucket(t, cfg.num_buckets)
