@@ -115,20 +115,23 @@ def _tree_bytes(path: str) -> int:
 def cmd_stats(args) -> int:
     """Where an index's bytes and build time went: per segment, the
     ``.bin``'s doc / tf / pos stream bytes and the parquet catalog's
-    bytes; B/doc over segments/ and docstats/ (perfbench's
-    ``index_bytes_per_doc``) and, apart from it, the docweights/ bytes
-    and the build's docterms/ bytes (the encoded fragments the reducers
-    read, from the manifest); the manifest's per-stage seconds and
-    reduce phase split (total/max/mean per phase)."""
+    bytes; the catalog's compressed bytes per column over all segments
+    (from the parquet footers); B/doc over segments/ and docstats/
+    (perfbench's ``index_bytes_per_doc``) and, apart from it, the
+    docweights/ bytes and the build's docterms/ bytes (the encoded
+    fragments the reducers read, from the manifest); the manifest's
+    per-stage seconds and reduce phase split (total/max/mean per
+    phase)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from .build import (DOCSTATS_DIR, DOCWEIGHTS_DIR, MANIFEST_NAME,
-                        segment_bin_path)
+    from .layout import (DOCSTATS_DIR, DOCWEIGHTS_DIR, MANIFEST_NAME,
+                         segment_bin_path)
 
     with open(os.path.join(args.index, MANIFEST_NAME)) as f:
         manifest = json.load(f)
     segments = []
+    catalog_columns: dict[str, int] = {}
     for seg in manifest["segments"]:
         path = os.path.join(args.index, "segments", seg["file"])
         lens = pq.read_table(path, columns=["doc_len", "tf_len", "pos_len"])
@@ -138,6 +141,13 @@ def cmd_stats(args) -> int:
         row["bin_bytes"] = os.path.getsize(segment_bin_path(path))
         row["parquet_bytes"] = os.path.getsize(path)
         segments.append(row)
+        md = pq.read_metadata(path)
+        for g in range(md.num_row_groups):
+            for c in range(md.num_columns):
+                cc = md.row_group(g).column(c)
+                name = cc.path_in_schema.split(".")[0]
+                catalog_columns[name] = (catalog_columns.get(name, 0)
+                                         + cc.total_compressed_size)
     totals = {k: sum(r[k] for r in segments)
               for k in ("rows", "doc_bytes", "tf_bytes", "pos_bytes",
                         "bin_bytes", "parquet_bytes")}
@@ -154,6 +164,7 @@ def cmd_stats(args) -> int:
             os.path.join(args.index, DOCWEIGHTS_DIR)),
         "docterms_bytes": plan.get("docterms_bytes"),
         "totals": totals,
+        "catalog_column_bytes": catalog_columns,
         "segments": segments,
         "stage_seconds": manifest.get("stage_seconds"),
         "exchange_phases": plan.get("phases"),

@@ -34,8 +34,9 @@ Ray-Data-native rebuild:
        back to back (doc gaps folded with a tf==1 flag / tf exceptions
        / position gaps); segment_NNNNN.parquet is the catalog: term
        dictionary, df/cf/max_wdt, the three stream byte lengths and the
-       skip-block metadata (last doc id, max wdt bound, byte offsets and
-       posting count per block of ``skip_block`` postings)
+       skip-block bounds (last doc id and max wdt per block of
+       ``skip_block`` postings; the reader derives the blocks' byte
+       offsets from the streams)
   manifest.json: corpus scalars, per-stage lineage + per-file metrics,
        committed last -> a re-run skips completed stages (resume).
 
@@ -58,7 +59,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -66,9 +66,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
+from . import layout
 from .tokenizer import TokenTermCache, euclidean_weight
-
-MANIFEST_NAME = "manifest.json"
 
 # corpus columns the tokenize stage reads; ID_COL is assigned by
 # ids.assign_doc_ids when the corpus does not carry it
@@ -82,15 +81,6 @@ TOKENIZE_BATCH_SIZE = 64
 # it groups, encodes and writes each dense run of the batch.
 DOCTERMS_BLOCK_ROWS = 4096
 SEGMENT_ROW_GROUP_SIZE = 512
-
-# Per-document weights, written once at build time in doc-id order (the
-# reference's docWeights.bin, spimi.py:359-364): dense doc_length (int64)
-# and l_d (float64) arrays, indexed by doc_id - doc_id_base.  A sibling
-# of docstats/, never inside it: docstats readers scan that whole dir.
-DOCWEIGHTS_DIR = "docweights"
-# Per-document stats (doc_id, title, doc_length, l_d, sha256), one
-# parquet file per dense doc-id run (``_group_and_write``).
-DOCSTATS_DIR = "docstats"
 
 
 def _as_array(col) -> pa.Array:
@@ -106,10 +96,6 @@ def _as_array(col) -> pa.Array:
             else:
                 col = pa.concat_arrays(col.chunks)
     return col
-
-
-def term_bucket(term: str, num_buckets: int) -> int:
-    return zlib.crc32(term.encode("utf-8")) % num_buckets
 
 
 @dataclass
@@ -261,7 +247,7 @@ def _group_run(cfg: IndexBuildConfig, tok: pa.Table) -> pa.Table:
     codes = dic.indices.to_numpy(zero_copy_only=False)
     uniq = np.asarray(dic.dictionary.to_pylist(), dtype=object)
     B = cfg.num_buckets
-    uniq_buckets = np.fromiter((term_bucket(t, B) for t in uniq),
+    uniq_buckets = np.fromiter((layout.term_bucket(t, B) for t in uniq),
                                dtype=np.int64, count=len(uniq))
     gk = (doc_ids // cfg.docs_per_shard) * B + uniq_buckets[codes]
     # stable (gkey, term-code) order keeps the original ascending-doc
@@ -332,6 +318,21 @@ def _write_parquet_atomic(tbl: pa.Table, path: str, cuts=None,
     os.replace(tmp, path)
 
 
+def write_index_parquet(tbl: pa.Table, path: str,
+                        row_group_size: int | None = None,
+                        statistics: list[str] | None = None) -> None:
+    """Write one of the files an index keeps (a segment catalog or a
+    docstats file; segment format v8): zstd, no dictionary pages (their
+    columns are near-unique or tiny), and min/max statistics only on the
+    ``statistics`` columns a reader prunes by.  Row groups of
+    ``row_group_size`` rows (default: one), tmp + rename."""
+    n = tbl.num_rows
+    step = row_group_size or max(1, n)
+    _write_parquet_atomic(
+        tbl, path, [*range(0, n, step), n], compression="zstd",
+        use_dictionary=False, write_statistics=statistics or False)
+
+
 def _write_docterms(fragments: pa.Table, path: str) -> None:
     """A docterms file (v10): the gkey-ordered fragment table with one
     row group per gkey, so reducer ``r`` reads exactly the row groups
@@ -356,8 +357,11 @@ def _group_and_write(batch: pa.Table, cfg: IndexBuildConfig,
         if fragments.num_rows:
             _write_docterms(fragments, os.path.join(
                 docterms_dir, f"docterms_{span}.parquet"))
-        _write_parquet_atomic(docstats, os.path.join(
-            docstats_dir, f"docstats_{span}.parquet"))
+        # doc_id statistics: the docstats pass reads each file's span
+        # from them, and ``get_titles`` prunes by them
+        write_index_parquet(docstats, os.path.join(
+            docstats_dir, f"docstats_{span}.parquet"),
+            statistics=["doc_id"])
         spans.append(span)
     return pa.table({"span": pa.array(spans, type=pa.string())})
 
@@ -376,18 +380,14 @@ _SEGMENT_SCHEMA = pa.schema(
         ("doc_len", pa.int32()),    # VByte gap<<1 | (tf==1) stream
         ("tf_len", pa.int32()),     # VByte tf exceptions (tf != 1 only)
         ("pos_len", pa.int32()),    # VByte position gaps
+        # per skip block of ``skip_block`` postings: its last doc id and
+        # its max wdt bound.  The blocks' byte offsets and posting counts
+        # are not stored (v8): the reader derives them from the streams
         ("skip_last_doc", pa.list_(pa.int64())),
         ("skip_max_wdt", pa.list_(pa.float64())),
-        ("skip_offset", pa.list_(pa.int64())),     # block start, doc stream
-        ("skip_tf_offset", pa.list_(pa.int64())),  # block start, tf stream
-        ("skip_count", pa.list_(pa.int32())),      # postings per block (v4)
     ]
 )
 
-
-def segment_bin_path(parquet_path: str) -> str:
-    """The postings file that belongs to a segment parquet (format v6)."""
-    return os.path.splitext(parquet_path)[0] + ".bin"
 
 # Docterms schema (docterms v10): one row per posting-list fragment, i.e.
 # per (dense doc-id run, gkey, term), already VByte-encoded.  The group
@@ -414,8 +414,9 @@ _WIRE_SCHEMA = pa.schema(
     ]
 )
 
-# Segment layout version, folded into stage fingerprints so an index built
-# by an older code revision is rebuilt rather than misread.  v3: the doc/tf
+# Segment layout history (``layout.SEGMENT_FORMAT``, folded into stage
+# fingerprints so an index built by an older code revision is rebuilt
+# rather than misread).  v3: the doc/tf
 # stream is split into two per-term columns (blob = gaps, tf_blob = tftds)
 # — the interleaved 2n-wide uint64 stream build was the single largest
 # memory-traffic source on the bandwidth-bound reduce side.  v4: skip
@@ -431,7 +432,14 @@ _WIRE_SCHEMA = pa.schema(
 # squeezes the mostly-1 tf bytes, so the fold keeps the index size level).
 # v7: the catalog's ``salt`` column is gone — ``docs_per_shard`` is the
 # only doc-range split, so a build writes one row per (term, shard).
-SEGMENT_FORMAT = 7
+# v8: ``skip_offset``, ``skip_tf_offset`` and ``skip_count`` are gone —
+# blocks are regular, so a block's count follows from df and
+# ``skip_block``, and its doc/tf byte starts from the VByte terminators
+# of the streams the reader already holds (``reader.block_offsets``).
+# The catalog and docstats are written zstd, with no dictionary pages
+# and statistics only where a reader prunes (``write_index_parquet``).
+# On perfbench's seed-5 corpus the catalog went from 720,612 to 410,615 B
+# and docstats from 235,551 to 178,858 B, with the ``.bin`` unchanged.
 
 # Docterms (resumable intermediate) layout version, folded into the stage
 # fingerprints the same way.  v2: positions stored as per-(doc,term) VByte
@@ -470,17 +478,12 @@ SEGMENT_FORMAT = 7
 # blocks from the postings they decode.
 DOCTERMS_FORMAT = 10
 
-BM25_K1 = 1.2
-BM25_B = 0.75
-
-
 def bm25_wdt(tftds: np.ndarray, dls: np.ndarray, avgdl: float) -> np.ndarray:
     """Okapi wdt exactly as the reference computes it
     (/root/reference/engine/querying/rankedquery.py:22): k1=1.2, b=0.75."""
     tf = tftds.astype(np.float64)
-    return (BM25_K1 + 1.0) * tf / (
-        BM25_K1 * ((1.0 - BM25_B) + BM25_B * (dls / avgdl)) + tf
-    )
+    k1, b = layout.BM25_K1, layout.BM25_B
+    return (k1 + 1.0) * tf / (k1 * ((1.0 - b) + b * (dls / avgdl)) + tf)
 
 
 # wdt < k1+1 = 2.2, so ceil(wdt * 115) fits uint8 (max 253).  max_wdt /
@@ -676,11 +679,11 @@ def _finalize_segment(
       across the whole list — tf-exception and pos streams concatenate
       as-is;
     - skip blocks are regular: one per ``skip_block`` postings from each
-      merged list's first (its last block may be shorter).  A block's
-      byte offsets are exclusive cumsums of the list's per-posting VByte
-      lengths, and its last doc and ``skip_max_wdt`` come from the
-      decoded postings, so blocks do not depend on how the group stage
-      cut the list into fragments; ``max_wdt`` is the list's maximum;
+      merged list's first (its last block may be shorter).  Its last doc
+      and ``skip_max_wdt`` come from the decoded postings, so blocks do
+      not depend on how the group stage cut the list into fragments;
+      ``max_wdt`` is the list's maximum.  Their byte offsets are not
+      stored: the reader derives them from the streams (format v8);
     - each merged row's doc, tf and pos bytes go back to back into the
       ``.bin``, and the parquet keeps their three lengths (format v6).
 
@@ -797,21 +800,10 @@ def _finalize_segment(
     slist_off = pa.array(
         np.concatenate([[0], np.cumsum(nblocks)]).astype(np.int32))
 
-    def block_offsets(blen: np.ndarray) -> np.ndarray:
-        """Each block's byte start within its list's stream, from the
-        per-posting VByte lengths ``blen``."""
-        nbytes = np.add.reduceat(blen, b_start, dtype=np.int64)
-        at = np.cumsum(nbytes) - nbytes
-        return at - at[first_block][block_list]
-
-    # per-posting byte lengths in the merged streams: a fragment's first
-    # posting takes its rewritten length, a tf == 1 posting has no tf
-    # exception
-    blen_d = vbyte.encoded_lengths(vals)
-    blen_d[post_start] = new_len8
-    blen_t = np.where(tf_exc, vbyte.encoded_lengths(tfs), np.uint8(0))
-
-    doc_len = np.add.reduceat(blen_d, list_start, dtype=np.int64)
+    # a merged doc stream is its fragments' bytes, each leading value
+    # at its rewritten length
+    doc_len = np.add.reduceat(
+        np.diff(blob_off) - old_len + new_len, t_starts)
     tf_len = tf_off_all[t_ends] - tf_off_all[t_starts]
     pos_len = pos_off_all[t_ends] - pos_off_all[t_starts]
 
@@ -862,21 +854,17 @@ def _finalize_segment(
             "skip_max_wdt": skip_list(
                 np.maximum.reduceat(wq, b_start).astype(np.float64)
                 / WDT_QUANT),
-            "skip_offset": skip_list(block_offsets(blen_d), pa.int64()),
-            "skip_tf_offset": skip_list(block_offsets(blen_t), pa.int64()),
-            "skip_count": skip_list((b_end - b_start).astype(np.int32)),
         },
         schema=_SEGMENT_SCHEMA,
     )
     prof["merge"] = time.perf_counter() - _pt
     _pt = time.perf_counter()
-    bin_path = segment_bin_path(out_path)
+    bin_path = layout.segment_bin_path(out_path)
     with open(bin_path + ".tmp", "wb") as f:
         f.writelines(pieces)
     os.replace(bin_path + ".tmp", bin_path)
-    tmp = out_path + ".tmp"
-    pq.write_table(seg, tmp, row_group_size=SEGMENT_ROW_GROUP_SIZE)
-    os.replace(tmp, out_path)
+    # no statistics: nothing prunes a catalog's row groups
+    write_index_parquet(seg, out_path, SEGMENT_ROW_GROUP_SIZE)
     prof["write"] = time.perf_counter() - _pt
     terms_col = seg.column("term")
     return {
@@ -1041,12 +1029,6 @@ def _dir_lineage(path: str) -> list[dict]:
     return out
 
 
-def docweights_paths(index_dir: str) -> tuple[str, str]:
-    """(doc_length.npy, l_d.npy) of an index."""
-    d = os.path.join(index_dir, DOCWEIGHTS_DIR)
-    return (os.path.join(d, "doc_length.npy"), os.path.join(d, "l_d.npy"))
-
-
 def _not_dense(path: str, lo: int, hi: int) -> ValueError:
     return ValueError(
         f"docstats invariant broken: {os.path.basename(path)} holds "
@@ -1104,7 +1086,7 @@ def write_doc_weights(docstats_dir: str, index_dir: str,
             f"{base}..{base + rows - 1})"
         )
 
-    dl_p, ld_p = docweights_paths(index_dir)
+    dl_p, ld_p = layout.docweights_paths(index_dir)
     os.makedirs(os.path.dirname(dl_p), exist_ok=True)
     dl_tmp, ld_tmp = dl_p + ".tmp.npy", ld_p + ".tmp.npy"
     dl = np.lib.format.open_memmap(
@@ -1157,13 +1139,13 @@ def build_index(
     os.makedirs(index_dir, exist_ok=True)
     fingerprint = json.dumps(
         {"input": input_description, "cfg": cfg.to_json(),
-         "fmt": SEGMENT_FORMAT, "dfmt": DOCTERMS_FORMAT}, sort_keys=True
+         "fmt": layout.SEGMENT_FORMAT, "dfmt": DOCTERMS_FORMAT}, sort_keys=True
     )
     t0 = time.perf_counter()
     stage_seconds: dict[str, float] = {}
 
     docterms_dir = os.path.join(index_dir, "docterms")
-    docstats_dir = os.path.join(index_dir, DOCSTATS_DIR)
+    docstats_dir = os.path.join(index_dir, layout.DOCSTATS_DIR)
     segments_dir = os.path.join(index_dir, "segments")
 
     # ---- stage 1: tokenize -> docterms ----
@@ -1248,7 +1230,8 @@ def build_index(
         shutil.rmtree(segments_dir, ignore_errors=True)
         seg_metrics, exchange_plan = build_segments_exchange(
             docterms_dir, segments_dir, cfg, avgdl,
-            docweights_paths(index_dir)[0], num_reducers=cfg.num_reducers,
+            layout.docweights_paths(index_dir)[0],
+            num_reducers=cfg.num_reducers,
         )
         stage_seconds["exchange"] = (
             time.perf_counter() - t0 - sum(stage_seconds.values())
@@ -1274,7 +1257,7 @@ def build_index(
 
     manifest = {
         "version": 1,
-        "segment_format": SEGMENT_FORMAT,
+        "segment_format": layout.SEGMENT_FORMAT,
         "docterms_format": DOCTERMS_FORMAT,
         "input": input_description,
         "config": cfg.to_json(),
@@ -1296,8 +1279,8 @@ def build_index(
             ),
         },
     }
-    tmp = os.path.join(index_dir, MANIFEST_NAME + ".tmp")
+    tmp = os.path.join(index_dir, layout.MANIFEST_NAME + ".tmp")
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1)
-    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
+    os.replace(tmp, os.path.join(index_dir, layout.MANIFEST_NAME))
     return manifest

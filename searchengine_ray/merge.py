@@ -13,28 +13,31 @@ Merge is metadata-plus-copy, NOT a postings merge: generations own
 disjoint dense doc ranges, every segment row's doc stream starts with
 an absolute doc id, and the reader already unions multiple fragment
 rows per term in first-doc order — so segments (parquet catalog plus
-``.bin`` postings) are taken as-is.  The only rewrite is the block-max
-WAND bounds in the parquet: ``max_wdt`` /
-``skip_max_wdt`` were quantized against each generation's OWN avgdl,
-and wdt grows monotonically with avgdl, with
-``wdt(avgdl') <= (avgdl'/avgdl) * wdt(avgdl)`` for ``avgdl' > avgdl``
-(denominator algebra on the Okapi form — see ``_wdt_bound_scale``).
-Scaling each generation's stored bounds by ``max(1, avgdl'/avgdl_gen)``
-keeps every bound a true upper bound under the merged corpus's avgdl,
-so WAND stays exact (rank-identical to the exact scorer); bounds are
-merely a little looser for old generations.  Exact scoring itself never
-reads the stored bounds — it recomputes wdt from tftd + doc stats with
-the merged avgdl.
+``.bin`` postings) are copied byte for byte.  Only the block-max WAND
+bounds need care: ``max_wdt`` / ``skip_max_wdt`` were quantized against
+each generation's OWN avgdl, and wdt grows monotonically with avgdl,
+with ``wdt(avgdl') <= (avgdl'/avgdl) * wdt(avgdl)`` for
+``avgdl' > avgdl`` (denominator algebra on the Okapi form — see
+``_wdt_bound_scale``).  Each merged segment's manifest entry records a
+``wdt_bound_scale``: its generation's ``max(1, avgdl'/avgdl_gen)``,
+times the scale the segment already carried when that generation is
+itself a merged index.  The reader multiplies the stored bounds by it,
+which keeps every bound a true upper bound under the merged corpus's
+avgdl, so WAND stays exact (rank-identical to the exact scorer); bounds
+are merely a little looser for old generations.  The catalogs are not
+rewritten with scaled bounds: float products compress worse than the
+quantized originals, so a rewritten catalog outgrew its generation's.
+Exact scoring itself never reads the stored bounds — it recomputes wdt
+from tftd + doc stats with the merged avgdl.
 
-Per-file work (copy or two-column rewrite) runs as Ray tasks — the
-merge is index-sized I/O, embarrassingly parallel, and resumable: a
-``_MERGE_FINGERPRINT`` marker written before any copy records the
-generation set the on-disk files belong to, a re-run with the same set
-skips existing destination files (tmp+rename writes), and a re-run with
-a DIFFERENT set wipes the previous merge's outputs first (their wdt
-bounds were scaled for the old merged avgdl and their docstats tile a
-different doc-id space).  Pointing the merge at a ``build_index`` output
-dir raises instead of overwriting.
+Per-file copies run as Ray tasks — the merge is index-sized I/O,
+embarrassingly parallel, and resumable: a ``_MERGE_FINGERPRINT`` marker
+written before any copy records the generation set the on-disk files
+belong to, a re-run with the same set skips existing destination files
+(tmp+rename writes), and a re-run with a DIFFERENT set wipes the
+previous merge's outputs first (its segments and docstats belong to
+other generations and tile a different doc-id space).  Pointing the
+merge at a ``build_index`` output dir raises instead of overwriting.
 
 Generations can share a (term, shard) — with the default
 ``docs_per_shard`` every generation writes its rows to shard 0 — so a
@@ -55,9 +58,9 @@ import time
 
 import ray
 
-from .build import (DOCSTATS_DIR, DOCTERMS_FORMAT, MANIFEST_NAME,
-                    SEGMENT_FORMAT, SEGMENT_ROW_GROUP_SIZE, _dir_lineage,
-                    segment_bin_path, write_doc_weights)
+from .build import DOCTERMS_FORMAT, _dir_lineage, write_doc_weights
+from .layout import (DOCSTATS_DIR, MANIFEST_NAME, SEGMENT_FORMAT,
+                     segment_bin_path)
 
 #: cfg fields that must agree across generations: they define token →
 #: (term, bucket, shard) identity.  Fields NOT here (reducer count,
@@ -79,40 +82,16 @@ def _wdt_bound_scale(avgdl_new: float, avgdl_gen: float) -> float:
 
 
 @ray.remote
-def _copy_segment(src: str, dst: str, scale: float) -> int:
-    """Bring one segment into the merged index: its ``.bin`` is copied
-    as-is, and its parquet is copied too when the generation's wdt bounds
-    are already valid (scale == 1), else rewritten with max_wdt /
-    skip_max_wdt multiplied by ``scale`` (every other column passes
-    through untouched).  Idempotent: tmp + rename, the parquet last."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
+def _copy_segment(src: str, dst: str) -> int:
+    """Bring one segment into the merged index: its ``.bin``, then its
+    parquet, copied as-is.  Idempotent: tmp + rename, the parquet
+    last."""
     if os.path.exists(dst) and os.path.getsize(dst) > 0:
         return 0  # resume: already merged
-    bin_dst = segment_bin_path(dst)
-    shutil.copyfile(segment_bin_path(src), bin_dst + ".tmp")
-    os.replace(bin_dst + ".tmp", bin_dst)
-    tmp = dst + ".tmp"
-    if scale == 1.0:
-        shutil.copyfile(src, tmp)
-        os.replace(tmp, dst)
-        return 1
-    tbl = pq.read_table(src)
-    maxw = pc.multiply(tbl.column("max_wdt"), scale)
-    skip = tbl.column("skip_max_wdt").combine_chunks()
-    if isinstance(skip, pa.ChunkedArray):
-        skip = skip.chunk(0)
-    skip_scaled = pa.ListArray.from_arrays(
-        skip.offsets, pc.multiply(skip.values, scale))
-    tbl = tbl.set_column(
-        tbl.schema.get_field_index("max_wdt"), "max_wdt", maxw)
-    tbl = tbl.set_column(
-        tbl.schema.get_field_index("skip_max_wdt"), "skip_max_wdt",
-        pa.chunked_array([skip_scaled]))
-    pq.write_table(tbl, tmp, row_group_size=SEGMENT_ROW_GROUP_SIZE)
-    os.replace(tmp, dst)
+    for a, b in ((segment_bin_path(src), segment_bin_path(dst)),
+                 (src, dst)):
+        shutil.copyfile(a, b + ".tmp")
+        os.replace(b + ".tmp", b)
     return 1
 
 
@@ -162,9 +141,8 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
     # Resume safety: per-file "exists with size > 0" checks are only
     # valid if the surviving files came from THIS generation set — a
     # previous merge of a different set into the same out_dir leaves
-    # segments whose wdt bounds were scaled for the OLD merged avgdl
-    # (silently breaking block-max WAND's upper-bound invariant when the
-    # new avgdl is larger) and docstats for a different doc-id space.
+    # segments of other generations under the same names (g00_...) and
+    # docstats for a different doc-id space.
     # The fingerprint marker, written BEFORE any file copy, identifies
     # the generation set the on-disk files belong to: matching marker →
     # resume; anything else under out_dir → wipe the merge outputs
@@ -210,7 +188,7 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
     for gi, (d, m) in enumerate(parts):
         scale = _wdt_bound_scale(avgdl, m["avg_doc_length"])
         # quantization already rounds bounds UP, so a hair above 1.0
-        # (float noise when avgdls are equal) still needs no rewrite
+        # (float noise when avgdls are equal) still needs no scaling
         if abs(scale - 1.0) < 1e-12:
             scale = 1.0
         gen_meta.append({
@@ -218,7 +196,6 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
             "doc_id_base": m.get("doc_id_base", 0),
             "num_docs": m["num_docs"],
             "avg_doc_length": m["avg_doc_length"],
-            "wdt_bound_scale": scale,
             "fingerprint": m.get("fingerprint"),
         })
         for seg in m["segments"]:
@@ -226,9 +203,13 @@ def merge_indexes(part_dirs: list[str], out_dir: str) -> dict:
             copy_refs.append(_copy_segment.remote(
                 os.path.join(d, "segments", seg["file"]),
                 os.path.join(seg_out, dst_name),
-                scale,
             ))
-            seg_entries.append({**seg, "file": dst_name, "generation": gi})
+            # a merged input's segments already carry the factor from
+            # their generation's avgdl to that merge's; the factors
+            # compose, since each one bounds wdt's growth over its step
+            seg_entries.append({
+                **seg, "file": dst_name, "generation": gi,
+                "wdt_bound_scale": seg.get("wdt_bound_scale", 1.0) * scale})
         # docstats filenames encode absolute doc ranges -> disjoint
         # across generations; the docweights arrays are rewritten below
         # over the merged docstats, so only the parquet files move

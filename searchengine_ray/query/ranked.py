@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from ..build import BM25_B, BM25_K1
+from ..layout import BM25_B, BM25_K1
 from ..tokenizer import ranked_query_terms
 
 
@@ -78,8 +78,9 @@ class _TermCursor:
 
     Concatenates the per-fragment skip arrays — fragments are doc-range
     disjoint and ordered, so the combined block list is doc_id-sorted.
-    Each fragment's doc and tf bytes come from one ``read_fragment_row``;
-    blocks decode lazily, and a skipped block is never decoded.
+    Each fragment's doc and tf bytes come from one ``read_fragment_row``,
+    which also locates its blocks (``skip_lists``); blocks decode lazily,
+    and a skipped block is never decoded.
     """
 
     __slots__ = (
@@ -90,9 +91,10 @@ class _TermCursor:
 
     def __init__(self, index, term: str, wqt: float, use_okapi: bool):
         self.wqt = wqt
-        frags = [(fr, index.skip_lists(fr),
-                  memoryview(index.read_fragment_row(fr)))
-                 for fr in index.fragments(term)]
+        frags = []
+        for fr in index.fragments(term):
+            buf = memoryview(index.read_fragment_row(fr))
+            frags.append((fr, index.skip_lists(fr, buf), buf))
         # fragments are doc-range disjoint, so ordering by any doc of
         # each (the first block's last doc) makes the concatenated block
         # list globally doc-ascending even for merged generational
@@ -128,8 +130,6 @@ class _TermCursor:
         offs = skip["skip_offset"]
         start = int(offs[bif])
         end = int(offs[bif + 1]) if bif + 1 < len(offs) else fr.doc_len
-        # format v4: blocks are variable-size (fragment seams coalesce),
-        # so the per-block posting count is persisted, not derived
         vals = vbyte.decode(buf[start:end],
                             count=int(skip["skip_count"][bif])).astype(
             np.int64)

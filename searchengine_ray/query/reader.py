@@ -30,8 +30,8 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from .. import vbyte
-from ..build import (DOCSTATS_DIR, MANIFEST_NAME, SEGMENT_FORMAT,
-                     docweights_paths, segment_bin_path)
+from ..layout import (DOCSTATS_DIR, MANIFEST_NAME, SEGMENT_FORMAT,
+                      docweights_paths, segment_bin_path)
 from .postings import PostingList
 
 #: Byte budget of the posting-list LRU, on top of its entry count: a few
@@ -40,8 +40,7 @@ from .postings import PostingList
 #: binds there.
 POSTING_CACHE_BYTES = 256 << 20
 
-_SKIP_COLUMNS = ("skip_last_doc", "skip_max_wdt", "skip_offset",
-                 "skip_tf_offset", "skip_count")
+_SKIP_COLUMNS = ("skip_last_doc", "skip_max_wdt")
 
 
 @dataclass
@@ -116,6 +115,7 @@ class DiskIndexReader:
         self._cache_size = cache_size
         self._cache_bytes = 0
         self._skip_files: dict[int, tuple[pq.ParquetFile, np.ndarray]] = {}
+        self._skip_block: int = self.manifest["config"]["skip_block"]
 
     # ---- doc stats (ST4/ST5) ----
 
@@ -164,6 +164,9 @@ class DiskIndexReader:
 
         seg_dir = os.path.join(self.index_dir, "segments")
         self._files: list[str] = []
+        # a merged index's segments keep their generation's wdt bounds;
+        # the manifest's factor makes them bounds under the merged avgdl
+        self._bound_scale: list[float] = []
         want = set(buckets) if buckets is not None else None
         term_chunks: list[pa.Array] = []
         file_l, row_l = [], []
@@ -175,6 +178,7 @@ class DiskIndexReader:
             path = os.path.join(seg_dir, seg["file"])
             file_idx = len(self._files)
             self._files.append(path)
+            self._bound_scale.append(seg.get("wdt_bound_scale", 1.0))
             tbl = pq.read_table(
                 path,
                 columns=["term", "shard", "bucket", "df", "cf",
@@ -205,7 +209,8 @@ class DiskIndexReader:
             shard_l.append(tbl.column("shard").to_numpy()[rows])
             df_l.append(tbl.column("df").to_numpy()[rows])
             cf_l.append(tbl.column("cf").to_numpy()[rows])
-            maxw_l.append(tbl.column("max_wdt").to_numpy()[rows])
+            maxw_l.append(tbl.column("max_wdt").to_numpy()[rows]
+                          * self._bound_scale[-1])
             off_l.append(row_start[rows])
             dlen_l.append(lens[0][rows])
             tlen_l.append(lens[1][rows])
@@ -413,10 +418,14 @@ class DiskIndexReader:
                 f"is torn, rebuild it")
         return buf
 
-    def skip_lists(self, fr: Fragment) -> dict[str, np.ndarray]:
-        """The fragment's skip-block lists, for WAND.  They stay in the
-        parquet: one read of the five skip columns of the fragment's row
-        group."""
+    def skip_lists(self, fr: Fragment,
+                   buf: bytes) -> dict[str, np.ndarray]:
+        """The fragment's skip blocks, for WAND: ``skip_last_doc`` and
+        ``skip_max_wdt`` (times its segment's ``wdt_bound_scale``) from
+        one read of the two skip columns of its catalog row group, and
+        ``skip_offset``, ``skip_tf_offset`` and ``skip_count`` derived
+        from its doc and tf streams ``buf`` (as ``read_fragment_row``
+        returns them)."""
         hit = self._skip_files.get(fr.file_idx)
         if hit is None:
             pf = pq.ParquetFile(self._files[fr.file_idx])
@@ -427,8 +436,19 @@ class DiskIndexReader:
         rg = int(np.searchsorted(ends, fr.row_idx, side="right"))
         row = fr.row_idx - (int(ends[rg - 1]) if rg else 0)
         tbl = pf.read_row_group(rg, columns=list(_SKIP_COLUMNS))
-        return {c: tbl.column(c)[row].values.to_numpy()
-                for c in _SKIP_COLUMNS}
+        out = {c: tbl.column(c)[row].values.to_numpy()
+               for c in _SKIP_COLUMNS}
+        out["skip_max_wdt"] = (out["skip_max_wdt"]
+                               * self._bound_scale[fr.file_idx])
+        out.update(block_offsets(buf, fr.df, fr.doc_len, fr.tf_len,
+                                 self._skip_block))
+        if out["skip_count"].size != out["skip_last_doc"].size:
+            raise ValueError(
+                f"fragment {fr.row_idx} of "
+                f"{os.path.basename(self._files[fr.file_idx])} has "
+                f"{out['skip_last_doc'].size} skip blocks, not one per "
+                f"{self._skip_block} postings: rebuild the index")
+        return out
 
     def _decode_fragment(self, fr: Fragment, with_positions: bool) -> PostingList:
         # the streams sit back to back and each ends on a whole value, so
@@ -448,6 +468,36 @@ class DiskIndexReader:
         np.cumsum(tftds, out=offsets[1:])
         positions = _segmented_cumsum(vals[fr.df + n_exc:], offsets)
         return PostingList(doc_ids, tftds, positions, offsets)
+
+
+def block_offsets(buf, df: int, doc_len: int, tf_len: int,
+                  skip_block: int) -> dict[str, np.ndarray]:
+    """A fragment's regular skip blocks (``skip_block`` postings each
+    from its first, the last one shorter) located in its streams:
+    ``skip_offset`` and ``skip_tf_offset`` are each block's byte start in
+    the doc stream and in the tf exceptions, ``skip_count`` its postings.
+
+    ``buf`` holds the doc stream (``doc_len`` bytes, ``df`` values) and
+    then the tf exceptions (``tf_len`` bytes).  Every VByte value ends on
+    its one byte < 128, so posting i starts after the doc stream's i-th
+    terminator; the low bit of a value's first byte is its tf == 1 flag,
+    so the exceptions before a block are the cleared flags before it,
+    and the block's tf bytes start after that many tf terminators."""
+    b = np.frombuffer(buf, dtype=np.uint8, count=doc_len + tf_len)
+    d = b[:doc_len]
+    starts = np.empty(df, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = np.flatnonzero(d < 128)[:-1] + 1
+    first = np.arange(0, df, skip_block)
+    n_exc = np.empty(df + 1, dtype=np.int64)
+    n_exc[0] = 0
+    np.cumsum((d[starts] & 1) == 0, out=n_exc[1:])
+    tf_starts = np.concatenate(([0], np.flatnonzero(b[doc_len:] < 128) + 1))
+    return {
+        "skip_offset": starts[first],
+        "skip_tf_offset": tf_starts[n_exc[first]],
+        "skip_count": np.minimum(skip_block, df - first).astype(np.int32),
+    }
 
 
 def _unfold_doc_tf(vals: np.ndarray,

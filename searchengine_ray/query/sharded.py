@@ -2,7 +2,7 @@
 subset of the index's term buckets (the ``DiskIndexReader(buckets=...)``
 path), the deployment shape for a dictionary too large for one node.
 
-Terms are hash-partitioned by bucket (build.term_bucket), so one term's
+Terms are hash-partitioned by bucket (layout.term_bucket), so one term's
 postings live wholly in one shard.  Correct multi-term scoring therefore
 fans a query out to every shard, collects each shard's per-doc score
 *contributions* for the terms it owns (both BM25 and the reference's
@@ -100,7 +100,7 @@ class ShardedQueryPool:
         self._routed = _RoutedIndex(self)
 
     def shard_of(self, term: str):
-        from ..build import term_bucket
+        from ..layout import term_bucket
 
         return self._actor_of_bucket[term_bucket(term, self.num_buckets)]
 

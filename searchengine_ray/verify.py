@@ -32,7 +32,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from .build import DOCSTATS_DIR
+from .layout import DOCSTATS_DIR
 
 _U64 = np.uint64
 _MASK60 = np.uint64((1 << 60) - 1)

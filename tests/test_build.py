@@ -186,7 +186,7 @@ class TestBuildArtifacts:
                     k1 * ((1.0 - b) + b * (dl / avgdl)) + tf)
                 q = np.ceil(wdt * 115.0)
                 assert fr.max_wdt == q.max() / 115.0, term
-                skips = r.skip_lists(fr)
+                skips = r.skip_lists(fr, r.read_fragment_row(fr))
                 ends = np.cumsum(skips["skip_count"])
                 assert ends[-1] == fr.df
                 for blk, lo, hi in zip(skips["skip_max_wdt"],
@@ -195,6 +195,41 @@ class TestBuildArtifacts:
                 n_frags += 1
                 n_blocks += len(ends)
         assert n_blocks > n_frags > len(r.get_vocabulary())
+
+    def test_skip_offsets_equal_v7_oracle(self, built_index):
+        """Since segment format v8 the catalog stores no skip offsets or
+        counts: the reader derives them from each fragment's streams, and
+        they equal what the v7 reducer stored (``tests/skip_oracle.py``)
+        for every fragment."""
+        from searchengine_ray.query.reader import DiskIndexReader
+        from tests.skip_oracle import assert_reader_matches_v7
+
+        index_dir, manifest = built_index
+        r = DiskIndexReader(index_dir)
+        assert assert_reader_matches_v7(r) > len(r.get_vocabulary())
+        for seg in manifest["segments"]:
+            names = pq.read_schema(os.path.join(
+                index_dir, "segments", seg["file"])).names
+            assert not {"skip_offset", "skip_tf_offset",
+                        "skip_count"} & set(names)
+
+    def test_index_files_compact_encoding(self, built_index):
+        """Segment catalogs and docstats are zstd with no dictionary
+        pages; only docstats' ``doc_id`` carries min/max statistics."""
+        index_dir, _ = built_index
+        for sub, stats in (("segments", set()), ("docstats", {"doc_id"})):
+            d = os.path.join(index_dir, sub)
+            for name in os.listdir(d):
+                if not name.endswith(".parquet"):
+                    continue
+                md = pq.read_metadata(os.path.join(d, name))
+                for g in range(md.num_row_groups):
+                    for c in range(md.num_columns):
+                        cc = md.row_group(g).column(c)
+                        assert cc.compression == "ZSTD", (name, c)
+                        assert not cc.has_dictionary_page, (name, c)
+                        assert cc.is_stats_set == (
+                            cc.path_in_schema in stats), (name, c)
 
     def test_segment_lineage_recorded(self, built_index):
         index_dir, manifest = built_index
@@ -244,7 +279,7 @@ class TestBuildArtifacts:
 def _segment_table(path: str) -> pa.Table:
     """A segment's parquet rows plus each row's postings bytes from its
     ``.bin`` (doc, tf and pos streams back to back) as a ``bin`` column."""
-    from searchengine_ray.build import segment_bin_path
+    from searchengine_ray.layout import segment_bin_path
 
     t = pq.read_table(path)
     with open(segment_bin_path(path), "rb") as f:
@@ -568,7 +603,8 @@ class TestCorpusScalars:
     def test_matches_manifest(self, built_index, tmp_path):
         """The pass over a built index's docstats reproduces the
         manifest scalars and the index's docweights arrays."""
-        from searchengine_ray.build import docweights_paths, write_doc_weights
+        from searchengine_ray.build import write_doc_weights
+        from searchengine_ray.layout import docweights_paths
 
         index_dir, manifest = built_index
         n, tot = write_doc_weights(os.path.join(index_dir, "docstats"),

@@ -64,7 +64,7 @@ def test_verify_subcommand(cli_env, capsys):
 
 
 def test_stats_subcommand(cli_env, capsys):
-    from searchengine_ray.build import segment_bin_path
+    from searchengine_ray.layout import segment_bin_path
 
     _, index_dir = cli_env
     assert main(["stats", "--index", index_dir]) == 0
@@ -79,10 +79,18 @@ def test_stats_subcommand(cli_env, capsys):
         assert seg["parquet_bytes"] == os.path.getsize(path)
     tot = st["totals"]
     assert tot["bin_bytes"] == sum(s["bin_bytes"] for s in st["segments"])
+    # the catalog's per-column split (segment format v8: no stored skip
+    # offsets or counts), compressed column chunks inside the files
+    cols = st["catalog_column_bytes"]
+    assert list(cols) == ["term", "shard", "bucket", "df", "cf", "max_wdt",
+                          "doc_len", "tf_len", "pos_len", "skip_last_doc",
+                          "skip_max_wdt"]
+    assert all(v > 0 for v in cols.values())
+    assert sum(cols.values()) < tot["parquet_bytes"]
     assert st["bytes_per_doc"] * 300 > tot["bin_bytes"] + tot["parquet_bytes"]
     # docweights: two .npy arrays of 300 x 8 B plus their headers, kept
     # out of bytes_per_doc
-    from searchengine_ray.build import docweights_paths
+    from searchengine_ray.layout import docweights_paths
 
     assert st["docweights_bytes"] == sum(
         os.path.getsize(p) for p in docweights_paths(index_dir))

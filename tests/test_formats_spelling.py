@@ -1,8 +1,10 @@
 """Per-format extraction (reference tests/test_corpus.py analogues) and
 spelling correction."""
 
+import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 
 class TestFormats:
@@ -110,3 +112,29 @@ class TestSpelling:
         # cleanup strips non-letters first (spellingcorrection.py:34)
         word = next(w for w in sc.vocabulary if w.isalpha())
         assert sc.suggest(f"{word}!!").startswith(word)
+
+
+class _Vocab:
+    def __init__(self, terms):
+        self._terms = list(terms)
+
+    def get_vocabulary(self):
+        return self._terms
+
+
+@given(
+    st.sets(st.text(alphabet="abcdé", min_size=1, max_size=7),
+            min_size=1, max_size=40),
+    st.text(alphabet="abcdé", min_size=0, max_size=8),
+    st.integers(min_value=1, max_value=8),
+)
+@hyp_settings(max_examples=150, deadline=None)
+def test_suggest_for_word_equals_exhaustive_scan(vocab, word, k):
+    """The length-band scan returns the exhaustive scan's ids in its
+    order: every term's distance, then (distance, term id) ascending."""
+    from searchengine_ray.query.spelling import SpellingCorrection
+
+    sc = SpellingCorrection(_Vocab(vocab))
+    d = sc.distances(word)
+    order = np.lexsort((np.arange(d.size), d))[:k]
+    assert sc.suggest_for_word(word, k) == [sc.vocabulary[i] for i in order]

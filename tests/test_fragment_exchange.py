@@ -1,7 +1,10 @@
 """Unit tests for the fragment-encoded postings exchange (docterms v10 /
-segment format v7): the group-side ``_encode_file_fragments`` kernel and
+segment format v8): the group-side ``_encode_file_fragments`` kernel and
 the reduce-side ``_finalize_segment`` merge and wdt bounds, exercised
-directly on synthetic posting arrays — no Ray, no parquet corpus.
+directly on synthetic posting arrays — no Ray, no parquet corpus.  A
+segment stores no skip offsets or counts since v8; ``_finalize`` attaches
+the ones the query reader derives from each row's streams
+(``reader.block_offsets``), so the block tests check those.
 
 Invariants under test (build.py ``_WIRE_SCHEMA`` / ``_finalize_segment``
 docstrings):
@@ -37,9 +40,10 @@ from searchengine_ray.build import (
     IndexBuildConfig,
     _encode_file_fragments,
     _finalize_segment,
-    segment_bin_path,
     wdt_quantized,
 )
+from searchengine_ray.layout import segment_bin_path
+from searchengine_ray.query.reader import block_offsets
 
 AVGDL = 10.0
 
@@ -80,7 +84,9 @@ def _doc_length(*files):
 
 def _finalize(cfg, tables, tmp_path, doc_length):
     """Run the reducer; returns its parquet with each row's three ``.bin``
-    streams attached as ``blob`` / ``tf_blob`` / ``pos_blob`` columns."""
+    streams attached as ``blob`` / ``tf_blob`` / ``pos_blob`` columns and
+    the skip blocks the reader derives from them as ``skip_offset`` /
+    ``skip_tf_offset`` / ``skip_count``."""
     out = os.path.join(str(tmp_path), "segment_test.parquet")
     prof = {"merge": 0.0, "write": 0.0, "bytes_in": 0}
     meta = _finalize_segment(list(tables), cfg, AVGDL, doc_length, out, prof)
@@ -95,6 +101,12 @@ def _finalize(cfg, tables, tmp_path, doc_length):
     pieces = [data[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
     for k, name in enumerate(("blob", "tf_blob", "pos_blob")):
         seg = seg.append_column(name, pa.array(pieces[k::3], pa.binary()))
+    derived = [block_offsets(d + t, df, len(d), len(t), cfg.skip_block)
+               for d, t, df in zip(pieces[0::3], pieces[1::3],
+                                   seg.column("df").to_pylist())]
+    for name in ("skip_offset", "skip_tf_offset", "skip_count"):
+        seg = seg.append_column(
+            name, pa.array([b[name].tolist() for b in derived]))
     return seg, meta
 
 
@@ -644,7 +656,8 @@ def test_group_run_orders_fragments_by_gkey(base):
     fragment table is in gkey order, one fragment per (gkey, term), and
     each fragment decodes to its own docs, so its docterms file cuts one
     row group per gkey."""
-    from searchengine_ray.build import _group_run, term_bucket
+    from searchengine_ray.build import _group_run
+    from searchengine_ray.layout import term_bucket
 
     cfg = IndexBuildConfig(num_buckets=4, docs_per_shard=1)
     docs = [base + d for d in range(6)]

@@ -33,20 +33,27 @@ def _cfg(**over):
 
 
 @pytest.fixture(scope="module")
-def merged_setup(ray_session, small_corpus, built_index, tmp_path_factory):
-    """(full_index_dir, merged_index_dir, delta_dir, corpus_parquet_dir).
-
-    The union corpus gets doc ids once (same deterministic assignment
-    the full build used); the id-split halves build independently, the
-    delta with doc_id_base=SPLIT, then merge."""
+def with_ids(ray_session, small_corpus):
+    """The union corpus with doc ids assigned once (the same
+    deterministic assignment the full build used), in doc-id order."""
     import ray.data
 
     from searchengine_ray.ids import assign_doc_ids
 
-    root = tmp_path_factory.mktemp("merge")
-    with_ids = assign_doc_ids(
+    return assign_doc_ids(
         ray.data.from_arrow(small_corpus).repartition(4)
     ).to_pandas().sort_values("doc_id", ignore_index=True)
+
+
+@pytest.fixture(scope="module")
+def merged_setup(with_ids, built_index, tmp_path_factory):
+    """(full_index_dir, merged_index_dir, delta_dir, corpus_parquet_dir).
+
+    The id-split halves of the union corpus build independently, the
+    delta with doc_id_base=SPLIT, then merge."""
+    import ray.data
+
+    root = tmp_path_factory.mktemp("merge")
 
     corpus_dir = str(root / "corpus")
     os.makedirs(corpus_dir)
@@ -127,6 +134,80 @@ def test_wdt_bounds_stay_upper_bounds(readers):
         assert merged.max_wdt(term) >= true_max - 1e-12, term
 
 
+def test_merged_skip_offsets_equal_v7_oracle(readers):
+    """The merged index's fragments (generations share (term, shard)
+    pairs) derive the skip offsets v7 stored, fragment by fragment."""
+    from tests.skip_oracle import assert_reader_matches_v7
+
+    _, merged = readers
+    assert assert_reader_matches_v7(merged) > len(merged.get_vocabulary())
+
+
+def _assert_block_bounds(merged):
+    """Every skip block's ``skip_max_wdt`` (the stored bound times its
+    segment's ``wdt_bound_scale``) bounds the block's true max wdt under
+    the reader's avgdl, and the blocks' maximum is the fragment's
+    ``max_wdt``; some segment's bounds were scaled."""
+    from searchengine_ray.build import bm25_wdt
+
+    n_scaled = 0
+    for term in merged.get_vocabulary():
+        for fr in merged.fragments(term):
+            n_scaled += merged._bound_scale[fr.file_idx] > 1.0
+            p = merged._decode_fragment(fr, False)
+            wdt = bm25_wdt(p.tftds, merged.doc_length[p.doc_ids],
+                           merged.avg_doc_length)
+            sk = merged.skip_lists(fr, merged.read_fragment_row(fr))
+            assert sk["skip_max_wdt"].max() == fr.max_wdt, term
+            ends = np.cumsum(sk["skip_count"])
+            for bound, lo, hi in zip(sk["skip_max_wdt"],
+                                     ends - sk["skip_count"], ends):
+                assert bound >= wdt[lo:hi].max() - 1e-12, term
+    assert n_scaled
+
+
+def test_block_bounds_stay_upper_bounds(readers):
+    """The merged index's skip-block bounds hold under the MERGED
+    avgdl."""
+    _assert_block_bounds(readers[1])
+
+
+def test_merged_catalog_compact(merged_setup):
+    """The merge copies every catalog as its generation wrote it, so the
+    merged catalogs keep segment format v8's encoding: no derivable skip
+    columns, zstd, no dictionary pages, no statistics.  The merged
+    segments and docstats take no more bytes per doc than the
+    generations'."""
+    _, merged_dir, _, _ = merged_setup
+    with open(os.path.join(merged_dir, "manifest.json")) as f:
+        manifest = json.load(f)
+    gens = manifest["merged_from"]
+    assert any(s["wdt_bound_scale"] > 1.0 for s in manifest["segments"])
+    for seg in manifest["segments"]:
+        md = pq.read_metadata(os.path.join(merged_dir, "segments",
+                                           seg["file"]))
+        names = md.schema.to_arrow_schema().names
+        assert not {"skip_offset", "skip_tf_offset", "skip_count"} & set(
+            names)
+        for g in range(md.num_row_groups):
+            for c in range(md.num_columns):
+                cc = md.row_group(g).column(c)
+                assert cc.compression == "ZSTD"
+                assert not cc.has_dictionary_page
+                assert not cc.is_stats_set
+
+    def index_bytes(d):
+        return sum(os.path.getsize(os.path.join(root, f))
+                   for sub in ("segments", "docstats")
+                   for root, _, files in os.walk(os.path.join(d, sub))
+                   for f in files)
+
+    merged = index_bytes(merged_dir)
+    assert merged / manifest["num_docs"] <= sum(
+        index_bytes(g["dir"]) for g in gens) / sum(
+        g["num_docs"] for g in gens)
+
+
 QUERIES = ["search", "the engine", "distributed index build",
            "search + engine", '"the index"']
 
@@ -146,6 +227,72 @@ def test_ranked_identical(merged_setup, q):
     wf = ef.ranked_query(q, use_okapi=True, top_k=10, use_wand=True)
     wm = em.ranked_query(q, use_okapi=True, top_k=10, use_wand=True)
     assert wf == wm
+
+
+SPLIT_A = 100  # the base generation again split: docs 0..99, 100..199
+
+
+@pytest.fixture(scope="module")
+def remerged_setup(with_ids, merged_setup, tmp_path_factory):
+    """(full_index_dir, remerged_index_dir, inner_merged_dir): docs
+    0..199 merged from two generations, then merged as ONE generation
+    with the delta over docs 200..299.  Docs 100..199 are shorter than
+    docs 0..199 on average, and those shorter than the union, so that
+    generation's wdt bounds are scaled at both merges."""
+    import ray.data
+
+    full_dir, _, b_dir, _ = merged_setup
+    root = tmp_path_factory.mktemp("remerge")
+    a1, a2, ab, out = (str(root / n) for n in ("a1", "a2", "ab", "out"))
+    build_index(ray.data.from_pandas(
+        with_ids[with_ids.doc_id < SPLIT_A].reset_index(drop=True)),
+        a1, _cfg(), input_description="remerge-a1")
+    build_index(ray.data.from_pandas(
+        with_ids[(with_ids.doc_id >= SPLIT_A) & (with_ids.doc_id < SPLIT)]
+        .reset_index(drop=True)),
+        a2, _cfg(doc_id_base=SPLIT_A), input_description="remerge-a2")
+    merge_indexes([a1, a2], ab)
+    merge_indexes([ab, b_dir], out)
+    return full_dir, out, ab
+
+
+def test_remerge_composes_bound_scales(remerged_setup):
+    """A merged index merged again: each of its segments' bound scale is
+    the scale it carried times the new merge's own factor."""
+    from searchengine_ray.merge import _wdt_bound_scale
+
+    _, out, ab = remerged_setup
+    with open(os.path.join(out, "manifest.json")) as f:
+        final = json.load(f)
+    with open(os.path.join(ab, "manifest.json")) as f:
+        inner = json.load(f)
+    step = _wdt_bound_scale(final["avg_doc_length"], inner["avg_doc_length"])
+    assert step > 1.0
+    carried = {"g00_" + s["file"]: s["wdt_bound_scale"]
+               for s in inner["segments"]}
+    assert max(carried.values()) > 1.0
+    for seg in final["segments"]:
+        if seg["generation"] == 0:
+            assert seg["wdt_bound_scale"] == pytest.approx(
+                carried[seg["file"]] * step, rel=1e-15)
+
+
+def test_remerge_bounds_and_wand_exact(remerged_setup):
+    """The twice-merged index's skip-block bounds hold under its final
+    avgdl, and block-max WAND ranks exactly as the full build's exact
+    scorer does."""
+    from searchengine_ray.query.engine import QueryEngine
+    from searchengine_ray.query.reader import DiskIndexReader
+
+    full_dir, out, _ = remerged_setup
+    _assert_block_bounds(DiskIndexReader(out))
+    ef, em = QueryEngine(full_dir), QueryEngine(out)
+    for q in QUERIES[:3]:
+        want = ef.ranked_query(q, use_okapi=True, top_k=10, use_wand=False)
+        assert em.ranked_query(q, use_okapi=True, top_k=10,
+                               use_wand=True) == want, q
+        assert em.ranked_query(q, use_okapi=True, top_k=10,
+                               use_wand=False) == want, q
 
 
 @pytest.mark.parametrize("q", QUERIES[3:])
@@ -195,7 +342,7 @@ def test_legacy_export_merged_matches_full_build(merged_setup, tmp_path):
 def test_docweights_written_by_merge(merged_setup, oracle):
     """merge_indexes writes the merged docweights arrays over the merged
     docstats: one entry per doc of the whole id space."""
-    from searchengine_ray.build import docweights_paths
+    from searchengine_ray.layout import docweights_paths
 
     _, merged_dir, _, _ = merged_setup
     dl_p, ld_p = docweights_paths(merged_dir)
@@ -307,12 +454,13 @@ def test_merge_refuses_other_docterms_format(merged_setup, tmp_path, fmt):
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("fmt", [None, 6])
+@pytest.mark.parametrize("fmt", [None, 6, 7])
 def test_merge_refuses_other_segment_format(merged_setup, tmp_path, fmt):
-    """A generation of another segment format (none recorded, or v6
-    whose catalog still has a ``salt`` column) must not merge: the
-    merge copies segments as-is, and the reader reads one format."""
-    from searchengine_ray.build import SEGMENT_FORMAT
+    """A generation of another segment format (none recorded, v6 whose
+    catalog still has a ``salt`` column, or v7 whose catalog stores the
+    skip offsets and whose files are snappy) must not merge: the merge
+    copies segments as-is, and the reader reads one format."""
+    from searchengine_ray.layout import SEGMENT_FORMAT
 
     _, out_dir, b_dir, _ = merged_setup
     with open(os.path.join(out_dir, "manifest.json")) as f:

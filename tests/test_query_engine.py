@@ -169,7 +169,7 @@ class TestDocWeights:
     docweights/; the reader memory-maps them and writes nothing."""
 
     def test_arrays_match_oracle(self, built_index, oracle):
-        from searchengine_ray.build import docweights_paths
+        from searchengine_ray.layout import docweights_paths
 
         index_dir, _ = built_index
         dl_p, ld_p = docweights_paths(index_dir)
@@ -221,7 +221,7 @@ class TestDocWeights:
     def _clone(built_index, tmp_path, edit):
         import shutil
 
-        from searchengine_ray.build import docweights_paths
+        from searchengine_ray.layout import docweights_paths
 
         index_dir, _ = built_index
         clone = str(tmp_path / "torn")
@@ -277,6 +277,28 @@ class TestDocStatsSidecars:
         with _pytest.raises(ValueError, match="rebuild"):
             DiskIndexReader(clone)
 
+    def test_segment_format_v7_refused(self, built_index, tmp_path):
+        """A v7 index (skip offsets stored in the catalog, snappy files)
+        is refused with "rebuild", not read with v8 offsets."""
+        import json
+        import shutil
+
+        import pytest as _pytest
+
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        index_dir, _ = built_index
+        clone = str(tmp_path / "v7")
+        shutil.copytree(index_dir, clone)
+        mpath = os.path.join(clone, "manifest.json")
+        with open(mpath) as f:
+            m = json.load(f)
+        m["segment_format"] = 7
+        with open(mpath, "w") as f:
+            json.dump(m, f)
+        with _pytest.raises(ValueError, match="format 7.*rebuild"):
+            DiskIndexReader(clone)
+
     def test_get_titles_more_than_cache_capacity(self, built_index):
         """ADVICE r3: one call requesting more distinct ids than the
         title-LRU capacity must not KeyError (eviction used to run
@@ -315,7 +337,7 @@ class TestSegmentBin:
     def _clone_with_bin(built_index, tmp_path, edit):
         import shutil
 
-        from searchengine_ray.build import segment_bin_path
+        from searchengine_ray.layout import segment_bin_path
 
         index_dir, manifest = built_index
         clone = str(tmp_path / "torn")
@@ -471,3 +493,21 @@ class TestRandomizedQueries:
                                        use_wand=True)
             assert [d for d, _ in wand] == [d for d, _ in got], q
 
+
+
+def test_query_path_imports_no_ray_data():
+    """The query modules take the index's shared names from
+    ``searchengine_ray.layout``, so a query process or shard actor never
+    imports Ray Data (``build.py`` does)."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, searchengine_ray.query.sharded, "
+         "searchengine_ray.query.spelling; "
+         "print('ray.data' in sys.modules, "
+         "'searchengine_ray.build' in sys.modules)"],
+        cwd=root, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
