@@ -167,6 +167,7 @@ def cmd_stats(args) -> int:
         "catalog_column_bytes": catalog_columns,
         "segments": segments,
         "stage_seconds": manifest.get("stage_seconds"),
+        "tokenize_plan": manifest.get("tokenize_plan"),
         "exchange_phases": plan.get("phases"),
     }, indent=1))
     return 0

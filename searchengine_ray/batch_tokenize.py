@@ -1,10 +1,15 @@
-"""Vectorized batch tokenization — the per-occurrence-Python-free path.
+"""Batch tokenization: the build's one analyzer entry point.
 
-``TokenizeDocs`` originally walked every (token, position) pair of every
-document in Python (tokenizer.analyze_document).  That is inherent for
-per-token work, but the per-token work itself is memoized per *distinct*
-token (TokenTermCache) — so the only part that needs Python at all is the
-distinct-piece vocabulary of a batch.  This module restructures the stage:
+:func:`analyze_batch` turns a batch of documents into per-doc columns for
+every analyzer: ``reference`` and ``whitespace`` take the vectorized pass
+below, others (``spanish``) the per-doc chain of ``tokenizer.ANALYZERS``
+(:func:`analyze_per_doc`, also the vectorized pass's parity oracle).  A
+pass's memory grows with its content, so a batch is analyzed in slices of
+at most ``ANALYZE_SLICE_BYTES`` content bytes, cut on the string array's
+offsets; a doc's output depends on that doc alone, so the cut never shows.
+
+The vectorized pass needs Python only per DISTINCT piece (the per-token
+work is memoized in TokenTermCache):
 
 1. split documents into pieces with classification-free Arrow kernels
    (literal `split_pattern` after a whitespace-normalizing regex pass —
@@ -12,15 +17,14 @@ distinct-piece vocabulary of a batch.  This module restructures the stage:
    Python ``str.split()``; see _PY_WS_PATTERN for why no utf8_* kernel),
 2. dictionary-encode the flat pieces and run the token->terms chain
    (T2 strip/clean/hyphen-expand + T3 stem, or whitespace identity) once
-   per DISTINCT piece through the existing worker cache,
+   per distinct piece through the worker cache,
 3. scatter terms back per occurrence with one Arrow list-take,
 4. group (doc, term) -> (tftd, positions) with one numpy argsort over a
    packed int64 key + run-boundary reduceats.
 
-Semantics are bit-identical to tokenizer.analyze_document /
-analyze_document_whitespace (pytest parity suite: tests/test_tokenizer.py)
-— including the reference quirks: empty types count toward doc_length and
-L_d but are never indexed (/root/reference/engine/indexing/spimi.py:66-117,
+Semantics are bit-identical to the per-doc chain (parity suite:
+tests/test_batch_tokenize.py) — including the reference quirks: empty
+types count toward doc_length and L_d but are never indexed (spimi.py:66-117,
 postionalinvertedindex.py:28), positions are 1-based per stream token and
 shared by a token's expanded types, and pieces that strip() to nothing
 consume no position (englishtokenstream.py:12-18).
@@ -33,10 +37,19 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import vbyte
-from .tokenizer import TokenTermCache
+from .tokenizer import ANALYZERS, TokenTermCache, euclidean_weight
 
-# analyzers this fast path covers; others fall back to the per-doc loop
+# analyzers the vectorized path covers; others run the per-doc loop
 VECTORIZED_ANALYZERS = ("reference", "whitespace")
+
+# Most content bytes one pass of ``analyze_batch`` analyzes.  A pass's
+# peak RSS rises by ~30x its content, so the bound caps it whatever the
+# batch's doc count; a larger doc gets a pass of its own.  Over
+# perfbench's 4,000 generated docs (10.8 MiB) in one process on a shared
+# 4-vCPU host, a whole call rose by 148 MB at 2 MiB against 201 MB at
+# 4 MiB and 382 MB unsliced, in 1.21 s against 1.12 s and 1.10 s
+# (medians of 5).
+ANALYZE_SLICE_BYTES = 2 << 20
 
 # Every codepoint Python's str.split() treats as whitespace, space itself
 # excepted.  pyarrow 16.1.0's utf8_split_whitespace (and utf8_lower)
@@ -90,21 +103,15 @@ def _flat_pieces(
         normalized = pc.replace_substring_regex(
             contents, _PY_WS_PATTERN, " ")
         lists = pc.split_pattern(normalized, " ")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
         lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
         piece_doc = np.repeat(
             np.arange(len(lists), dtype=np.int64), lens)
         return lists.flatten(), piece_doc
     lines = pc.split_pattern(contents, "\n")
-    if isinstance(lines, pa.ChunkedArray):
-        lines = lines.combine_chunks()
     lines_per_doc = pc.list_value_length(lines).to_numpy(
         zero_copy_only=False)
     flat_lines = lines.flatten()
     pieces = pc.split_pattern(flat_lines, " ")
-    if isinstance(pieces, pa.ChunkedArray):
-        pieces = pieces.combine_chunks()
     pieces_per_line = pc.list_value_length(pieces).to_numpy(
         zero_copy_only=False)
     line_doc = np.repeat(
@@ -152,32 +159,85 @@ def _distinct_terms(
 def analyze_batch(
     contents: pa.Array, analyzer: str, cache: TokenTermCache
 ) -> dict:
-    """Tokenize a batch of documents fully vectorized.
+    """Tokenize a batch of documents with ``analyzer``, one pass per
+    slice of at most ``ANALYZE_SLICE_BYTES`` content bytes.
 
     Returns dict with per-doc numpy/Arrow columns:
       doc_length int64[n_docs], l_d float64[n_docs],
-      terms list<string>, tftds list<int32>,
+      terms list<string> (sorted per doc), tftds list<int32>,
       pos_blob list<binary> (per-term VByte position-gap blob, docterms
       format v2 — encoded HERE so the embarrassingly-parallel tokenize
       stage pays the encode and the exchange ships final bytes).
     """
+    one_pass = (_analyze_vectorized if analyzer in VECTORIZED_ANALYZERS
+                else analyze_per_doc)
+    parts = [one_pass(contents.slice(a, b - a), analyzer, cache)
+             for a, b in _byte_slices(contents)]
+    if len(parts) == 1:
+        return parts[0]
+    return {k: (np.concatenate([p[k] for p in parts])
+                if isinstance(parts[0][k], np.ndarray)
+                else pa.concat_arrays([p[k] for p in parts]))
+            for k in parts[0]}
+
+
+def _byte_slices(contents: pa.Array) -> list[tuple[int, int]]:
+    """``[(start, stop)]`` doc ranges tiling ``contents``, each holding at
+    most ``ANALYZE_SLICE_BYTES`` content bytes (a larger doc alone), cut
+    on the string array's offsets."""
+    n = len(contents)
+    if n == 0:
+        return [(0, 0)]
+    width = np.int64 if pa.types.is_large_string(contents.type) else np.int32
+    offs = np.frombuffer(contents.buffers()[1], dtype=width)[
+        contents.offset:contents.offset + n + 1]
+    cuts = [0]
+    while cuts[-1] < n:
+        a = cuts[-1]
+        b = int(np.searchsorted(offs, offs[a] + ANALYZE_SLICE_BYTES,
+                                side="right")) - 1
+        cuts.append(max(b, a + 1))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def analyze_per_doc(
+    contents: pa.Array, analyzer: str, cache: TokenTermCache
+) -> dict:
+    """``analyze_batch``'s output from the per-doc chain of
+    ``tokenizer.ANALYZERS[analyzer]``, one document at a time: the path
+    of analyzers with no vectorized pass (``spanish``), and the parity
+    oracle of the vectorized one."""
+    analyze = ANALYZERS[analyzer]
+    doc_length, l_d, terms, tftds, positions = [], [], [], [], []
+    for content in contents.to_pylist():
+        term_pos, n_types = analyze(content, cache)
+        # L_d includes the empty term (spimi.py:72-79,110-117); the
+        # index itself never stores it (postionalinvertedindex.py:28).
+        doc_length.append(n_types)
+        l_d.append(euclidean_weight(len(v) for v in term_pos.values()))
+        term_pos.pop("", None)
+        doc_terms = sorted(term_pos)
+        terms.append(doc_terms)
+        tftds.append([len(term_pos[t]) for t in doc_terms])
+        positions.append([term_pos[t] for t in doc_terms])
+    nested = pa.array(positions, type=pa.list_(pa.list_(pa.int32())))
+    return {
+        "doc_length": np.array(doc_length, dtype=np.int64),
+        "l_d": np.array(l_d, dtype=np.float64),
+        "terms": pa.array(terms, type=pa.list_(pa.string())),
+        "tftds": pa.array(tftds, type=pa.list_(pa.int32())),
+        "pos_blob": pa.ListArray.from_arrays(
+            nested.offsets, vbyte.encode_position_lists(nested.flatten())),
+    }
+
+
+def _analyze_vectorized(
+    contents: pa.Array, analyzer: str, cache: TokenTermCache
+) -> dict:
+    """One vectorized pass over ``contents`` (``reference`` or
+    ``whitespace``); the same dict as :func:`analyze_per_doc`."""
     n_docs = len(contents)
     pieces, piece_doc = _flat_pieces(contents, analyzer)
-    if isinstance(pieces, pa.ChunkedArray):
-        pieces = pieces.combine_chunks()
-
-    empty32 = pa.array(np.zeros(n_docs + 1, dtype=np.int32))
-    if len(pieces) == 0:
-        return {
-            "doc_length": np.zeros(n_docs, dtype=np.int64),
-            "l_d": np.zeros(n_docs, dtype=np.float64),
-            "terms": pa.ListArray.from_arrays(
-                empty32, pa.array([], type=pa.string())),
-            "tftds": pa.ListArray.from_arrays(
-                empty32, pa.array([], type=pa.int32())),
-            "pos_blob": pa.ListArray.from_arrays(
-                empty32, pa.array([], type=pa.binary())),
-        }
 
     dic = pieces.dictionary_encode()
     codes = dic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -207,18 +267,6 @@ def analyze_batch(
     type_doc = np.repeat(piece_doc, lens)
     type_pos = np.repeat(piece_pos, lens).astype(np.int32)
 
-    if len(flat_terms) == 0:
-        return {
-            "doc_length": doc_length,
-            "l_d": np.zeros(n_docs, dtype=np.float64),
-            "terms": pa.ListArray.from_arrays(
-                empty32, pa.array([], type=pa.string())),
-            "tftds": pa.ListArray.from_arrays(
-                empty32, pa.array([], type=pa.int32())),
-            "pos_blob": pa.ListArray.from_arrays(
-                empty32, pa.array([], type=pa.binary())),
-        }
-
     tdic = flat_terms.dictionary_encode()
     tcodes = tdic.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     tdistinct = tdic.dictionary
@@ -238,8 +286,7 @@ def analyze_batch(
     code_s = tcodes[order]
 
     n = doc_s.size
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
+    new_run = np.ones(n, dtype=bool)
     new_run[1:] = (doc_s[1:] != doc_s[:-1]) | (rank_s[1:] != rank_s[:-1])
     run_starts = np.flatnonzero(new_run)
     run_lens = np.diff(np.append(run_starts, n)).astype(np.int64)
@@ -280,8 +327,6 @@ def analyze_batch(
     outer_off_arr = pa.array(outer_off)
 
     terms_vals = tdistinct.take(pa.array(k_code))
-    if isinstance(terms_vals, pa.ChunkedArray):
-        terms_vals = terms_vals.combine_chunks()
     return {
         "doc_length": doc_length,
         "l_d": l_d,

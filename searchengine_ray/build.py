@@ -9,11 +9,15 @@ Ray-Data-native rebuild:
 
   read_parquet(corpus)
     -> assign_doc_ids (one explicit global decision, ids.py)
-    -> map_batches(TokenizeDocs tasks)               # SPIMI block ≙ Ray block
-         emits per-doc rows: doc stats + per-term (tftd, VByte pos blob)
-    -> map_batches(_group_and_write), preserve_order on (docterms v10):
-         one file pair per dense doc-id run of each batch, both named by
-         the run's [lo, hi] and written tmp + atomic rename:
+    -> ONE map_batches(_tokenize_stage) of DOCTERMS_BLOCK_ROWS-doc batches,
+       preserve_order on (docterms v10)              # SPIMI block ≙ Ray block
+         analyze: batch_tokenize.analyze_batch, the one analyzer entry
+           point, in slices of at most ANALYZE_SLICE_BYTES content bytes
+           (memory bounded by bytes, not docs) -> per-doc stats +
+           per-term (tftd, VByte pos blob)
+         group + encode + write: one file pair per dense doc-id run of
+         the batch, both named by the run's [lo, hi] and written tmp +
+         atomic rename:
          docterms/  (the run's postings grouped by (gkey, term, doc) and
                      VByte-encoded: one posting-list fragment per
                      (gkey, term), one parquet row group per gkey, where
@@ -38,15 +42,17 @@ Ray-Data-native rebuild:
        ``skip_block`` postings; the reader derives the blocks' byte
        offsets from the streams)
   manifest.json: corpus scalars, per-stage lineage + per-file metrics,
-       committed last -> a re-run skips completed stages (resume).
+       the tokenize and exchange task splits (tokenize_plan,
+       exchange_plan), committed last -> a re-run skips completed stages
+       (resume).
 
 ``docs_per_shard`` is the only doc-range split of a posting list: a term's
 fragments are doc_id-range-disjoint, so the query reader concatenates them
 in first-doc order and postings stay globally doc_id-sorted with no second
 merge pass.  Like the reference, a hot term is never split further.
 
-The group stage runs with ``preserve_order`` on, so its batches, and with
-them the dense runs that name its files, follow the input's block order,
+The tokenize stage runs with ``preserve_order`` on, so its batches, and
+with them the dense runs that name its files, follow the input's block order,
 not task timing: the same corpus gives the same docterms, docstats and
 segment bytes, and a retried task rewrites the same files with the same
 bytes.  At a given reducer count the segments do not depend on the batch
@@ -67,7 +73,9 @@ import pyarrow.parquet as pq
 import ray.data
 
 from . import layout
-from .tokenizer import TokenTermCache, euclidean_weight
+from .batch_tokenize import analyze_batch
+from .tokenizer import TokenTermCache
+from .verify import content_digests
 
 # corpus columns the tokenize stage reads; ID_COL is assigned by
 # ids.assign_doc_ids when the corpus does not carry it
@@ -75,27 +83,16 @@ CONTENT_COL = "content"
 TITLE_COL = "path"
 ID_COL = "doc_id"
 
-TOKENIZE_BATCH_SIZE = 64
-# docterms block size: tokenize emits small blocks (TOKENIZE_BATCH_SIZE
-# docs each), and the group step rebatches them to this many docs before
-# it groups, encodes and writes each dense run of the batch.
+# docs per tokenize-stage batch: each batch is analyzed (in slices of
+# at most batch_tokenize.ANALYZE_SLICE_BYTES content bytes), then each
+# dense doc-id run of it is grouped, encoded and written.
 DOCTERMS_BLOCK_ROWS = 4096
 SEGMENT_ROW_GROUP_SIZE = 512
 
 
 def _as_array(col) -> pa.Array:
     """Normalize a Table column to a single contiguous pa.Array."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-        if isinstance(col, pa.ChunkedArray):
-            # combine_chunks returns an Array on pyarrow>=16; on versions
-            # where it can still yield a ChunkedArray, concatenate rather
-            # than silently dropping data past the first chunk
-            if col.num_chunks == 0:
-                col = pa.array([], type=col.type)
-            else:
-                col = pa.concat_arrays(col.chunks)
-    return col
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
 @dataclass
@@ -110,7 +107,7 @@ class IndexBuildConfig:
     # the reader refuses to serve it until merge.merge_indexes folds it
     # into a zero-based generational index.
     doc_id_base: int = 0
-    analyzer: str = "reference"  # key into tokenizer.ANALYZERS
+    analyzer: str = "reference"  # batch_tokenize.analyze_batch's analyzer
     num_reducers: int | None = None  # postings-exchange reduce partitions
 
     def to_json(self) -> dict:
@@ -131,110 +128,21 @@ def _worker_cache(analyzer: str) -> TokenTermCache:
     return cache
 
 
-class TokenizeDocs:
-    """Tokenizer stage: per-batch vector output, run as a plain task
-    function whose stemmer/token cache (the north-star 'stemmer cache'
-    stateful stage) is the executing worker's process-global one
-    (``_worker_cache``)."""
-
-    def __init__(self, config: IndexBuildConfig):
-        self.cfg = config
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .batch_tokenize import VECTORIZED_ANALYZERS
-
-        cfg = self.cfg
-        # resolved HERE (on the worker, not at driver pickle time) so the
-        # cache is the executing process's one, shared across its tasks
-        cache = _worker_cache(cfg.analyzer)
-        content_arr = _as_array(batch.column(CONTENT_COL))
-        if cfg.analyzer in VECTORIZED_ANALYZERS:
-            from .batch_tokenize import analyze_batch
-            from .verify import content_digests
-
-            cols = analyze_batch(content_arr, cfg.analyzer, cache)
-            return pa.table(
-                {
-                    "doc_id": _as_array(batch.column(ID_COL)).cast(
-                        pa.int64()),
-                    "title": _as_array(batch.column(TITLE_COL)),
-                    "doc_length": pa.array(cols["doc_length"]),
-                    "l_d": pa.array(cols["l_d"]),
-                    "sha256": content_digests(content_arr),
-                    "terms": cols["terms"],
-                    "tftds": cols["tftds"],
-                    "pos_blob": cols["pos_blob"],
-                }
-            )
-        return self._call_per_doc(batch, cache)
-
-    def _call_per_doc(self, batch: pa.Table, cache) -> pa.Table:
-        """Per-doc fallback for analyzers without a vectorized batch path
-        (e.g. spanish); also the parity oracle for the vectorized path."""
-        from .tokenizer import ANALYZERS
-        from .verify import content_digests
-
-        cfg = self.cfg
-        analyze = ANALYZERS[cfg.analyzer]
-        contents = batch.column(CONTENT_COL).to_pylist()
-        titles = batch.column(TITLE_COL).to_pylist()
-        doc_ids = batch.column(ID_COL).to_pylist()
-
-        out_doc_id, out_title, out_len, out_ld = [], [], [], []
-        out_terms, out_tftds, out_positions = [], [], []
-        for doc_id, title, content in zip(doc_ids, titles, contents):
-            term_pos, doc_length = analyze(content, cache)
-            # L_d includes the empty term (spimi.py:72-79,110-117); the
-            # index itself never stores it (postionalinvertedindex.py:28).
-            l_d = euclidean_weight(len(v) for v in term_pos.values())
-            term_pos.pop("", None)
-            terms = sorted(term_pos)
-            out_doc_id.append(doc_id)
-            out_title.append(title)
-            out_len.append(doc_length)
-            out_ld.append(l_d)
-            out_terms.append(terms)
-            out_tftds.append([len(term_pos[t]) for t in terms])
-            out_positions.append([term_pos[t] for t in terms])
-        return pa.table(
-            {
-                "doc_id": pa.array(out_doc_id, type=pa.int64()),
-                "title": pa.array(out_title, type=pa.string()),
-                "doc_length": pa.array(out_len, type=pa.int64()),
-                "l_d": pa.array(out_ld, type=pa.float64()),
-                "sha256": content_digests(batch.column(CONTENT_COL)),
-                "terms": pa.array(out_terms, type=pa.list_(pa.string())),
-                "tftds": pa.array(out_tftds, type=pa.list_(pa.int32())),
-                "pos_blob": _encode_positions_nested(out_positions),
-            }
-        )
-
-
-def _encode_positions_nested(out_positions: list) -> pa.ListArray:
-    """Per-doc python lists of per-term position lists -> list<binary>
-    of VByte gap blobs (docterms format v2); the per-doc fallback path's
-    counterpart of the vectorized encode in batch_tokenize."""
-    from . import vbyte
-
-    nested = pa.array(out_positions, type=pa.list_(pa.list_(pa.int32())))
-    return pa.ListArray.from_arrays(
-        nested.offsets, vbyte.encode_position_lists(nested.flatten()))
-
-
 _DOCSTATS_COLS = ["doc_id", "title", "doc_length", "l_d", "sha256"]
 
 
 def _group_run(cfg: IndexBuildConfig, tok: pa.Table) -> pa.Table:
     """Explode ONE dense doc-id run of a tokenized batch, group its
     postings by (gkey, term) (docs stay ascending inside each group via
-    the stable sort) and encode them: the run's ``_WIRE_SCHEMA`` fragment
-    table in gkey order, which is its docterms file (docterms v10)."""
+    the stable sort) and encode them: the run's ``_DOCTERMS_SCHEMA``
+    fragment table in gkey order, which is its docterms file (docterms
+    v10)."""
     terms_col = _as_array(tok.column("terms"))
     lens = pa.compute.list_value_length(terms_col).to_numpy(
         zero_copy_only=False)
     flat_terms = terms_col.flatten()
     if len(flat_terms) == 0:
-        return _WIRE_SCHEMA.empty_table()
+        return _DOCTERMS_SCHEMA.empty_table()
     doc_np = _as_array(tok.column("doc_id")).to_numpy(zero_copy_only=False)
     doc_ids = np.repeat(doc_np, lens)
     tftds = _as_array(tok.column("tftds")).flatten().to_numpy(
@@ -345,15 +253,20 @@ def _write_docterms(fragments: pa.Table, path: str) -> None:
 
 
 def _group_and_write(batch: pa.Table, cfg: IndexBuildConfig,
-                     docterms_dir: str, docstats_dir: str) -> pa.Table:
-    """The group task: for each dense doc-id run of one tokenized batch,
-    write ``docterms_{span}.parquet`` (its encoded fragments, when it has
-    any postings) and ``docstats_{span}.parquet`` (its per-doc rows).
-    Files are named by the run alone, so a retried task rewrites the
-    same names with the same bytes.  Returns one row (the span) per
-    run."""
+                     docterms_dir: str, docstats_dir: str,
+                     prof: dict | None = None) -> pa.Table:
+    """For each dense doc-id run of one tokenized batch, write
+    ``docterms_{span}.parquet`` (its encoded fragments, when it has any
+    postings) and ``docstats_{span}.parquet`` (its per-doc rows).  Files
+    are named by the run alone, so a retried task rewrites the same names
+    with the same bytes.  Returns one row (the span) per run; adds its
+    group and write seconds to ``prof``."""
+    prof = {} if prof is None else prof
     spans = []
+    t = time.perf_counter()
     for span, fragments, docstats in _group_postings_batch(cfg, batch):
+        t_write = time.perf_counter()
+        prof["group"] = prof.get("group", 0.0) + t_write - t
         if fragments.num_rows:
             _write_docterms(fragments, os.path.join(
                 docterms_dir, f"docterms_{span}.parquet"))
@@ -363,7 +276,37 @@ def _group_and_write(batch: pa.Table, cfg: IndexBuildConfig,
             docstats_dir, f"docstats_{span}.parquet"),
             statistics=["doc_id"])
         spans.append(span)
+        t = time.perf_counter()
+        prof["write"] = prof.get("write", 0.0) + t - t_write
     return pa.table({"span": pa.array(spans, type=pa.string())})
+
+
+def _tokenize_stage(batch: pa.Table, cfg: IndexBuildConfig,
+                    docterms_dir: str, docstats_dir: str) -> pa.Table:
+    """The tokenize stage, one task per batch of corpus rows: analyze the
+    batch (``analyze_batch``, the per-worker term cache), then group,
+    encode and write each dense doc-id run (``_group_and_write``).  The
+    gather of the position payload and the VByte encode run here, in the
+    embarrassingly-parallel stage, never in the exchange.  Returns one
+    row: the batch's doc count and its analyze, group and write
+    seconds."""
+    t0 = time.perf_counter()
+    content = _as_array(batch.column(CONTENT_COL))
+    cols = analyze_batch(content, cfg.analyzer, _worker_cache(cfg.analyzer))
+    tok = pa.table({
+        "doc_id": _as_array(batch.column(ID_COL)).cast(pa.int64()),
+        "title": _as_array(batch.column(TITLE_COL)),
+        "doc_length": pa.array(cols["doc_length"]),
+        "l_d": pa.array(cols["l_d"]),
+        "sha256": content_digests(content),
+        "terms": cols["terms"],
+        "tftds": cols["tftds"],
+        "pos_blob": cols["pos_blob"],
+    })
+    prof = {"docs": batch.num_rows, "analyze": time.perf_counter() - t0,
+            "group": 0.0, "write": 0.0}
+    _group_and_write(tok, cfg, docterms_dir, docstats_dir, prof)
+    return pa.table({k: [v] for k, v in prof.items()})
 
 
 _SEGMENT_SCHEMA = pa.schema(
@@ -390,7 +333,7 @@ _SEGMENT_SCHEMA = pa.schema(
 
 
 # Docterms schema (docterms v10): one row per posting-list fragment, i.e.
-# per (dense doc-id run, gkey, term), already VByte-encoded.  The group
+# per (dense doc-id run, gkey, term), already VByte-encoded.  The tokenize
 # task writes a run's fragments as its docterms file, one row group per
 # gkey, and reducer ``gkey % P`` reads those row groups as they are.  A
 # fragment's doc range is contiguous and disjoint from every other
@@ -398,10 +341,10 @@ _SEGMENT_SCHEMA = pa.schema(
 # pure byte concatenation (rewriting only each non-first fragment's
 # leading absolute doc id into a gap): no re-sort, no re-encode.  No wdt
 # bound or skip block rides here: the bounds need the corpus avgdl, which
-# exists only once every group task is done, and a merged list's blocks
+# exists only once every tokenize task is done, and a merged list's blocks
 # are cut from its whole postings, so the reducer derives both from the
 # postings it decodes.
-_WIRE_SCHEMA = pa.schema(
+_DOCTERMS_SCHEMA = pa.schema(
     [
         ("gkey", pa.int64()),
         ("term", pa.string()),
@@ -469,9 +412,9 @@ _WIRE_SCHEMA = pa.schema(
 # v8: one docterms file and one docstats file per dense doc-id run, both
 # named by the run, from a ``preserve_order`` group stage; the ``seg``
 # column is gone (a file is one run, so no fragment crosses a seam).
-# v9: a docterms file holds its run's encoded fragments (``_WIRE_SCHEMA``
-# without wdt bounds), not posting rows: the group task encodes, the
-# exchange maps only route, and the reducers derive the bounds.
+# v9: a docterms file holds its run's encoded fragments, not posting rows:
+# the group task encodes, the exchange maps only route, and the reducers
+# derive the bounds.
 # v10: one row group per gkey with statistics on ``gkey`` only, rows in
 # (gkey, term) order, and no skip columns: the reducers read their own
 # row groups straight from the files (no exchange maps) and cut the skip
@@ -520,8 +463,8 @@ def _encode_file_fragments(
     uniq: np.ndarray,
 ) -> pa.Table:
     """One dense doc-id run's grouped postings -> its docterms file: a
-    ``_WIRE_SCHEMA`` fragment table, one row per (gkey, term) run, fully
-    VByte-encoded.
+    ``_DOCTERMS_SCHEMA`` fragment table, one row per (gkey, term) run,
+    fully VByte-encoded.
 
     Inputs are the run's posting arrays with every (gkey, term) run
     CONTIGUOUS and doc ids ascending inside each run (``_group_run``
@@ -645,7 +588,7 @@ def _encode_file_fragments(
             "tf_blob": _bin(frag_t_start, int(frag_t_end[-1]), encoded_t),
             "pos_blob": _bin(frag_p_start, int(frag_p_end[-1]), pos_data),
         },
-        schema=_WIRE_SCHEMA,
+        schema=_DOCTERMS_SCHEMA,
     )
 
 
@@ -681,7 +624,7 @@ def _finalize_segment(
     - skip blocks are regular: one per ``skip_block`` postings from each
       merged list's first (its last block may be shorter).  Its last doc
       and ``skip_max_wdt`` come from the decoded postings, so blocks do
-      not depend on how the group stage cut the list into fragments;
+      not depend on how the tokenize stage cut the list into fragments;
       ``max_wdt`` is the list's maximum.  Their byte offsets are not
       stored: the reader derives them from the streams (format v8);
     - each merged row's doc, tf and pos bytes go back to back into the
@@ -928,8 +871,8 @@ def _reduce_runs(
 
 
 def _phase_split(profs: list[dict]) -> dict:
-    """{phase: {total, max, mean}} over per-task profiles: where the
-    reducers spent their time and bytes, and their skew (max vs mean
+    """{phase: {total, max, mean}} over per-task profiles: where a
+    stage's tasks spent their time and bytes, and their skew (max vs mean
     task)."""
     out = {}
     for k in sorted({k for p in profs for k in p}):
@@ -1046,7 +989,7 @@ def write_doc_weights(docstats_dir: str, index_dir: str,
     The docstats invariant: each file must hold exactly the doc ids
     lo..hi in order, file ranges must be pairwise disjoint, and their
     union must be dense from ``base``.  Files are named by their dense
-    run, so a retried group task rewrites its own files and leaves no
+    run, so a retried tokenize task rewrites its own files and leaves no
     stale one; an overlap means a duplicated doc id or a file from
     another build, and raises.  Each file's span (rows, doc_id min/max)
     comes from its parquet footer; the data is read once, after the
@@ -1171,24 +1114,16 @@ def build_index(
         shutil.rmtree(docstats_dir, ignore_errors=True)
         os.makedirs(docterms_dir)
         os.makedirs(docstats_dir)
-        tokenizer = TokenizeDocs(cfg)  # plain-task stage; cache resolves
-        # per worker process via _worker_cache (state without actor pools)
-        tokenized = corpus.map_batches(
-            lambda batch, _t=tokenizer: _t(batch),
-            batch_format="pyarrow",
-            batch_size=TOKENIZE_BATCH_SIZE,
-        )
-        _preserve_order(tokenized).map_batches(
-            # rebatch to DOCTERMS_BLOCK_ROWS docs, then group each dense
-            # run by (gkey, term, doc), encode its fragments and write
-            # its file pair: the gather of the position payload and the
-            # VByte encode run HERE, in the embarrassingly-parallel
-            # stage, never in the exchange
-            _group_and_write,
+        # plain tasks: the term cache resolves per worker process via
+        # _worker_cache (state without actor pools)
+        batches = _preserve_order(corpus).map_batches(
+            _tokenize_stage,
             fn_args=(cfg, docterms_dir, docstats_dir),
             batch_format="pyarrow",
             batch_size=DOCTERMS_BLOCK_ROWS,
         ).take_all()
+        tokenize_plan = {"batches": len(batches),
+                         "phases": _phase_split(batches)}
         try:
             n_docs, tot = write_doc_weights(docstats_dir, index_dir,
                                             base=cfg.doc_id_base)
@@ -1208,6 +1143,7 @@ def build_index(
         _commit_stage(
             index_dir, "docterms", fingerprint,
             num_docs=n_docs, total_tokens=tot,
+            tokenize_plan=tokenize_plan,
             files=_dir_lineage(docterms_dir),
             docstats_files=_dir_lineage(docstats_dir),
         )
@@ -1249,6 +1185,8 @@ def build_index(
         )
 
     # ---- finalize: manifest (commit point) ----
+    with open(os.path.join(index_dir, "_STAGE_docterms.json")) as f:
+        dt_marker = json.load(f)
     with open(os.path.join(index_dir, "_STAGE_segments.json")) as f:
         seg_marker = json.load(f)
     seg_files = seg_marker.get("segment_metrics", [])
@@ -1268,6 +1206,7 @@ def build_index(
         "avg_doc_length": (total_tokens / num_docs) if num_docs else 0.0,
         "num_buckets": cfg.num_buckets,
         "docs_per_shard": cfg.docs_per_shard,
+        "tokenize_plan": dt_marker.get("tokenize_plan"),
         "exchange_plan": seg_marker.get("exchange_plan"),
         "segments": seg_files,
         "docstats_files": _dir_lineage(docstats_dir),

@@ -1,14 +1,20 @@
-"""Parity of the vectorized batch tokenizer (batch_tokenize.analyze_batch)
-with the per-doc reference chain (tokenizer.analyze_document*): the fast
-path must be bit-identical, including the reference quirks (empty types
+"""Parity of the batch tokenizer's one entry point
+(batch_tokenize.analyze_batch) with the per-doc chain
+(batch_tokenize.analyze_per_doc over tokenizer.ANALYZERS): the vectorized
+pass must be bit-identical, including the reference quirks (empty types
 count toward doc_length and L_d but are never indexed; positions are
 1-based per stream token; pieces that strip to nothing consume no
-position)."""
+position), and cutting a batch into byte-bounded slices must not show in
+the output."""
+
+from unittest import mock
 
 import pyarrow as pa
 from hypothesis import example, given, settings, strategies as st
 
-from searchengine_ray.build import IndexBuildConfig, TokenizeDocs, _worker_cache
+from searchengine_ray import batch_tokenize
+from searchengine_ray.batch_tokenize import analyze_batch, analyze_per_doc
+from searchengine_ray.tokenizer import TokenTermCache
 
 ADVERSARIAL = [
     "Hello world-wide web",
@@ -31,27 +37,30 @@ ADVERSARIAL = [
     " nbsp token",  # non-breaking space: NOT a split char for T1
 ]
 
+# a slice bound below most test batches' content, so analyze_batch cuts
+# them into several passes (a doc past it gets a pass of its own)
+TINY_SLICE_BYTES = 200
 
-def _batch(docs):
-    return pa.table(
-        {
-            "doc_id": pa.array(range(len(docs)), type=pa.int64()),
-            "path": pa.array([f"p{i}" for i in range(len(docs))],
-                             type=pa.string()),
-            "content": pa.array(docs, type=pa.string()),
-        }
-    )
+
+def _columns(out: dict) -> dict:
+    return {k: pa.array(v).to_pylist() for k, v in out.items()}
 
 
 def _assert_parity(docs, analyzer):
-    cfg = IndexBuildConfig(analyzer=analyzer)
-    tk = TokenizeDocs(cfg)
-    tbl = _batch(docs)
-    fast = tk(tbl)
-    slow = tk._call_per_doc(tbl, _worker_cache(analyzer))
-    assert fast.schema.equals(slow.schema)
-    for col in fast.column_names:
-        f, s = fast.column(col).to_pylist(), slow.column(col).to_pylist()
+    contents = pa.array(docs, type=pa.string())
+    fast = analyze_batch(contents, analyzer, TokenTermCache())
+    with mock.patch.object(batch_tokenize, "ANALYZE_SLICE_BYTES",
+                           TINY_SLICE_BYTES):
+        sliced = analyze_batch(contents, analyzer, TokenTermCache())
+    slow = analyze_per_doc(contents, analyzer, TokenTermCache())
+    assert set(fast) == set(slow) == set(sliced)
+    for col in fast:
+        f, s = pa.array(fast[col]), pa.array(slow[col])
+        assert f.type == s.type == pa.array(sliced[col]).type, col
+    fast, sliced, slow = _columns(fast), _columns(sliced), _columns(slow)
+    assert sliced == fast
+    for col in fast:
+        f, s = fast[col], slow[col]
         if col == "l_d":
             assert all(abs(a - b) < 1e-12 for a, b in zip(f, s)), col
         else:
@@ -64,6 +73,11 @@ def test_adversarial_reference():
 
 def test_adversarial_whitespace():
     _assert_parity(ADVERSARIAL, "whitespace")
+
+
+def test_adversarial_spanish():
+    # no vectorized pass: analyze_batch runs the per-doc chain, sliced
+    _assert_parity(ADVERSARIAL, "spanish")
 
 
 def test_empty_batch():

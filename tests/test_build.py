@@ -124,6 +124,22 @@ class TestBuildArtifacts:
         assert plan["num_reducers"] >= 1
         assert plan["docterms_bytes"] > 0
 
+    def test_manifest_tokenize_plan(self, built_index):
+        """The tokenize stage records its batch count and the split of
+        its tasks (docs, analyze, group and write seconds; total, max and
+        mean each) in the docterms marker and the manifest."""
+        index_dir, manifest = built_index
+        plan = manifest["tokenize_plan"]
+        with open(os.path.join(index_dir, "_STAGE_docterms.json")) as f:
+            assert json.load(f)["tokenize_plan"] == plan
+        assert set(plan) == {"batches", "phases"}
+        assert plan["batches"] >= 1
+        phases = plan["phases"]
+        assert set(phases) == {"docs", "analyze", "group", "write"}
+        assert phases["docs"]["total"] == manifest["num_docs"]
+        for name, st in phases.items():
+            assert st["total"] >= st["max"] >= st["mean"] >= 0, (name, st)
+
     def test_sha256_invariant(self, built_index, small_corpus):
         index_dir, _ = built_index
         stats = pq.read_table(
@@ -699,8 +715,8 @@ class TestCorpusScalars:
 
 class TestDeterministicLayout:
     """The tokenize stage's output is a function of its input dataset:
-    files are named by their dense doc-id run, and the group stage runs
-    with ``preserve_order``, so builds and retried tasks leave the same
+    files are named by their dense doc-id run, and the stage runs with
+    ``preserve_order``, so builds and retried tasks leave the same
     bytes."""
 
     def test_group_and_write_twice_same_bytes(self, tmp_path):
@@ -797,6 +813,42 @@ class TestDeterministicLayout:
         assert names(trees[0], "segments") == names(trees[1], "segments")
         for n in names(trees[0], "segments"):
             assert trees[0][n] == trees[1][n], n
+
+    def test_tiny_slice_bound_byte_identical(self, ray_session, tmp_path,
+                                             monkeypatch):
+        """The tokenize stage analyzes each batch in slices of at most
+        ``ANALYZE_SLICE_BYTES`` content bytes; a 256 B bound (several
+        slices per batch, each doc past it alone) leaves docterms/,
+        docstats/, docweights/ and segments/ byte-identical to the
+        default build."""
+        from unittest import mock
+
+        from searchengine_ray import batch_tokenize, build
+        from searchengine_ray.build import IndexBuildConfig, build_index
+
+        stage = build._tokenize_stage
+
+        def tiny_slices(batch: pa.Table, *args) -> pa.Table:
+            # runs in the Ray worker, so the bound is patched there
+            with mock.patch.object(batch_tokenize, "ANALYZE_SLICE_BYTES",
+                                   256):
+                out = stage(batch, *args)
+                n = len(batch_tokenize._byte_slices(
+                    batch.column("content").combine_chunks()))
+            return out.append_column("slices", pa.array([n]))
+
+        cfg = IndexBuildConfig(num_buckets=4, skip_block=8,
+                               docs_per_shard=128)
+        default = str(tmp_path / "default")
+        build_index(self._corpus(False), default, cfg,
+                    input_description="slices")
+        monkeypatch.setattr(build, "_tokenize_stage", tiny_slices)
+        tiny = str(tmp_path / "tiny")
+        m = build_index(self._corpus(False), tiny, cfg,
+                        input_description="slices")
+        plan = m["tokenize_plan"]
+        assert plan["phases"]["slices"]["total"] > 2 * plan["batches"]
+        assert _tree_bytes(tiny) == _tree_bytes(default)
 
     def test_worker_crash_retry_byte_identical(self, ray_session, tmp_path,
                                                monkeypatch):

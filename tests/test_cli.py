@@ -115,3 +115,5 @@ def test_stats_subcommand(cli_env, capsys):
         for phase in side.values():
             assert set(phase) == {"total", "max", "mean"}
     assert "finalize" in st["stage_seconds"]
+    assert set(st["tokenize_plan"]["phases"]) == {
+        "docs", "analyze", "group", "write"}

@@ -6,7 +6,7 @@ segment stores no skip offsets or counts since v8; ``_finalize`` attaches
 the ones the query reader derives from each row's streams
 (``reader.block_offsets``), so the block tests check those.
 
-Invariants under test (build.py ``_WIRE_SCHEMA`` / ``_finalize_segment``
+Invariants under test (build.py ``_DOCTERMS_SCHEMA`` / ``_finalize_segment``
 docstrings):
 - a merged term's doc stream (values ``gap<<1 | (tf==1)``) decodes to the
   exact ascending doc ids across fragments (the non-first fragments'
@@ -498,7 +498,7 @@ def test_hole_straddling_segments_end_to_end(tmp_path):
     straddling the hole that run [1] owns.  The group task writes one
     docterms file of encoded fragments per run, so no fragment spans the
     hole; merging the files' fragments reproduces the exact postings."""
-    from searchengine_ray.build import _WIRE_SCHEMA, _group_and_write
+    from searchengine_ray.build import _DOCTERMS_SCHEMA, _group_and_write
 
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     docs = [0, 2, 3, 1]
@@ -513,7 +513,7 @@ def test_hole_straddling_segments_end_to_end(tmp_path):
 
     doc_length = np.full(len(docs), 2, dtype=np.int64)
     frags = [pq.read_table(str(dt / name)) for name in names]
-    assert all(f.schema == _WIRE_SCHEMA for f in frags)
+    assert all(f.schema == _DOCTERMS_SCHEMA for f in frags)
     # 3 dense runs x 2 terms -> one fragment each, ranges disjoint
     assert sum(f.num_rows for f in frags) == 6
 
