@@ -29,10 +29,10 @@ Ray-Data-native rebuild:
     -> one docstats pass: ids tile 0..N-1, corpus scalars, docweights/
        (dense doc_length and l_d arrays in doc-id order, the reference's
        docWeights.bin)
-  docterms -> P raw-Ray reducers; reducer r reads the row groups whose
-              gkey % P == r straight from every docterms file (no map
-              wave, no wire), merges them and derives the wdt bounds and
-              skip blocks                           # the heap merge
+  docterms -> plan_exchange on the driver routes each row group once,
+              to reducer gkey % P, P sized from the corpus; each reducer
+              reads its row groups, re-encodes each merged doc stream and
+              derives the wdt bounds and skip blocks  # the heap merge
     -> segments/: one posting-list *fragment* per (term, shard).
        segment_NNNNN.bin holds each fragment's three VByte streams
        back to back (doc gaps folded with a tf==1 flag / tf exceptions
@@ -55,9 +55,9 @@ The tokenize stage runs with ``preserve_order`` on, so its batches, and
 with them the dense runs that name its files, follow the input's block order,
 not task timing: the same corpus gives the same docterms, docstats and
 segment bytes, and a retried task rewrites the same files with the same
-bytes.  At a given reducer count the segments do not depend on the batch
-size either: a merged list's bytes and skip blocks are a function of its
-postings alone.
+bytes.  The segments do not depend on the batch size either (a merged
+list's bytes and skip blocks are a function of its postings alone), nor
+on the cluster: the reducer count comes from the corpus.
 """
 
 from __future__ import annotations
@@ -108,7 +108,9 @@ class IndexBuildConfig:
     # into a zero-based generational index.
     doc_id_base: int = 0
     analyzer: str = "reference"  # batch_tokenize.analyze_batch's analyzer
-    num_reducers: int | None = None  # postings-exchange reduce partitions
+    # postings-exchange reduce partitions; None: sized from the corpus,
+    # max(8, ceil(total_tokens / REDUCE_TOKENS)) (plan_exchange)
+    num_reducers: int | None = None
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -148,10 +150,7 @@ def _group_run(cfg: IndexBuildConfig, tok: pa.Table) -> pa.Table:
     tftds = _as_array(tok.column("tftds")).flatten().to_numpy(
         zero_copy_only=False)
     pos_blob = _as_array(tok.column("pos_blob")).flatten()
-    if isinstance(flat_terms, pa.DictionaryArray):
-        dic = flat_terms
-    else:
-        dic = flat_terms.dictionary_encode()
+    dic = flat_terms.dictionary_encode()
     codes = dic.indices.to_numpy(zero_copy_only=False)
     uniq = np.asarray(dic.dictionary.to_pylist(), dtype=object)
     B = cfg.num_buckets
@@ -337,13 +336,13 @@ _SEGMENT_SCHEMA = pa.schema(
 # task writes a run's fragments as its docterms file, one row group per
 # gkey, and reducer ``gkey % P`` reads those row groups as they are.  A
 # fragment's doc range is contiguous and disjoint from every other
-# fragment of the same (gkey, term), so the reducer merges fragments by
-# pure byte concatenation (rewriting only each non-first fragment's
-# leading absolute doc id into a gap): no re-sort, no re-encode.  No wdt
-# bound or skip block rides here: the bounds need the corpus avgdl, which
-# exists only once every tokenize task is done, and a merged list's blocks
-# are cut from its whole postings, so the reducer derives both from the
-# postings it decodes.
+# fragment of the same (gkey, term), so the reducer merges fragments with
+# no re-sort of postings: it re-encodes the merged doc stream from the
+# postings it decodes and concatenates the tf-exception and position
+# bytes as they are.  No wdt bound or skip block rides here: the bounds
+# need the corpus avgdl, which exists only once every tokenize task is
+# done, and a merged list's blocks are cut from its whole postings, so
+# the reducer derives both from the postings it decodes.
 _DOCTERMS_SCHEMA = pa.schema(
     [
         ("gkey", pa.int64()),
@@ -607,20 +606,20 @@ def _finalize_segment(
 
     Fragments of the same (gkey, term) are doc-range disjoint (one per
     docterms file, and each file is one dense doc-id run), so the merge
-    is ONE vectorized pass over the whole partition:
+    is ONE vectorized pass over the whole partition, the reference's
+    k-way heap merge (spimi.py:56-276):
 
     - sort fragment rows by (gkey, term rank, first_doc);
     - one VByte decode of the partition's doc streams and one of its tf
       exceptions give each posting's doc id and tf; its length from
       ``doc_length`` (the build's docweights array, indexed by
       doc_id - doc_id_base) and ``avgdl`` give its quantized wdt;
-    - the merged doc stream is the byte concatenation of the fragments'
-      doc streams with each NON-first fragment's leading value rewritten
-      from ``first<<1 | flag`` (an absolute doc id) to
-      ``(first - prev_last)<<1 | flag`` (the gap from the previous
-      fragment's last doc, tf==1 flag kept), so gaps stay continuous
-      across the whole list — tf-exception and pos streams concatenate
-      as-is;
+    - each merged list's doc stream is re-encoded from those postings,
+      in place over the decoded values: its first doc absolute, then
+      gaps, each ``gap<<1 | (tf==1)``.  Every gap must be positive, so
+      fragments of one term whose doc ranges overlap are refused;
+    - the tf-exception and pos streams are the fragments' bytes
+      concatenated as they are;
     - skip blocks are regular: one per ``skip_block`` postings from each
       merged list's first (its last block may be shorter).  Its last doc
       and ``skip_max_wdt`` come from the decoded postings, so blocks do
@@ -630,7 +629,9 @@ def _finalize_segment(
     - each merged row's doc, tf and pos bytes go back to back into the
       ``.bin``, and the parquet keeps their three lengths (format v6).
 
-    No posting is re-encoded: the reduce side moves ~index-sized bytes.
+    VByte is canonical, so a re-encoded doc stream is byte-identical to
+    the fragments' streams with each seam's absolute doc id turned into
+    a gap.
     """
     from . import vbyte
 
@@ -647,7 +648,8 @@ def _finalize_segment(
         # surface the scale dial instead of Arrow's bare offset error
         raise ValueError(
             "reduce partition's fragment payload exceeds the 2 GB "
-            "binary-offset range; raise num_reducers so partitions stay "
+            "binary-offset range; lower REDUCE_TOKENS or set "
+            "IndexBuildConfig.num_reducers higher so partitions stay "
             f"smaller ({e})"
         ) from e
     n = T.num_rows
@@ -699,40 +701,38 @@ def _finalize_segment(
     vals = vbyte.decode(blob_data[blob_off[0]:blob_off[-1]],
                         count=int(df64.sum())).astype(np.int64)
     post_start = np.cumsum(df64) - df64
-    dsum = np.cumsum(vals >> 1)
-    docs = dsum - np.repeat(dsum[post_start] - (vals[post_start] >> 1), df64)
+    docs = np.cumsum(vals >> 1)
+    docs -= np.repeat(docs[post_start] - (vals[post_start] >> 1), df64)
+    tf_one = (vals & 1) == 1
     tfs = np.ones(vals.size, dtype=np.int64)
-    tf_exc = (vals & 1) == 0
-    tfs[tf_exc] = vbyte.decode(tf_data[tf_off_all[0]:tf_off_all[-1]],
-                               count=int(tf_exc.sum()))
+    tfs[~tf_one] = vbyte.decode(tf_data[tf_off_all[0]:tf_off_all[-1]],
+                                count=int(vals.size - tf_one.sum()))
     wq = wdt_quantized(tfs, doc_length[docs - cfg.doc_id_base], avgdl)
+    del tfs
 
-    # first-gap rewrite: non-first fragments' leading absolute doc id
-    # becomes the gap from the previous fragment's last doc; the leading
-    # value's low (tf==1) bit stays
-    first = docs[post_start]
-    prev_last = np.empty(n, dtype=np.int64)
-    prev_last[0] = 0
-    prev_last[1:] = docs[post_start[1:] - 1]
-    first_gap = np.where(new, first, first - prev_last)
-    if np.any(first_gap[~new] <= 0):
+    # re-encode each merged list's doc stream into ``vals``: first doc
+    # absolute, then gaps, each ``gap<<1 | (tf==1)``
+    list_start = post_start[t_starts]
+    np.subtract(docs[1:], docs[:-1], out=vals[1:])
+    vals[list_start] = 1
+    if vals.min() <= 0:
         # overlapping fragment doc ranges would VByte-encode a non-
-        # positive seam gap and corrupt the merged list — two docterms
-        # files hold the same doc (a duplicated doc id, or a file left
-        # from another build); fail loudly, never corrupt
+        # positive gap and corrupt the merged list — two docterms files
+        # hold the same doc (a duplicated doc id, or a file left from
+        # another build); fail loudly, never corrupt
         raise ValueError(
             "fragments of one term cover overlapping doc ranges: two "
             "docterms files hold the same doc id (rebuild the docterms "
             "stage)"
         )
-    new_first = (first_gap << 1) | (vals[post_start] & 1)
-    old_len = vbyte.encoded_lengths(vals[post_start]).astype(np.int64)
-    new_len8 = vbyte.encoded_lengths(new_first)
-    new_len = new_len8.astype(np.int64)
-    nf_buf = vbyte.encode(new_first, new_len8)
+    vals[list_start] = docs[list_start]
+    vals <<= 1
+    vals |= tf_one
+    blen = vbyte.encoded_lengths(vals)
+    doc_mv = memoryview(vbyte.encode(vals, blen))
+    doc_len = np.add.reduceat(blen, list_start, dtype=np.int64)
 
     # regular skip blocks, every skip_n postings from each list's first
-    list_start = post_start[t_starts]
     list_df = np.add.reduceat(df64, t_starts)
     nblocks = (list_df + skip_n - 1) // skip_n
     first_block = np.cumsum(nblocks) - nblocks
@@ -743,38 +743,17 @@ def _finalize_segment(
     slist_off = pa.array(
         np.concatenate([[0], np.cumsum(nblocks)]).astype(np.int32))
 
-    # a merged doc stream is its fragments' bytes, each leading value
-    # at its rewritten length
-    doc_len = np.add.reduceat(
-        np.diff(blob_off) - old_len + new_len, t_starts)
+    # the .bin: per merged row its doc, tf and pos bytes, back to back
     tf_len = tf_off_all[t_ends] - tf_off_all[t_starts]
     pos_len = pos_off_all[t_ends] - pos_off_all[t_starts]
-
-    # the .bin's byte pieces: per fragment (rewritten first value, rest
-    # of its doc stream), then per term its tf and pos ranges.  ``slot``
-    # places them in file order — term by term, each term's fragments'
-    # doc pieces followed by its tf and pos pieces.
-    nf_ends = np.cumsum(new_len)
-    nf_starts = nf_ends - new_len
-    nf_mv = memoryview(nf_buf)
-    sources = (
-        [nf_mv[a:b] for a, b in zip(nf_starts.tolist(), nf_ends.tolist())]
-        + [blob_data[a:b] for a, b in zip(
-            (blob_off[:-1] + old_len).tolist(), blob_off[1:].tolist())]
-        + [tf_data[a:b] for a, b in zip(
-            tf_off_all[t_starts].tolist(), tf_off_all[t_ends].tolist())]
-        + [pos_data[a:b] for a, b in zip(
-            pos_off_all[t_starts].tolist(), pos_off_all[t_ends].tolist())]
-    )
-    term_of_frag = np.cumsum(new) - 1
-    nf_at = 2 * (np.arange(n) + term_of_frag)
-    tf_at = 2 * (t_ends + np.arange(n_terms))
-    slot = np.empty(len(sources), dtype=np.int64)
-    slot[nf_at] = np.arange(n)
-    slot[nf_at + 1] = n + np.arange(n)
-    slot[tf_at] = 2 * n + np.arange(n_terms)
-    slot[tf_at + 1] = 2 * n + n_terms + np.arange(n_terms)
-    pieces = [sources[k] for k in slot.tolist()]
+    doc_end = np.cumsum(doc_len)
+    pieces = [None] * (3 * n_terms)
+    pieces[0::3] = [doc_mv[a:b] for a, b in zip(
+        (doc_end - doc_len).tolist(), doc_end.tolist())]
+    pieces[1::3] = [tf_data[a:b] for a, b in zip(
+        tf_off_all[t_starts].tolist(), tf_off_all[t_ends].tolist())]
+    pieces[2::3] = [pos_data[a:b] for a, b in zip(
+        pos_off_all[t_starts].tolist(), pos_off_all[t_ends].tolist())]
 
     def skip_list(values, dtype=None) -> pa.ListArray:
         return pa.ListArray.from_arrays(slist_off, pa.array(values, dtype))
@@ -827,42 +806,21 @@ def _reduce_runs(
     avgdl: float,
     doc_length_path: str,
     out_path: str,
-    paths: list[str],
-    num_reducers: int,
-    r: int,
+    parts: list[tuple[str, list[int]]],
+    bytes_in: int,
 ):
-    """Reducer ``r`` of the postings exchange: reads, from each docterms
-    file in ``paths``, the row groups whose gkey is ``r`` mod
-    ``num_reducers`` (one row group per gkey, docterms v10; the footer's
-    ``gkey`` statistics pick them), then merges and writes one segment.
-    ``bytes_in`` counts the compressed bytes of the row groups read.  The
-    wdt bounds read each posting's doc length from the ``.npy`` at
-    ``doc_length_path``, memory-mapped."""
+    """One reducer: reads the docterms row groups of its ``parts``
+    (``bytes_in`` compressed bytes) and merges them into one segment; the
+    wdt bounds read doc lengths from the memory-mapped ``.npy`` at
+    ``doc_length_path``."""
     _pin_arrow_threads()
     t_task = time.perf_counter()
-    prof = {"merge": 0.0, "write": 0.0, "bytes_in": 0}
+    prof = {"merge": 0.0, "write": 0.0, "bytes_in": bytes_in}
     doc_length = np.load(doc_length_path, mmap_mode="r")
-    tables: list = []
-    for path in paths:
+    tables = []
+    for path, row_groups in parts:
         with pq.ParquetFile(path) as pf:
-            md = pf.metadata
-            gcol = md.schema.to_arrow_schema().get_field_index("gkey")
-            mine = []
-            for i in range(md.num_row_groups):
-                rg = md.row_group(i)
-                st = rg.column(gcol).statistics
-                if st is None or not st.has_min_max or st.min != st.max:
-                    raise ValueError(
-                        f"{os.path.basename(path)}: row group {i} does "
-                        "not hold exactly one gkey (a docterms file of "
-                        "another format); rebuild the docterms stage")
-                if st.min % num_reducers == r:
-                    mine.append(i)
-                    prof["bytes_in"] += sum(
-                        rg.column(c).total_compressed_size
-                        for c in range(rg.num_columns))
-            if mine:
-                tables.append(pf.read_row_groups(mine))
+            tables.append(pf.read_row_groups(row_groups))
     prof["read"] = time.perf_counter() - t_task
     metrics = _finalize_segment(tables, cfg, avgdl, doc_length, out_path,
                                 prof)
@@ -882,20 +840,62 @@ def _phase_split(profs: list[dict]) -> dict:
     return out
 
 
+# corpus tokens per reducer when ``num_reducers`` is unset: a reducer
+# peaks about 47 B per token above its input (808 MB for reducer 0 of 8
+# over a 400,000-doc perfbench corpus, 17.2 M tokens), so ~0.75 GB
+REDUCE_TOKENS = 16_000_000
+
+
+def plan_exchange(files: list[str], total_tokens: int,
+                  num_reducers: int | None = None
+                  ) -> list[tuple[list[tuple[str, list[int]]], int]]:
+    """The exchange plan, made once on the driver from the docterms
+    footers: P = ``num_reducers`` when set, else
+    ``max(8, ceil(total_tokens / REDUCE_TOKENS))``, a function of the
+    corpus, never of the cluster.  Each row group names one gkey in its
+    statistics (docterms v10) and goes to reducer ``gkey % P``; one that
+    does not raises.  Returns P ``(parts, bytes_in)``: reducer r's
+    ``[(path, row groups)]`` and their compressed bytes."""
+    P = num_reducers or max(8, -(-total_tokens // REDUCE_TOKENS))
+    parts: list[list] = [[] for _ in range(P)]
+    nbytes = [0] * P
+    for path in files:
+        md = pq.read_metadata(path)
+        gcol = md.schema.to_arrow_schema().get_field_index("gkey")
+        mine: dict[int, list[int]] = {}
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            st = rg.column(gcol).statistics
+            if st is None or not st.has_min_max or st.min != st.max:
+                raise ValueError(
+                    f"{os.path.basename(path)}: row group {i} does not "
+                    "hold exactly one gkey (a docterms file of another "
+                    "format); rebuild the docterms stage")
+            r = st.min % P
+            mine.setdefault(r, []).append(i)
+            nbytes[r] += sum(rg.column(c).total_compressed_size
+                             for c in range(rg.num_columns))
+        for r, row_groups in mine.items():
+            parts[r].append((path, row_groups))
+    return list(zip(parts, nbytes))
+
+
 def build_segments_exchange(
     docterms_dir: str,
     segments_dir: str,
     cfg: IndexBuildConfig,
     avgdl: float,
     doc_length_path: str,
-    num_reducers: int | None = None,
+    total_tokens: int = 0,
 ) -> tuple[list[dict], dict]:
-    """Run the postings exchange over the docterms files: P reducers,
-    each reading its own gkey row groups from every file; the reducers
-    read each posting's doc length from the ``.npy`` at
-    ``doc_length_path``.  A fragment goes to reducer ``gkey % P``: the
-    keys ``shard * num_buckets + bucket`` are a dense range, so reducer
-    key counts differ by at most one.
+    """Run the postings exchange over the docterms files.  The driver
+    plans it alone (:func:`plan_exchange`: P from ``cfg.num_reducers`` or
+    the corpus's ``total_tokens``, each footer read once, each row group
+    routed once, to reducer ``gkey % P``); then every reducer with row
+    groups runs as one task that reads them, merges and writes its
+    segment, reading each posting's doc length from the ``.npy`` at
+    ``doc_length_path``.  The keys ``shard * num_buckets + bucket`` are
+    a dense range, so reducer key counts differ by at most one.
 
     Raw Ray tasks (not Dataset ops) by measurement: over the docterms of
     perfbench's seed-5 corpus (4,000 docs, P = 8) on a 4-CPU host, stock
@@ -909,31 +909,28 @@ def build_segments_exchange(
     v10 drops the maps, since the files' row groups already route.
 
     Returns ``(per_reducer_metrics, plan)`` where ``plan`` records the
-    scheduling decisions (reducer count, docterms bytes) and ``phases``,
-    the reducers' per-task profiles summed and skew-summarised by
-    :func:`_phase_split` (over the reducers that received fragments) —
+    reducer count, the docterms bytes and ``phases``, the reducers'
+    per-task profiles (``bytes_in`` among them) summed and
+    skew-summarised by :func:`_phase_split` over the reducers launched —
     persisted in the segments stage marker and the manifest."""
     files = sorted(
         os.path.join(docterms_dir, f)
         for f in os.listdir(docterms_dir)
         if f.endswith(".parquet")
     )
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    if num_reducers is None:
-        num_reducers = max(8, min(len(files), 2 * cpus))
+    reducers = plan_exchange(files, total_tokens, cfg.num_reducers)
     os.makedirs(segments_dir, exist_ok=True)
-    total_bytes = sum(os.path.getsize(f) for f in files)
     reduce_refs = [
         _reduce_runs.remote(
             cfg, avgdl, doc_length_path,
             os.path.join(segments_dir, f"segment_{r:05d}.parquet"),
-            files, num_reducers, r,
+            parts, bytes_in,
         )
-        for r in range(num_reducers)
+        for r, (parts, bytes_in) in enumerate(reducers) if parts
     ]
-    metrics = [m for m in ray.get(reduce_refs) if m]
-    plan = {"num_reducers": num_reducers, "docterms_bytes": total_bytes,
-            "cluster_cpus": cpus,
+    metrics = ray.get(reduce_refs)
+    plan = {"num_reducers": len(reducers),
+            "docterms_bytes": sum(os.path.getsize(f) for f in files),
             "phases": {"reduce": _phase_split([m.pop("prof")
                                                for m in metrics])}}
     return metrics, plan
@@ -1166,8 +1163,7 @@ def build_index(
         shutil.rmtree(segments_dir, ignore_errors=True)
         seg_metrics, exchange_plan = build_segments_exchange(
             docterms_dir, segments_dir, cfg, avgdl,
-            layout.docweights_paths(index_dir)[0],
-            num_reducers=cfg.num_reducers,
+            layout.docweights_paths(index_dir)[0], total_tokens=tot,
         )
         stage_seconds["exchange"] = (
             time.perf_counter() - t0 - sum(stage_seconds.values())

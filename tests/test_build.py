@@ -116,11 +116,11 @@ class TestBuildArtifacts:
     def test_manifest_exchange_plan(self, built_index):
         """The segments stage records its scheduling decisions (reducer
         count, docterms bytes) so scaling-run cohorts can be audited post
-        hoc.  There is no map side: the reducers read the docterms."""
+        hoc.  There is no map side: the reducers read the docterms, and
+        the plan names no cluster size, since P comes from the corpus."""
         _, manifest = built_index
         plan = manifest["exchange_plan"]
-        assert set(plan) == {"num_reducers", "docterms_bytes",
-                             "cluster_cpus", "phases"}
+        assert set(plan) == {"num_reducers", "docterms_bytes", "phases"}
         assert plan["num_reducers"] >= 1
         assert plan["docterms_bytes"] > 0
 
@@ -416,14 +416,14 @@ class TestReducerCountParity:
                                             build_segments_exchange)
 
         dps, n_red = 4, 8
-        cfg = IndexBuildConfig(num_buckets=num_buckets, docs_per_shard=dps)
+        cfg = IndexBuildConfig(num_buckets=num_buckets, docs_per_shard=dps,
+                               num_reducers=n_red)
         docterms, dl_path = self._one_term_per_bucket(
             tmp_path, num_buckets, dps, _write_docterms)
         md = pq.read_metadata(os.path.join(docterms, "part0.parquet"))
         assert md.num_row_groups == 2 * num_buckets
         seg_dir = tmp_path / "segments"
-        build_segments_exchange(docterms, str(seg_dir), cfg, 1.0,
-                                dl_path, num_reducers=n_red)
+        build_segments_exchange(docterms, str(seg_dir), cfg, 1.0, dl_path)
         keys = []
         for r in range(n_red):
             path = seg_dir / f"segment_{r:05d}.parquet"
@@ -441,10 +441,8 @@ class TestReducerCountParity:
                                                  stats):
         """A docterms row group that does not name one gkey in its
         statistics — several gkeys in one row group, or no statistics —
-        cannot be routed: every reducer refuses it, and no segment is
-        written."""
-        import ray
-
+        cannot be routed: the driver's plan refuses it before any reducer
+        starts, and no segment is written."""
         from searchengine_ray.build import (IndexBuildConfig,
                                             build_segments_exchange)
 
@@ -454,13 +452,89 @@ class TestReducerCountParity:
         md = pq.read_metadata(os.path.join(docterms, "part0.parquet"))
         assert md.num_row_groups == 1
         seg_dir = tmp_path / "segments"
-        with pytest.raises(ray.exceptions.RayTaskError,
-                           match="rebuild the docterms stage"):
+        with pytest.raises(ValueError, match="rebuild the docterms stage"):
             build_segments_exchange(
                 docterms, str(seg_dir),
-                IndexBuildConfig(num_buckets=8, docs_per_shard=4), 1.0,
-                dl_path, num_reducers=4)
-        assert not os.listdir(seg_dir)
+                IndexBuildConfig(num_buckets=8, docs_per_shard=4,
+                                 num_reducers=4), 1.0, dl_path)
+        assert not seg_dir.exists()
+
+
+class TestExchangePlan:
+    """``plan_exchange`` on the driver, without Ray: P from the corpus's
+    tokens (at least 8, more past ``REDUCE_TOKENS`` per reducer) or the
+    ``num_reducers`` override, and every docterms row group routed once,
+    to reducer ``gkey % P``."""
+
+    @staticmethod
+    def _docterms(tmp_path, n_files=3, num_buckets=8, dps=4):
+        """``n_files`` docterms files, file k holding shard k (docs
+        k*dps..) with one term per bucket in every doc, so file k's row
+        groups are gkeys k*num_buckets .. (k+1)*num_buckets - 1."""
+        from searchengine_ray.build import (_encode_file_fragments,
+                                            _write_docterms)
+
+        paths = []
+        for k in range(n_files):
+            docs = np.arange(k * dps, (k + 1) * dps)
+            n = num_buckets * docs.size
+            bucket = np.repeat(np.arange(num_buckets), docs.size)
+            path = str(tmp_path / f"docterms_{k}.parquet")
+            _write_docterms(_encode_file_fragments(
+                k * num_buckets + bucket, bucket, np.tile(docs, num_buckets),
+                np.ones(n, np.int32), pa.array([b"\x01"] * n, pa.binary()),
+                np.array([f"t{b}" for b in range(num_buckets)],
+                         dtype=object),
+            ), path)
+            paths.append(path)
+        return paths
+
+    def _assert_routed_once(self, paths, plan):
+        """Each row group of ``paths`` sits in exactly one reducer's
+        parts, that reducer is its gkey mod P, and each reducer's
+        ``bytes_in`` is its row groups' compressed bytes."""
+        P = len(plan)
+        seen = []
+        for r, (parts, bytes_in) in enumerate(plan):
+            assert [p for p, _ in parts] == sorted({p for p, _ in parts})
+            want = 0
+            for path, row_groups in parts:
+                md = pq.read_metadata(path)
+                for i in row_groups:
+                    rg = md.row_group(i)
+                    st = rg.column(0).statistics
+                    assert st.min == st.max and st.min % P == r
+                    want += sum(rg.column(c).total_compressed_size
+                                for c in range(rg.num_columns))
+                    seen.append((path, i))
+            assert bytes_in == want
+        assert sorted(seen) == sorted(
+            (p, i) for p in paths
+            for i in range(pq.read_metadata(p).num_row_groups))
+
+    def test_reducer_count_and_routing(self, tmp_path, monkeypatch):
+        from searchengine_ray import build
+
+        paths = self._docterms(tmp_path)
+        assert sum(pq.read_metadata(p).num_row_groups for p in paths) == 24
+        for tokens in (0, 1, 8 * build.REDUCE_TOKENS):
+            plan = build.plan_exchange(paths, tokens)
+            assert len(plan) == 8
+            self._assert_routed_once(paths, plan)
+        assert len(build.plan_exchange(
+            paths, 8 * build.REDUCE_TOKENS + 1)) == 9
+        # a corpus past what 8 reducers may hold gets more of them
+        monkeypatch.setattr(build, "REDUCE_TOKENS", 100)
+        for tokens, want in ((800, 8), (801, 9), (1_050, 11), (1_700, 17)):
+            plan = build.plan_exchange(paths, tokens)
+            assert len(plan) == want
+            self._assert_routed_once(paths, plan)
+        # the override wins either way
+        for n in (1, 3, 30):
+            plan = build.plan_exchange(paths, 1_700, num_reducers=n)
+            assert len(plan) == n
+            self._assert_routed_once(paths, plan)
+        assert sum(bool(parts) for parts, _ in plan) == 24
 
 
 class TestResume:
@@ -713,6 +787,27 @@ class TestCorpusScalars:
         with pytest.raises(ValueError, match="expected dense"):
             self._pass(tmp_path)
 
+# Builds ``TestDeterministicLayout._corpus(False)`` in 32-doc tokenize
+# batches on a fresh local Ray cluster of argv[1] logical CPUs into
+# argv[2]; prints the exchange plan's reducer count as one JSON line.
+_BUILD_ON_CLUSTER = """
+import json, sys
+import ray
+from searchengine_ray import build
+from tests.test_build import TestDeterministicLayout
+
+ray.init(address="local", num_cpus=int(sys.argv[1]),
+         include_dashboard=False, log_to_driver=False)
+build.DOCTERMS_BLOCK_ROWS = 32
+m = build.build_index(
+    TestDeterministicLayout._corpus(False), sys.argv[2],
+    build.IndexBuildConfig(num_buckets=4, skip_block=8, docs_per_shard=128),
+    input_description="cluster")
+print(json.dumps({"num_reducers": m["exchange_plan"]["num_reducers"]}))
+ray.shutdown()
+"""
+
+
 class TestDeterministicLayout:
     """The tokenize stage's output is a function of its input dataset:
     files are named by their dense doc-id run, and the stage runs with
@@ -850,6 +945,33 @@ class TestDeterministicLayout:
         assert plan["phases"]["slices"]["total"] > 2 * plan["batches"]
         assert _tree_bytes(tiny) == _tree_bytes(default)
 
+    def test_segments_independent_of_cluster(self, tmp_path):
+        """One corpus built on Ray clusters of 2 and of 8 logical CPUs
+        (one subprocess each), with 32-doc tokenize batches so there are
+        more docterms files than 8: the exchange sizes P from the corpus,
+        so both builds use the same reducer count and write byte-identical
+        segments/."""
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": repo}
+        trees, plans = [], []
+        for cpus in (2, 8):
+            d = str(tmp_path / f"cpus{cpus}")
+            proc = subprocess.run(
+                [sys.executable, "-c", _BUILD_ON_CLUSTER, str(cpus), d],
+                cwd=repo, env=env, capture_output=True, text=True,
+                timeout=600)
+            assert proc.returncode == 0, proc.stderr[-4000:]
+            plans.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+            trees.append(_tree_bytes(d))
+        assert sum(n.startswith("docterms/") for n in trees[0]) >= 9
+        assert plans[0] == plans[1]
+        segs = [{n: b for n, b in t.items() if n.startswith("segments/")}
+                for t in trees]
+        assert segs[0] and segs[0] == segs[1]
+
     def test_worker_crash_retry_byte_identical(self, ray_session, tmp_path,
                                                monkeypatch):
         """A worker that dies once in the input pipeline (a test-owned
@@ -925,9 +1047,10 @@ class TestExchangeFaults:
 
     @pytest.mark.parametrize("side", ["docterms", "reduce"])
     def test_broken_input_raises_then_resumes(self, clean, tmp_path, side):
-        """docterms: one docterms file, whose footer every reducer reads,
-        swapped for garbage bytes; reduce: ``docweights/doc_length.npy``,
-        which the reducers memory-map, truncated by one entry."""
+        """docterms: one docterms file, whose footer the driver's plan
+        reads, swapped for garbage bytes (refused on the driver, before
+        any reducer starts); reduce: ``docweights/doc_length.npy``, which
+        the reducers memory-map, truncated by one entry."""
         import ray
 
         d = str(tmp_path / "idx")
@@ -937,17 +1060,19 @@ class TestExchangeFaults:
             names = sorted(os.listdir(dt))
             path = os.path.join(dt, names[len(names) // 2])
             broken, error = b"not a parquet file" * 64, "magic bytes"
+            raised = pa.ArrowInvalid
         else:
             path = os.path.join(d, "docweights", "doc_length.npy")
             with open(path, "rb") as f:
                 broken, error = f.read()[:-8], "mmap length"
+            raised = ray.exceptions.RayTaskError
         with open(path, "rb") as f:
             good = f.read()
         with open(path, "wb") as f:
             f.write(broken)
         marker = os.path.join(d, "_STAGE_docterms.json")
         marker_mtime = os.stat(marker).st_mtime_ns
-        with pytest.raises(ray.exceptions.RayTaskError, match=error):
+        with pytest.raises(raised, match=error):
             self._build(d)
         assert not os.path.exists(os.path.join(d, "_STAGE_segments.json"))
         assert not os.path.exists(os.path.join(d, "manifest.json"))

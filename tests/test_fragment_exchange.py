@@ -9,9 +9,9 @@ the ones the query reader derives from each row's streams
 Invariants under test (build.py ``_DOCTERMS_SCHEMA`` / ``_finalize_segment``
 docstrings):
 - a merged term's doc stream (values ``gap<<1 | (tf==1)``) decodes to the
-  exact ascending doc ids across fragments (the non-first fragments'
-  leading absolute ids are rewritten into gaps, deltas continuous across
-  the whole list, the tf==1 flag kept);
+  exact ascending doc ids across fragments (the reducer re-encodes it from
+  the decoded postings: first doc absolute, deltas continuous across the
+  whole list, the tf==1 flag kept), and every gap must be positive;
 - tf-exception and pos streams are pure byte concatenations in posting
   order, and each segment row's three streams sit back to back in the
   segment's ``.bin`` at the lengths its parquet row records;
@@ -236,10 +236,11 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
             [df % skip_block] if df % skip_block else [])
 
 
-def test_fragment_first_gap_rewrite_lengths(tmp_path):
-    """Fragments whose leading absolute doc id encodes WIDER than its
-    rewritten gap (3-byte absolute vs 1-byte gap) must still slice-decode
-    at every skip offset — exercises the delta shift in skip_offset."""
+def test_fragment_seam_gap_reencode_lengths(tmp_path):
+    """A second fragment's leading doc id encodes WIDER absolute (3
+    bytes) than as the gap the re-encoded merged stream stores (1 byte):
+    the merged list must still slice-decode at every skip offset the
+    reader derives."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
     gk = _gkey(0, 1, 2)
     f1 = [(gk, "alpha", d, 1, 8.0, b"\x01") for d in (100000, 100001,
@@ -307,8 +308,8 @@ def test_group_postings_interleaved_blocks_stay_disjoint():
     """A batch holding several dense runs (a permuted pre-assigned id
     column) is grouped and encoded run by run: every fragment of a run
     decodes to strictly ascending docs, and same-term fragments cover
-    disjoint doc ranges — the invariant _finalize_segment's seam gap
-    rewrite relies on."""
+    disjoint doc ranges — the invariant _finalize_segment's merge relies
+    on."""
     from searchengine_ray.build import IndexBuildConfig, _group_postings_batch
 
     cfg = IndexBuildConfig(num_buckets=2)
@@ -342,7 +343,7 @@ def test_group_postings_interleaved_blocks_stay_disjoint():
 
 def test_finalize_rejects_overlapping_fragments(tmp_path):
     """The reducer backstop: overlapping doc ranges for one term must
-    raise, never silently encode a non-positive seam gap."""
+    raise, never silently encode a non-positive gap."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     gk = _gkey(0, 0, 2)
     f1 = [(gk, "t", d, 1, 5.0, b"x") for d in (0, 5)]
@@ -355,6 +356,21 @@ def test_finalize_rejects_overlapping_fragments(tmp_path):
             cfg,
             [_encode_file(f1), _encode_file(f2)],
             tmp_path, _doc_length(f1, f2))
+
+
+def test_finalize_rejects_non_positive_gap_inside_fragment(tmp_path):
+    """The gap check covers every posting, not only the seams between
+    fragments: one fragment whose doc stream repeats a doc (a zero gap
+    the group-side encoder never writes) is refused too."""
+    cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
+    gk = _gkey(0, 0, 2)
+    rows = [(gk, "t", d, 1, 5.0, b"x") for d in (2, 4)]
+    tbl = _encode_file(rows)
+    bad = vbyte.encode(np.array([2 << 1 | 1, 0 << 1 | 1], np.uint64))
+    tbl = tbl.set_column(tbl.schema.get_field_index("blob"), "blob",
+                         pa.array([bad], pa.binary()))
+    with pytest.raises(ValueError, match="overlapping doc ranges"):
+        _finalize(cfg, [tbl], tmp_path, _doc_length(rows))
 
 
 def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
@@ -529,7 +545,7 @@ def test_hole_straddling_segments_end_to_end(tmp_path):
 def test_equal_doc_id_runs_also_split(tmp_path):
     """Duplicate (gkey, term, doc) occurrences (can only arise from a
     broken upstream) must not silently zero-gap encode: the run detector
-    breaks on <=, and the reducer's seam check then rejects the overlap
+    breaks on <=, and the reducer's gap check then rejects the overlap
     loudly instead of emitting a corrupt list."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     gk = _gkey(0, 1, 2)
@@ -594,9 +610,9 @@ def test_no_tf_one_stores_every_tf(tmp_path):
 
 @pytest.mark.parametrize("seam_tf", [1, 3])
 def test_seam_first_posting_keeps_its_tf_flag(tmp_path, seam_tf):
-    """The reducer rewrites the second fragment's leading value from an
-    absolute doc id into a gap; the tf==1 flag in its low bit must
-    survive, with tf 1 or not.  Doc 100000 encodes wider absolute than
+    """The re-encoded merged stream stores the second fragment's leading
+    doc as a gap, not the absolute id its fragment held; the tf==1 flag
+    in its low bit must survive, with tf 1 or not.  Doc 100000 encodes wider absolute than
     as a gap, so the skip offsets shift too."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
     f1 = [(99990, 2), (99995, 1), (99997, 4)]
