@@ -115,7 +115,9 @@ def _tree_bytes(path: str) -> int:
 def cmd_stats(args) -> int:
     """Where an index's bytes and build time went: per segment, the
     ``.bin``'s doc / tf / pos stream bytes and the parquet catalog's
-    bytes; the catalog's compressed bytes per column over all segments
+    bytes, with the totals' doc bytes per posting (over Σ df) and pos
+    bytes per position (over Σ cf); the catalog's compressed bytes per
+    column over all segments
     (from the parquet footers); B/doc over segments/ and docstats/
     (perfbench's ``index_bytes_per_doc``) and, apart from it, the
     docweights/ bytes and the build's docterms/ bytes (the encoded
@@ -134,8 +136,11 @@ def cmd_stats(args) -> int:
     catalog_columns: dict[str, int] = {}
     for seg in manifest["segments"]:
         path = os.path.join(args.index, "segments", seg["file"])
-        lens = pq.read_table(path, columns=["doc_len", "tf_len", "pos_len"])
+        lens = pq.read_table(
+            path, columns=["df", "cf", "doc_len", "tf_len", "pos_len"])
         row = {"file": seg["file"], "rows": lens.num_rows}
+        for c in ("df", "cf"):
+            row[c] = pc.sum(lens.column(c)).as_py() or 0
         for c in ("doc", "tf", "pos"):
             row[f"{c}_bytes"] = pc.sum(lens.column(f"{c}_len")).as_py() or 0
         row["bin_bytes"] = os.path.getsize(segment_bin_path(path))
@@ -149,8 +154,12 @@ def cmd_stats(args) -> int:
                 catalog_columns[name] = (catalog_columns.get(name, 0)
                                          + cc.total_compressed_size)
     totals = {k: sum(r[k] for r in segments)
-              for k in ("rows", "doc_bytes", "tf_bytes", "pos_bytes",
-                        "bin_bytes", "parquet_bytes")}
+              for k in ("rows", "df", "cf", "doc_bytes", "tf_bytes",
+                        "pos_bytes", "bin_bytes", "parquet_bytes")}
+    totals["doc_bytes_per_posting"] = (
+        totals["doc_bytes"] / totals["df"] if totals["df"] else 0.0)
+    totals["pos_bytes_per_position"] = (
+        totals["pos_bytes"] / totals["cf"] if totals["cf"] else 0.0)
     num_docs = manifest["num_docs"]
     docstats_bytes = _tree_bytes(os.path.join(args.index, DOCSTATS_DIR))
     index_bytes = (

@@ -31,14 +31,16 @@ Ray-Data-native rebuild:
        docWeights.bin)
   docterms -> plan_exchange on the driver routes each row group once,
               to reducer gkey % P, P sized from the corpus; each reducer
-              reads its row groups, re-encodes each merged doc stream and
-              derives the wdt bounds and skip blocks  # the heap merge
+              reads its row groups, re-encodes each merged doc stream,
+              bit-packs each merged position stream and derives the wdt
+              bounds and skip blocks                # the heap merge
     -> segments/: one posting-list *fragment* per (term, shard).
-       segment_NNNNN.bin holds each fragment's three VByte streams
-       back to back (doc gaps folded with a tf==1 flag / tf exceptions
-       / position gaps); segment_NNNNN.parquet is the catalog: term
+       segment_NNNNN.bin holds each fragment's three streams back to
+       back: VByte doc gaps folded with a tf==1 flag, VByte tf
+       exceptions, and the position gaps bit-packed with one width per
+       list (``bitpack``); segment_NNNNN.parquet is the catalog: term
        dictionary, df/cf/max_wdt, the three stream byte lengths and the
-       skip-block bounds (last doc id and max wdt per block of
+       skip-block bounds (last doc id and uint8 max wdt per block of
        ``skip_block`` postings; the reader derives the blocks' byte
        offsets from the streams)
   manifest.json: corpus scalars, per-stage lineage + per-file metrics,
@@ -315,18 +317,22 @@ _SEGMENT_SCHEMA = pa.schema(
         ("bucket", pa.int32()),
         ("df", pa.int64()),
         ("cf", pa.int64()),
-        ("max_wdt", pa.float64()),
+        # wdt bounds as uint8 ``ceil(wdt * WDT_QUANT)`` (v9); the reader
+        # divides by ``layout.WDT_QUANT`` at load
+        ("max_wdt", pa.uint8()),
         # byte lengths of the row's three streams in the segment's .bin,
         # stored back to back in row order (format v6): the reader
         # derives each row's offset with one cumsum at open
         ("doc_len", pa.int32()),    # VByte gap<<1 | (tf==1) stream
         ("tf_len", pa.int32()),     # VByte tf exceptions (tf != 1 only)
-        ("pos_len", pa.int32()),    # VByte position gaps
+        # bit-packed position gaps (v9): one width byte w, then the cf
+        # gaps as w-bit fields (``bitpack``), 1 + ceil(cf * w / 8) bytes
+        ("pos_len", pa.int32()),
         # per skip block of ``skip_block`` postings: its last doc id and
         # its max wdt bound.  The blocks' byte offsets and posting counts
         # are not stored (v8): the reader derives them from the streams
         ("skip_last_doc", pa.list_(pa.int64())),
-        ("skip_max_wdt", pa.list_(pa.float64())),
+        ("skip_max_wdt", pa.list_(pa.uint8())),
     ]
 )
 
@@ -338,11 +344,12 @@ _SEGMENT_SCHEMA = pa.schema(
 # fragment's doc range is contiguous and disjoint from every other
 # fragment of the same (gkey, term), so the reducer merges fragments with
 # no re-sort of postings: it re-encodes the merged doc stream from the
-# postings it decodes and concatenates the tf-exception and position
-# bytes as they are.  No wdt bound or skip block rides here: the bounds
-# need the corpus avgdl, which exists only once every tokenize task is
-# done, and a merged list's blocks are cut from its whole postings, so
-# the reducer derives both from the postings it decodes.
+# postings it decodes, concatenates the tf-exception bytes as they are
+# and bit-packs the merged position gaps (segment v9).  No wdt bound or
+# skip block rides here: the bounds need the corpus avgdl, which exists
+# only once every tokenize task is done, and a merged list's blocks are
+# cut from its whole postings, so the reducer derives both from the
+# postings it decodes.
 _DOCTERMS_SCHEMA = pa.schema(
     [
         ("gkey", pa.int64()),
@@ -382,6 +389,12 @@ _DOCTERMS_SCHEMA = pa.schema(
 # and statistics only where a reader prunes (``write_index_parquet``).
 # On perfbench's seed-5 corpus the catalog went from 720,612 to 410,615 B
 # and docstats from 235,551 to 178,858 B, with the ``.bin`` unchanged.
+# v9: each merged list's position stream is bit-packed with one width
+# per list (``bitpack``: a width byte, then its cf gaps as w-bit fields)
+# instead of VByte, and ``max_wdt`` / ``skip_max_wdt`` store the uint8
+# ``ceil(wdt * WDT_QUANT)`` instead of its float64 quotient.  The doc
+# and tf streams stay VByte (``reader.block_offsets`` scans their
+# terminators).
 
 # Docterms (resumable intermediate) layout version, folded into the stage
 # fingerprints the same way.  v2: positions stored as per-(doc,term) VByte
@@ -428,16 +441,10 @@ def bm25_wdt(tftds: np.ndarray, dls: np.ndarray, avgdl: float) -> np.ndarray:
     return (k1 + 1.0) * tf / (k1 * ((1.0 - b) + b * (dls / avgdl)) + tf)
 
 
-# wdt < k1+1 = 2.2, so ceil(wdt * 115) fits uint8 (max 253).  max_wdt /
-# skip_max_wdt are ONLY WAND pruning bounds (ranked.py:209,244), and a
-# quantized-UP bound keeps block-max WAND exact (exact scorers recompute
-# wdt from tftd + doc stats at query time); the segments store
-# ceil(wdt * 115) / 115.
-WDT_QUANT = 115.0
-
-
 def wdt_quantized(tftds: np.ndarray, dls: np.ndarray, avgdl: float) -> np.ndarray:
-    return np.ceil(bm25_wdt(tftds, dls, avgdl) * WDT_QUANT).astype(np.uint8)
+    """``ceil(wdt * layout.WDT_QUANT)`` as uint8, the stored wdt bound."""
+    return np.ceil(bm25_wdt(tftds, dls, avgdl)
+                   * layout.WDT_QUANT).astype(np.uint8)
 
 
 def _pin_arrow_threads() -> None:
@@ -591,6 +598,37 @@ def _encode_file_fragments(
     )
 
 
+# merged lists' positions decoded and re-packed at a time: a slice holds
+# the whole lists whose first position falls in one POS_SLICE window of
+# the partition's positions
+POS_SLICE = 1 << 20
+
+
+def _pack_positions(pos_data, byte_lo: np.ndarray, byte_hi: np.ndarray,
+                    list_cf: np.ndarray) -> tuple[memoryview, np.ndarray]:
+    """The merged lists' position streams, bit-packed (format v9): list
+    i's VByte gaps sit at ``pos_data[byte_lo[i]:byte_hi[i]]`` (its
+    fragments' bytes, contiguous and in list order) and number
+    ``list_cf[i]``.  Returns the packed bytes of every list back to back
+    and each list's byte length.
+
+    Decodes and packs slice by slice, so the per-position arrays span at
+    most POS_SLICE positions plus one list, whatever the partition's
+    size."""
+    from . import bitpack, vbyte
+
+    window = (np.cumsum(list_cf) - list_cf) // POS_SLICE
+    cuts = np.flatnonzero(np.diff(window)) + 1
+    packed, lens = [], []
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), list_cf.size]):
+        gaps = vbyte.decode(pos_data[int(byte_lo[a]):int(byte_hi[b - 1])],
+                            count=int(list_cf[a:b].sum()))
+        buf, nbytes = bitpack.pack_lists(gaps, list_cf[a:b])
+        packed.append(buf)
+        lens.append(nbytes)
+    return memoryview(b"".join(packed)), np.concatenate(lens)
+
+
 def _finalize_segment(
     tables: list,
     cfg: IndexBuildConfig,
@@ -618,8 +656,15 @@ def _finalize_segment(
       in place over the decoded values: its first doc absolute, then
       gaps, each ``gap<<1 | (tf==1)``.  Every gap must be positive, so
       fragments of one term whose doc ranges overlap are refused;
-    - the tf-exception and pos streams are the fragments' bytes
-      concatenated as they are;
+    - the tf-exception stream is the fragments' bytes concatenated as
+      they are;
+    - each merged list's position gaps (its fragments' VByte bytes, one
+      ``vbyte.decode``) are bit-packed with one width per list
+      (``_pack_positions``, format v9).  It works in slices of whole
+      merged lists, at most ``POS_SLICE`` (2**20) positions plus one
+      list per slice, so the per-position arrays it adds (~45 B per
+      position of the slice: +29 MB peak RSS for a 689,005-position
+      partition) depend on the slice, not on the partition;
     - skip blocks are regular: one per ``skip_block`` postings from each
       merged list's first (its last block may be shorter).  Its last doc
       and ``skip_max_wdt`` come from the decoded postings, so blocks do
@@ -745,15 +790,18 @@ def _finalize_segment(
 
     # the .bin: per merged row its doc, tf and pos bytes, back to back
     tf_len = tf_off_all[t_ends] - tf_off_all[t_starts]
-    pos_len = pos_off_all[t_ends] - pos_off_all[t_starts]
+    list_cf = np.add.reduceat(col("cf").to_numpy(), t_starts)
+    pos_mv, pos_len = _pack_positions(
+        pos_data, pos_off_all[t_starts], pos_off_all[t_ends], list_cf)
     doc_end = np.cumsum(doc_len)
+    pos_end = np.cumsum(pos_len)
     pieces = [None] * (3 * n_terms)
     pieces[0::3] = [doc_mv[a:b] for a, b in zip(
         (doc_end - doc_len).tolist(), doc_end.tolist())]
     pieces[1::3] = [tf_data[a:b] for a, b in zip(
         tf_off_all[t_starts].tolist(), tf_off_all[t_ends].tolist())]
-    pieces[2::3] = [pos_data[a:b] for a, b in zip(
-        pos_off_all[t_starts].tolist(), pos_off_all[t_ends].tolist())]
+    pieces[2::3] = [pos_mv[a:b] for a, b in zip(
+        (pos_end - pos_len).tolist(), pos_end.tolist())]
 
     def skip_list(values, dtype=None) -> pa.ListArray:
         return pa.ListArray.from_arrays(slist_off, pa.array(values, dtype))
@@ -764,18 +812,13 @@ def _finalize_segment(
             "shard": pa.array((gk_s[t_starts] // B).astype(np.int32)),
             "bucket": pa.array((gk_s[t_starts] % B).astype(np.int32)),
             "df": pa.array(list_df, type=pa.int64()),
-            "cf": pa.array(np.add.reduceat(col("cf").to_numpy(), t_starts),
-                           type=pa.int64()),
-            "max_wdt": pa.array(
-                np.maximum.reduceat(wq, list_start).astype(np.float64)
-                / WDT_QUANT),
+            "cf": pa.array(list_cf, type=pa.int64()),
+            "max_wdt": pa.array(np.maximum.reduceat(wq, list_start)),
             "doc_len": pa.array(doc_len.astype(np.int32)),
             "tf_len": pa.array(tf_len.astype(np.int32)),
             "pos_len": pa.array(pos_len.astype(np.int32)),
             "skip_last_doc": skip_list(docs[b_end - 1], pa.int64()),
-            "skip_max_wdt": skip_list(
-                np.maximum.reduceat(wq, b_start).astype(np.float64)
-                / WDT_QUANT),
+            "skip_max_wdt": skip_list(np.maximum.reduceat(wq, b_start)),
         },
         schema=_SEGMENT_SCHEMA,
     )

@@ -27,7 +27,14 @@ DOCSTATS_DIR = "docstats"
 # Segment layout version (history beside ``build._SEGMENT_SCHEMA``),
 # folded into the build's stage fingerprints so an index built by an
 # older code revision is rebuilt rather than misread.
-SEGMENT_FORMAT = 8
+SEGMENT_FORMAT = 9
+
+# wdt < k1+1 = 2.2, so ceil(wdt * 115) fits uint8 (max 253).  The
+# segments store that uint8 as ``max_wdt`` / ``skip_max_wdt`` (v9) and
+# the reader serves it divided by WDT_QUANT: ONLY WAND pruning bounds
+# (``query/ranked.py``), and a quantized-UP bound keeps block-max WAND
+# exact (the exact scorers recompute wdt from tftd + doc stats).
+WDT_QUANT = 115.0
 
 BM25_K1 = 1.2
 BM25_B = 0.75

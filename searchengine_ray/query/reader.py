@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow.parquet as pq
 
-from .. import vbyte
+from .. import bitpack, vbyte
 from ..layout import (DOCSTATS_DIR, MANIFEST_NAME, SEGMENT_FORMAT,
-                      docweights_paths, segment_bin_path)
+                      WDT_QUANT, docweights_paths, segment_bin_path)
 from .postings import PostingList
 
 #: Byte budget of the posting-list LRU, on top of its entry count: a few
@@ -210,7 +210,7 @@ class DiskIndexReader:
             df_l.append(tbl.column("df").to_numpy()[rows])
             cf_l.append(tbl.column("cf").to_numpy()[rows])
             maxw_l.append(tbl.column("max_wdt").to_numpy()[rows]
-                          * self._bound_scale[-1])
+                          / WDT_QUANT * self._bound_scale[-1])
             off_l.append(row_start[rows])
             dlen_l.append(lens[0][rows])
             tlen_l.append(lens[1][rows])
@@ -438,7 +438,7 @@ class DiskIndexReader:
         tbl = pf.read_row_group(rg, columns=list(_SKIP_COLUMNS))
         out = {c: tbl.column(c)[row].values.to_numpy()
                for c in _SKIP_COLUMNS}
-        out["skip_max_wdt"] = (out["skip_max_wdt"]
+        out["skip_max_wdt"] = (out["skip_max_wdt"] / WDT_QUANT
                                * self._bound_scale[fr.file_idx])
         out.update(block_offsets(buf, fr.df, fr.doc_len, fr.tf_len,
                                  self._skip_block))
@@ -451,22 +451,30 @@ class DiskIndexReader:
         return out
 
     def _decode_fragment(self, fr: Fragment, with_positions: bool) -> PostingList:
-        # the streams sit back to back and each ends on a whole value, so
-        # one VByte decode covers all of them
-        vals = vbyte.decode(
-            self.read_fragment_row(fr, with_positions)).astype(np.int64)
+        # the doc and tf streams sit back to back and each ends on a
+        # whole value, so one VByte decode covers both; the bit-packed
+        # position stream follows them (format v9)
+        buf = memoryview(self.read_fragment_row(fr, with_positions))
+        nvb = fr.doc_len + fr.tf_len
+        vals = vbyte.decode(buf[:nvb]).astype(np.int64)
         doc_ids, tftds, n_exc = _unfold_doc_tf(vals, fr.df)
-        want = fr.df + n_exc + (fr.cf if with_positions else 0)
-        if vals.size != want:
+        if vals.size != fr.df + n_exc:
             raise ValueError(
                 f"fragment {fr.row_idx} of "
                 f"{os.path.basename(self._files[fr.file_idx])} decodes to "
-                f"{vals.size} values, expected {want}")
+                f"{vals.size} values, expected {fr.df + n_exc}")
         if not with_positions:
             return PostingList(doc_ids, tftds)
+        try:
+            gaps = bitpack.unpack(buf[nvb:], fr.cf)
+        except ValueError as e:
+            raise ValueError(
+                f"fragment {fr.row_idx} of "
+                f"{os.path.basename(self._files[fr.file_idx])}: {e}; "
+                f"rebuild the index") from None
         offsets = np.zeros(fr.df + 1, dtype=np.int64)
         np.cumsum(tftds, out=offsets[1:])
-        positions = _segmented_cumsum(vals[fr.df + n_exc:], offsets)
+        positions = _segmented_cumsum(gaps, offsets)
         return PostingList(doc_ids, tftds, positions, offsets)
 
 

@@ -128,13 +128,14 @@ def encode_position_lists(flat_positions) -> "object":
     """``list<int32>`` per (doc, term) row -> one VByte blob per row.
 
     Gap encoding within each row's list, first position absolute — the
-    exact per-posting stream the segment merge concatenates by byte
-    slice and ``reader._segmented_cumsum`` decodes.  Runs in the
-    TOKENIZE stage (docterms format v2) so the embarrassingly-parallel
-    stage pays the encode once and the shuffle ships final bytes; the
-    output is always 32-bit-offset ``pa.binary()`` so every tokenize
-    batch block shares one schema (a single batch's encoded positions
-    exceeding 2 GB raises).
+    per-posting gaps a docterms fragment's ``pos_blob`` concatenates.
+    Runs in the TOKENIZE stage (docterms format v2) so the embarrassingly-
+    parallel stage pays the gap encode once; the reducer decodes each
+    merged list's gaps and bit-packs them for the segment (format v9,
+    ``build._pack_positions``), and ``reader._segmented_cumsum`` turns
+    them back into positions.  The output is always 32-bit-offset
+    ``pa.binary()`` so every tokenize batch block shares one schema (a
+    single batch's encoded positions exceeding 2 GB raises).
     """
     import pyarrow as pa
 

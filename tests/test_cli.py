@@ -79,6 +79,15 @@ def test_stats_subcommand(cli_env, capsys):
         assert seg["parquet_bytes"] == os.path.getsize(path)
     tot = st["totals"]
     assert tot["bin_bytes"] == sum(s["bin_bytes"] for s in st["segments"])
+    # stream bytes per posting / per position, over the catalogs' df / cf
+    cats = [pq.read_table(os.path.join(index_dir, "segments", s["file"]),
+                          columns=["df", "cf", "doc_len", "pos_len"])
+            for s in st["segments"]]
+    sums = {c: sum(sum(t.column(c).to_pylist()) for t in cats)
+            for c in ("df", "cf", "doc_len", "pos_len")}
+    assert (tot["df"], tot["cf"]) == (sums["df"], sums["cf"])
+    assert tot["doc_bytes_per_posting"] == sums["doc_len"] / sums["df"]
+    assert tot["pos_bytes_per_position"] == sums["pos_len"] / sums["cf"]
     # the catalog's per-column split (segment format v8: no stored skip
     # offsets or counts), compressed column chunks inside the files
     cols = st["catalog_column_bytes"]

@@ -1,5 +1,5 @@
 """Unit tests for the fragment-encoded postings exchange (docterms v10 /
-segment format v8): the group-side ``_encode_file_fragments`` kernel and
+segment format v9): the group-side ``_encode_file_fragments`` kernel and
 the reduce-side ``_finalize_segment`` merge and wdt bounds, exercised
 directly on synthetic posting arrays — no Ray, no parquet corpus.  A
 segment stores no skip offsets or counts since v8; ``_finalize`` attaches
@@ -12,9 +12,11 @@ docstrings):
   exact ascending doc ids across fragments (the reducer re-encodes it from
   the decoded postings: first doc absolute, deltas continuous across the
   whole list, the tf==1 flag kept), and every gap must be positive;
-- tf-exception and pos streams are pure byte concatenations in posting
-  order, and each segment row's three streams sit back to back in the
-  segment's ``.bin`` at the lengths its parquet row records;
+- tf-exception streams are pure byte concatenations in posting order;
+  a merged list's position stream is its fragments' VByte gaps,
+  bit-packed with one width (``tests/bitpack_oracle.py``); each segment
+  row's three streams sit back to back in the segment's ``.bin`` at the
+  lengths its parquet row records;
 - every skip block slice-decodes independently given the previous block's
   last doc, and ``skip_count`` sums to df;
 - skip blocks are regular, ``skip_block`` postings each from the list's
@@ -34,9 +36,8 @@ import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from searchengine_ray import vbyte
+from searchengine_ray import bitpack, vbyte
 from searchengine_ray.build import (
-    WDT_QUANT,
     IndexBuildConfig,
     _encode_file_fragments,
     _finalize_segment,
@@ -44,6 +45,7 @@ from searchengine_ray.build import (
 )
 from searchengine_ray.layout import segment_bin_path
 from searchengine_ray.query.reader import block_offsets
+from tests.bitpack_oracle import pack_list
 
 AVGDL = 10.0
 
@@ -70,6 +72,22 @@ def _encode_file(rows):
     pos = pa.array([r[5] for r in rows], type=pa.binary())
     uniq = np.array(list(code_of), dtype=object)
     return _encode_file_fragments(gk, codes, doc, tf, pos, uniq)
+
+
+def _pos(tf: int, seed: int) -> bytes:
+    """A posting's position payload as the tokenize stage writes it:
+    ``tf`` VByte gaps, the first absolute, some past one byte."""
+    return vbyte.encode(np.array(
+        [(seed * 7 + k * 13) % 300 + (k > 0) for k in range(tf)]))
+
+
+def _assert_packed(pos_blob: bytes, vbyte_gaps: bytes, cf: int) -> None:
+    """A segment row's position stream holds the same gaps as its
+    fragments' VByte bytes, packed exactly as the reference packer packs
+    them."""
+    gaps = vbyte.decode(vbyte_gaps, count=cf).astype(np.int64).tolist()
+    assert bitpack.unpack(pos_blob, cf).tolist() == gaps
+    assert pos_blob == pack_list(gaps)
 
 
 def _doc_length(*files):
@@ -157,7 +175,7 @@ def _make_rows(file_idx: int, docs: range, terms: list[str], B: int,
                 continue
             tf = 1 + (d + ti) % 5
             dl = 5.0 + (d % 7)
-            pos = bytes([(d + ti) % 251 + 1]) * (1 + (d + ti) % 3)
+            pos = _pos(tf, d + ti)
             import zlib
 
             bucket = zlib.crc32(t.encode()) % B
@@ -198,10 +216,11 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         docs = _decode_docs(row["blob"], df)
         assert docs.tolist() == e["docs"]
         assert _decode_tfs(row["blob"], row["tf_blob"], df) == e["tfs"]
-        assert row["pos_blob"] == e["pos"]
+        _assert_packed(row["pos_blob"], e["pos"], row["cf"])
         wq = wdt_quantized(np.asarray(e["tfs"], np.int32),
                            np.asarray(e["dls"]), AVGDL)
-        assert row["max_wdt"] == int(wq.max()) / WDT_QUANT
+        # stored as the uint8 ceil(wdt * WDT_QUANT) (segment v9)
+        assert row["max_wdt"] == int(wq.max())
 
         # ---- skip-block invariants ----
         counts = row["skip_count"]
@@ -223,7 +242,7 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
                     else len(row["tf_blob"]))
             btfs = _unfold_tfs(vals, row["tf_blob"][toffs[b]:tend])
             assert btfs == e["tfs"][p:p + cnt]
-            assert maxw[b] == int(wq[p:p + cnt].max()) / WDT_QUANT
+            assert maxw[b] == int(wq[p:p + cnt].max())
             base = bdocs[-1]
             p += cnt
         # the skip table is never LARGER than a perfectly regular one
@@ -236,6 +255,30 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
             [df % skip_block] if df % skip_block else [])
 
 
+@pytest.mark.parametrize("pos_slice", [1, 5, 64])
+def test_position_slices_do_not_change_segment_bytes(
+        tmp_path, monkeypatch, pos_slice):
+    """The reducer decodes and packs positions in slices of whole merged
+    lists (``build.POS_SLICE`` positions per window): any slice size,
+    down to one list per slice, writes the same ``.bin`` and catalog."""
+    from searchengine_ray import build
+
+    cfg = IndexBuildConfig(num_buckets=4, skip_block=4)
+    terms = [f"t{i:02d}" for i in range(7)]
+    files = [_make_rows(0, range(0, 30), terms, cfg.num_buckets),
+             _make_rows(1, range(30, 45), terms, cfg.num_buckets)]
+    out = {}
+    for name, size in (("whole", build.POS_SLICE), ("sliced", pos_slice)):
+        monkeypatch.setattr(build, "POS_SLICE", size)
+        d = tmp_path / name
+        d.mkdir()
+        _finalize(cfg, [_encode_file(rows) for rows in files], d,
+                  _doc_length(*files))
+        out[name] = [(d / f).read_bytes() for f in
+                     ("segment_test.parquet", "segment_test.bin")]
+    assert out["sliced"] == out["whole"]
+
+
 def test_fragment_seam_gap_reencode_lengths(tmp_path):
     """A second fragment's leading doc id encodes WIDER absolute (3
     bytes) than as the gap the re-encoded merged stream stores (1 byte):
@@ -245,7 +288,7 @@ def test_fragment_seam_gap_reencode_lengths(tmp_path):
     gk = _gkey(0, 1, 2)
     f1 = [(gk, "alpha", d, 1, 8.0, b"\x01") for d in (100000, 100001,
                                                       100002)]
-    f2 = [(gk, "alpha", d, 2, 8.0, b"\x02") for d in (100003, 100005)]
+    f2 = [(gk, "alpha", d, 2, 8.0, _pos(2, d)) for d in (100003, 100005)]
     tables = [_encode_file(f1), _encode_file(f2)]
     seg, _ = _finalize(cfg, tables, tmp_path, _doc_length(f1, f2))
     row = {c: seg.column(c)[0].as_py() for c in seg.column_names}
@@ -271,8 +314,9 @@ def test_tf_wide_values_roundtrip(tmp_path):
     side; merged stream must still decode per block."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
     gk = _gkey(0, 0, 2)
-    f1 = [(gk, "big", d, 100 + 40 * d, 9.0, b"x") for d in range(3)]
-    f2 = [(gk, "big", d, 300, 9.0, b"x") for d in range(3, 5)]
+    f1 = [(gk, "big", d, 100 + 40 * d, 9.0, _pos(100 + 40 * d, d))
+          for d in range(3)]
+    f2 = [(gk, "big", d, 300, 9.0, _pos(300, d)) for d in range(3, 5)]
     seg, _ = _finalize(
         cfg, [_encode_file(f1), _encode_file(f2)], tmp_path,
         _doc_length(f1, f2))
@@ -384,9 +428,9 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     gk = _gkey(0, 1, 2)
     rows = (
-        [(gk, "alpha", d, 1 + d % 3, 8.0, bytes([d]))
+        [(gk, "alpha", d, 1 + d % 3, 8.0, _pos(1 + d % 3, d))
          for d in range(8, 12)]
-        + [(gk, "alpha", d, 1 + d % 3, 8.0, bytes([d]))
+        + [(gk, "alpha", d, 1 + d % 3, 8.0, _pos(1 + d % 3, d))
            for d in range(4, 8)]
     )
     tbl = _encode_file(rows)
@@ -408,7 +452,9 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
     tfs = _decode_tfs(seg.column("blob")[0].as_py(),
                       seg.column("tf_blob")[0].as_py(), df)
     assert tfs == [1 + d % 3 for d in range(4, 12)]
-    assert seg.column("pos_blob")[0].as_py() == bytes(range(4, 12))
+    _assert_packed(seg.column("pos_blob")[0].as_py(),
+                   b"".join(_pos(1 + d % 3, d) for d in range(4, 12)),
+                   seg.column("cf")[0].as_py())
 
 
 @st.composite
@@ -460,11 +506,11 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
                 if (d + off) % m:
                     continue
                 t = f"t{ti}"
+                tf = 1 + (d + ti) % 5
                 rows.append((
                     _gkey(0, zlib.crc32(t.encode()) % cfg.num_buckets,
                           cfg.num_buckets),
-                    t, d, 1 + (d + ti) % 5, 5.0 + d % 7,
-                    bytes([(d + ti) % 251 + 1]) * (1 + d % 2),
+                    t, d, tf, 5.0 + d % 7, _pos(tf, d + ti),
                 ))
         return rows
 
@@ -494,7 +540,8 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
         assert docs.tolist() == [t[0] for t in triples]
         assert (_decode_tfs(row["blob"], row["tf_blob"], df)
                 == [t[1] for t in triples])
-        assert row["pos_blob"] == b"".join(t[2] for t in triples)
+        _assert_packed(row["pos_blob"], b"".join(t[2] for t in triples),
+                       row["cf"])
         # every skip block slice-decodes independently
         offs, counts = row["skip_offset"], row["skip_count"]
         assert sum(counts) == df
@@ -577,7 +624,7 @@ def _one_term(cfg, files, tmp_path):
     """Encode each file's (doc, tf) list as one fragment of term "t",
     reduce, and return the segment row with its streams."""
     gk = _gkey(0, 1, cfg.num_buckets)
-    files = [[(gk, "t", d, tf, 8, bytes([1 + d % 200])) for d, tf in rows]
+    files = [[(gk, "t", d, tf, 8, _pos(tf, d)) for d, tf in rows]
              for rows in files]
     tables = [_encode_file(rows) for rows in files]
     seg, _ = _finalize(cfg, tables, tmp_path, _doc_length(*files))

@@ -454,11 +454,12 @@ def test_merge_refuses_other_docterms_format(merged_setup, tmp_path, fmt):
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("fmt", [None, 6, 7])
+@pytest.mark.parametrize("fmt", [None, 6, 7, 8])
 def test_merge_refuses_other_segment_format(merged_setup, tmp_path, fmt):
     """A generation of another segment format (none recorded, v6 whose
-    catalog still has a ``salt`` column, or v7 whose catalog stores the
-    skip offsets and whose files are snappy) must not merge: the merge
+    catalog still has a ``salt`` column, v7 whose catalog stores the
+    skip offsets and whose files are snappy, or v8 whose positions are
+    VByte and whose wdt bounds are float64) must not merge: the merge
     copies segments as-is, and the reader reads one format."""
     from searchengine_ray.layout import SEGMENT_FORMAT
 

@@ -277,27 +277,35 @@ class TestDocStatsSidecars:
         with _pytest.raises(ValueError, match="rebuild"):
             DiskIndexReader(clone)
 
-    def test_segment_format_v7_refused(self, built_index, tmp_path):
-        """A v7 index (skip offsets stored in the catalog, snappy files)
-        is refused with "rebuild", not read with v8 offsets."""
+    @staticmethod
+    def _assert_format_refused(built_index, tmp_path, fmt):
         import json
         import shutil
-
-        import pytest as _pytest
 
         from searchengine_ray.query.reader import DiskIndexReader
 
         index_dir, _ = built_index
-        clone = str(tmp_path / "v7")
+        clone = str(tmp_path / f"v{fmt}")
         shutil.copytree(index_dir, clone)
         mpath = os.path.join(clone, "manifest.json")
         with open(mpath) as f:
             m = json.load(f)
-        m["segment_format"] = 7
+        m["segment_format"] = fmt
         with open(mpath, "w") as f:
             json.dump(m, f)
-        with _pytest.raises(ValueError, match="format 7.*rebuild"):
+        with pytest.raises(ValueError, match=f"format {fmt}.*rebuild"):
             DiskIndexReader(clone)
+
+    def test_segment_format_v7_refused(self, built_index, tmp_path):
+        """A v7 index (skip offsets stored in the catalog, snappy files)
+        is refused with "rebuild", not read with v8 offsets."""
+        self._assert_format_refused(built_index, tmp_path, 7)
+
+    def test_segment_format_v8_refused(self, built_index, tmp_path):
+        """A v8 index (VByte position streams, float64 wdt bounds) is
+        refused with "rebuild", not read as bit-packed positions and
+        uint8 bounds."""
+        self._assert_format_refused(built_index, tmp_path, 8)
 
     def test_get_titles_more_than_cache_capacity(self, built_index):
         """ADVICE r3: one call requesting more distinct ids than the
@@ -365,6 +373,36 @@ class TestSegmentBin:
         with pytest.raises(ValueError, match="missing") as e:
             DiskIndexReader(clone)
         assert path in str(e.value)
+
+    def test_flipped_width_byte_refused(self, built_index, tmp_path):
+        """Format v9: a position stream whose width byte disagrees with
+        its length is refused by a phrase fetch with "rebuild", never
+        decoded to wrong positions.  The fragment has cf >= 8, so any
+        other width changes its byte count; its doc and tf streams are
+        untouched, so the fetch without positions still reads."""
+        import shutil
+
+        from searchengine_ray.layout import segment_bin_path
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        index_dir, _ = built_index
+        clone = str(tmp_path / "flipped")
+        shutil.copytree(index_dir, clone)
+        r = DiskIndexReader(clone)
+        term, fr = next((t, f) for t in r.get_vocabulary()
+                        for f in r.fragments(t) if f.cf >= 8)
+        want = r.fetch_postings(term)
+        with open(segment_bin_path(r._files[fr.file_idx]), "r+b") as f:
+            f.seek(fr.offset + fr.doc_len + fr.tf_len)
+            width = f.read(1)[0]
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([width ^ 1]))
+        r = DiskIndexReader(clone)
+        with pytest.raises(ValueError, match="torn.*rebuild"):
+            r.fetch_postings(term, with_positions=True)
+        got = r.fetch_postings(term)
+        assert np.array_equal(got.doc_ids, want.doc_ids)
+        assert np.array_equal(got.tftds, want.tftds)
 
     def test_postings_equal_docterms_every_term(self, built_index):
         """Content parity of the exchange: for every term, the postings

@@ -65,8 +65,8 @@ def test_int64_view_matches_uint64():
 
 class TestEncodePositionLists:
     """Per-(doc,term) position blobs (docterms format v2 tokenize-side
-    encoder) — must produce the gap-encoded streams the reader's
-    _segmented_cumsum decodes."""
+    encoder) — must produce the VByte gap streams the reducer decodes
+    before it bit-packs each merged list (segment format v9)."""
 
     def _roundtrip(self, rows):
         import pyarrow as pa
