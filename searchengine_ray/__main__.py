@@ -113,12 +113,13 @@ def _tree_bytes(path: str) -> int:
 
 
 def cmd_stats(args) -> int:
-    """Where an index's bytes and build time went: per segment, the
-    ``.bin``'s doc / tf / pos stream bytes and the parquet catalog's
-    bytes, with the totals' doc bytes per posting (over Σ df) and pos
-    bytes per position (over Σ cf); the catalog's compressed bytes per
-    column over all segments
-    (from the parquet footers); B/doc over segments/ and docstats/
+    """Where an index's bytes and build time went: per segment, its doc
+    range ``[doc_lo, doc_hi)`` (the universe of its Elias–Fano doc
+    streams), the ``.bin``'s doc / tf / pos stream bytes and the
+    parquet catalog's bytes, with the totals' doc bytes and bits per
+    posting (over Σ df) and pos bytes per position (over Σ cf); the
+    catalog's compressed bytes per column over all segments (from the
+    parquet footers); B/doc over segments/ and docstats/
     (perfbench's ``index_bytes_per_doc``) and, apart from it, the
     docweights/ bytes and the build's docterms/ bytes (the encoded
     fragments the reducers read, from the manifest); the manifest's
@@ -138,7 +139,8 @@ def cmd_stats(args) -> int:
         path = os.path.join(args.index, "segments", seg["file"])
         lens = pq.read_table(
             path, columns=["df", "cf", "doc_len", "tf_len", "pos_len"])
-        row = {"file": seg["file"], "rows": lens.num_rows}
+        row = {"file": seg["file"], "rows": lens.num_rows,
+               "doc_lo": seg["doc_lo"], "doc_hi": seg["doc_hi"]}
         for c in ("df", "cf"):
             row[c] = pc.sum(lens.column(c)).as_py() or 0
         for c in ("doc", "tf", "pos"):
@@ -158,6 +160,7 @@ def cmd_stats(args) -> int:
                         "pos_bytes", "bin_bytes", "parquet_bytes")}
     totals["doc_bytes_per_posting"] = (
         totals["doc_bytes"] / totals["df"] if totals["df"] else 0.0)
+    totals["doc_bits_per_posting"] = 8 * totals["doc_bytes_per_posting"]
     totals["pos_bytes_per_position"] = (
         totals["pos_bytes"] / totals["cf"] if totals["cf"] else 0.0)
     num_docs = manifest["num_docs"]

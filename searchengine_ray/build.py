@@ -31,22 +31,24 @@ Ray-Data-native rebuild:
        docWeights.bin)
   docterms -> plan_exchange on the driver routes each row group once,
               to reducer gkey % P, P sized from the corpus; each reducer
-              reads its row groups, re-encodes each merged doc stream,
-              bit-packs each merged position stream and derives the wdt
-              bounds and skip blocks                # the heap merge
+              reads its row groups, Elias–Fano codes each merged doc
+              stream, bit-packs each merged position stream and derives
+              the wdt bounds and skip blocks        # the heap merge
     -> segments/: one posting-list *fragment* per (term, shard).
        segment_NNNNN.bin holds each fragment's three streams back to
-       back: VByte doc gaps folded with a tf==1 flag, VByte tf
-       exceptions, and the position gaps bit-packed with one width per
-       list (``bitpack``); segment_NNNNN.parquet is the catalog: term
-       dictionary, df/cf/max_wdt, the three stream byte lengths and the
-       skip-block bounds (last doc id and uint8 max wdt per block of
-       ``skip_block`` postings; the reader derives the blocks' byte
-       offsets from the streams)
-  manifest.json: corpus scalars, per-stage lineage + per-file metrics,
-       the tokenize and exchange task splits (tokenize_plan,
-       exchange_plan), committed last -> a re-run skips completed stages
-       (resume).
+       back: its doc ids Elias–Fano coded with a tf==1 flag bit per
+       posting (``eliasfano``, over its shard's doc range within the
+       segment's), VByte tf exceptions, and the position gaps
+       bit-packed with one width per list (``bitpack``);
+       segment_NNNNN.parquet is the catalog: term dictionary,
+       df/cf/max_wdt, the three stream byte lengths and the uint8 max
+       wdt per skip block of ``skip_block`` postings (the reader
+       derives the blocks' last docs and offsets from the streams)
+  manifest.json: corpus scalars, per-stage lineage + per-file metrics
+       (each segment's entry with the doc range ``[doc_lo, doc_hi)``
+       its doc streams are coded in), the tokenize and exchange task
+       splits (tokenize_plan, exchange_plan), committed last -> a
+       re-run skips completed stages (resume).
 
 ``docs_per_shard`` is the only doc-range split of a posting list: a term's
 fragments are doc_id-range-disjoint, so the query reader concatenates them
@@ -322,16 +324,17 @@ _SEGMENT_SCHEMA = pa.schema(
         ("max_wdt", pa.uint8()),
         # byte lengths of the row's three streams in the segment's .bin,
         # stored back to back in row order (format v6): the reader
-        # derives each row's offset with one cumsum at open
-        ("doc_len", pa.int32()),    # VByte gap<<1 | (tf==1) stream
+        # derives each row's offset with one cumsum at open.  The doc
+        # stream is Elias–Fano coded (v10): low bits, unary high parts,
+        # tf==1 flags; its length follows from df and its universe
+        ("doc_len", pa.int32()),
         ("tf_len", pa.int32()),     # VByte tf exceptions (tf != 1 only)
         # bit-packed position gaps (v9): one width byte w, then the cf
         # gaps as w-bit fields (``bitpack``), 1 + ceil(cf * w / 8) bytes
         ("pos_len", pa.int32()),
-        # per skip block of ``skip_block`` postings: its last doc id and
-        # its max wdt bound.  The blocks' byte offsets and posting counts
-        # are not stored (v8): the reader derives them from the streams
-        ("skip_last_doc", pa.list_(pa.int64())),
+        # per skip block of ``skip_block`` postings: its max wdt bound.
+        # The blocks' last docs (v10), byte offsets and posting counts
+        # (v8) are not stored: the reader derives them from the streams
         ("skip_max_wdt", pa.list_(pa.uint8())),
     ]
 )
@@ -343,13 +346,13 @@ _SEGMENT_SCHEMA = pa.schema(
 # gkey, and reducer ``gkey % P`` reads those row groups as they are.  A
 # fragment's doc range is contiguous and disjoint from every other
 # fragment of the same (gkey, term), so the reducer merges fragments with
-# no re-sort of postings: it re-encodes the merged doc stream from the
-# postings it decodes, concatenates the tf-exception bytes as they are
-# and bit-packs the merged position gaps (segment v9).  No wdt bound or
-# skip block rides here: the bounds need the corpus avgdl, which exists
-# only once every tokenize task is done, and a merged list's blocks are
-# cut from its whole postings, so the reducer derives both from the
-# postings it decodes.
+# no re-sort of postings: it Elias–Fano codes the merged doc stream
+# from the postings it decodes (segment v10), concatenates the
+# tf-exception bytes as they are and bit-packs the merged position gaps
+# (segment v9).  No wdt bound or skip block rides here: the bounds need
+# the corpus avgdl, which exists only once every tokenize task is done,
+# and a merged list's blocks are cut from its whole postings, so the
+# reducer derives both from the postings it decodes.
 _DOCTERMS_SCHEMA = pa.schema(
     [
         ("gkey", pa.int64()),
@@ -384,7 +387,7 @@ _DOCTERMS_SCHEMA = pa.schema(
 # v8: ``skip_offset``, ``skip_tf_offset`` and ``skip_count`` are gone —
 # blocks are regular, so a block's count follows from df and
 # ``skip_block``, and its doc/tf byte starts from the VByte terminators
-# of the streams the reader already holds (``reader.block_offsets``).
+# of the streams the reader already holds.
 # The catalog and docstats are written zstd, with no dictionary pages
 # and statistics only where a reader prunes (``write_index_parquet``).
 # On perfbench's seed-5 corpus the catalog went from 720,612 to 410,615 B
@@ -393,8 +396,19 @@ _DOCTERMS_SCHEMA = pa.schema(
 # per list (``bitpack``: a width byte, then its cf gaps as w-bit fields)
 # instead of VByte, and ``max_wdt`` / ``skip_max_wdt`` store the uint8
 # ``ceil(wdt * WDT_QUANT)`` instead of its float64 quotient.  The doc
-# and tf streams stay VByte (``reader.block_offsets`` scans their
-# terminators).
+# and tf streams stay VByte (the reader scans their terminators for the
+# blocks' byte offsets).
+# v10: each merged list's doc stream is Elias–Fano coded
+# (``eliasfano``: ``L = floor(log2(u/df))`` low bits per posting, the
+# high parts in unary, then the tf==1 flag bit per posting) over its
+# universe ``[lo, lo + u)``: its shard's doc range intersected with the
+# segment's ``[doc_lo, doc_hi)``, which each segment's manifest entry
+# records, so a merged generation decodes with the range it was written
+# with.  The catalog's ``skip_last_doc`` is gone: a block's last doc is
+# its high part (from the high bits' ones) plus its low bits.  The tf
+# exceptions stay VByte.  On perfbench's seed-5 corpus the doc stream
+# went from 1,307,300 to 958,494 B and the catalog from 352,047 to
+# 297,673 B (922.22 -> 821.43 B/doc).
 
 # Docterms (resumable intermediate) layout version, folded into the stage
 # fingerprints the same way.  v2: positions stored as per-(doc,term) VByte
@@ -598,10 +612,20 @@ def _encode_file_fragments(
     )
 
 
-# merged lists' positions decoded and re-packed at a time: a slice holds
-# the whole lists whose first position falls in one POS_SLICE window of
-# the partition's positions
+# merged lists encoded at a time: a slice holds the whole lists whose
+# first value falls in one window of POS_SLICE positions (position
+# streams) or DOC_SLICE postings (doc streams) of the partition
 POS_SLICE = 1 << 20
+DOC_SLICE = 1 << 20
+
+
+def _list_slices(counts: np.ndarray, size: int):
+    """``(a, b)`` list ranges, each the whole lists whose first value
+    falls in one ``size``-value window: at most ``size`` values plus one
+    list."""
+    window = (np.cumsum(counts) - counts) // size
+    cuts = (np.flatnonzero(np.diff(window)) + 1).tolist()
+    return zip([0, *cuts], [*cuts, counts.size])
 
 
 def _pack_positions(pos_data, byte_lo: np.ndarray, byte_hi: np.ndarray,
@@ -617,13 +641,37 @@ def _pack_positions(pos_data, byte_lo: np.ndarray, byte_hi: np.ndarray,
     size."""
     from . import bitpack, vbyte
 
-    window = (np.cumsum(list_cf) - list_cf) // POS_SLICE
-    cuts = np.flatnonzero(np.diff(window)) + 1
     packed, lens = [], []
-    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), list_cf.size]):
+    for a, b in _list_slices(list_cf, POS_SLICE):
         gaps = vbyte.decode(pos_data[int(byte_lo[a]):int(byte_hi[b - 1])],
                             count=int(list_cf[a:b].sum()))
         buf, nbytes = bitpack.pack_lists(gaps, list_cf[a:b])
+        packed.append(buf)
+        lens.append(nbytes)
+    return memoryview(b"".join(packed)), np.concatenate(lens)
+
+
+def _encode_docs(docs: np.ndarray, tf_one: np.ndarray, list_df: np.ndarray,
+                 lo: np.ndarray, u: np.ndarray
+                 ) -> tuple[memoryview, np.ndarray]:
+    """The merged lists' doc streams, Elias–Fano coded (format v10):
+    list i holds the next ``list_df[i]`` ascending doc ids of ``docs``,
+    coded as ``doc - lo[i]`` over the universe ``[0, u[i])``, with its
+    postings' tf == 1 flags.  Returns the bytes of every list back to
+    back and each list's byte length.
+
+    Encodes slice by slice, so the per-posting arrays it adds span at
+    most DOC_SLICE postings plus one list."""
+    from . import eliasfano
+
+    p_end = np.cumsum(list_df)
+    p_start = p_end - list_df
+    packed, lens = [], []
+    for a, b in _list_slices(list_df, DOC_SLICE):
+        s, e = int(p_start[a]), int(p_end[b - 1])
+        buf, nbytes = eliasfano.encode_lists(
+            docs[s:e] - np.repeat(lo[a:b], list_df[a:b]),
+            list_df[a:b], u[a:b], tf_one[s:e])
         packed.append(buf)
         lens.append(nbytes)
     return memoryview(b"".join(packed)), np.concatenate(lens)
@@ -652,10 +700,17 @@ def _finalize_segment(
       exceptions give each posting's doc id and tf; its length from
       ``doc_length`` (the build's docweights array, indexed by
       doc_id - doc_id_base) and ``avgdl`` give its quantized wdt;
-    - each merged list's doc stream is re-encoded from those postings,
-      in place over the decoded values: its first doc absolute, then
-      gaps, each ``gap<<1 | (tf==1)``.  Every gap must be positive, so
-      fragments of one term whose doc ranges overlap are refused;
+    - each merged list's doc stream is Elias–Fano coded from those
+      postings (``_encode_docs``, format v10): its docs minus ``lo`` in
+      the universe ``[lo, hi)``, the list's shard range
+      ``[shard * docs_per_shard, (shard + 1) * docs_per_shard)``
+      intersected with the segment's doc range ``[doc_lo, doc_hi)``
+      (the build's ``[doc_id_base, doc_id_base + len(doc_length))``,
+      returned for the manifest), with its tf==1 flags.  Every gap must
+      be positive, so fragments of one term whose doc ranges overlap
+      are refused; a doc outside its universe is refused too.  It works
+      in slices of whole merged lists, at most ``DOC_SLICE`` (2**20)
+      postings plus one list per slice;
     - the tf-exception stream is the fragments' bytes concatenated as
       they are;
     - each merged list's position gaps (its fragments' VByte bytes, one
@@ -666,17 +721,14 @@ def _finalize_segment(
       position of the slice: +29 MB peak RSS for a 689,005-position
       partition) depend on the slice, not on the partition;
     - skip blocks are regular: one per ``skip_block`` postings from each
-      merged list's first (its last block may be shorter).  Its last doc
-      and ``skip_max_wdt`` come from the decoded postings, so blocks do
+      merged list's first (its last block may be shorter).  Its
+      ``skip_max_wdt`` comes from the decoded postings, so blocks do
       not depend on how the tokenize stage cut the list into fragments;
-      ``max_wdt`` is the list's maximum.  Their byte offsets are not
-      stored: the reader derives them from the streams (format v8);
+      ``max_wdt`` is the list's maximum.  Nothing else of a block is
+      stored: the reader derives its last doc and its offsets from the
+      streams (formats v8 and v10);
     - each merged row's doc, tf and pos bytes go back to back into the
       ``.bin``, and the parquet keeps their three lengths (format v6).
-
-    VByte is canonical, so a re-encoded doc stream is byte-identical to
-    the fragments' streams with each seam's absolute doc id turned into
-    a gap.
     """
     from . import vbyte
 
@@ -755,36 +807,41 @@ def _finalize_segment(
     wq = wdt_quantized(tfs, doc_length[docs - cfg.doc_id_base], avgdl)
     del tfs
 
-    # re-encode each merged list's doc stream into ``vals``: first doc
-    # absolute, then gaps, each ``gap<<1 | (tf==1)``
+    # every gap inside a merged list must be positive: overlapping
+    # fragment doc ranges would corrupt the list — two docterms files
+    # hold the same doc (a duplicated doc id, or a file left from
+    # another build); fail loudly, never corrupt
     list_start = post_start[t_starts]
     np.subtract(docs[1:], docs[:-1], out=vals[1:])
     vals[list_start] = 1
     if vals.min() <= 0:
-        # overlapping fragment doc ranges would VByte-encode a non-
-        # positive gap and corrupt the merged list — two docterms files
-        # hold the same doc (a duplicated doc id, or a file left from
-        # another build); fail loudly, never corrupt
         raise ValueError(
             "fragments of one term cover overlapping doc ranges: two "
             "docterms files hold the same doc id (rebuild the docterms "
             "stage)"
         )
-    vals[list_start] = docs[list_start]
-    vals <<= 1
-    vals |= tf_one
-    blen = vbyte.encoded_lengths(vals)
-    doc_mv = memoryview(vbyte.encode(vals, blen))
-    doc_len = np.add.reduceat(blen, list_start, dtype=np.int64)
+    del vals
+
+    # each list's universe: its shard's doc range within the segment's
+    list_df = np.add.reduceat(df64, t_starts)
+    doc_lo = cfg.doc_id_base
+    doc_hi = doc_lo + len(doc_length)
+    shard = gk_s[t_starts] // B
+    lo = np.maximum(shard * cfg.docs_per_shard, doc_lo)
+    hi = np.minimum((shard + 1) * cfg.docs_per_shard, doc_hi)
+    if ((docs[list_start] < lo).any()
+            or (docs[list_start + list_df - 1] >= hi).any()):
+        raise ValueError(
+            "a posting's doc id lies outside its shard or the build's "
+            f"doc range [{doc_lo}, {doc_hi}) (rebuild the docterms stage)")
+    doc_mv, doc_len = _encode_docs(docs, tf_one, list_df, lo, hi - lo)
 
     # regular skip blocks, every skip_n postings from each list's first
-    list_df = np.add.reduceat(df64, t_starts)
     nblocks = (list_df + skip_n - 1) // skip_n
     first_block = np.cumsum(nblocks) - nblocks
     block_list = np.repeat(np.arange(n_terms), nblocks)
     k_in_list = np.arange(int(nblocks.sum())) - first_block[block_list]
     b_start = list_start[block_list] + skip_n * k_in_list
-    b_end = np.minimum(b_start + skip_n, (list_start + list_df)[block_list])
     slist_off = pa.array(
         np.concatenate([[0], np.cumsum(nblocks)]).astype(np.int32))
 
@@ -803,13 +860,13 @@ def _finalize_segment(
     pieces[2::3] = [pos_mv[a:b] for a, b in zip(
         (pos_end - pos_len).tolist(), pos_end.tolist())]
 
-    def skip_list(values, dtype=None) -> pa.ListArray:
-        return pa.ListArray.from_arrays(slist_off, pa.array(values, dtype))
+    def skip_list(values) -> pa.ListArray:
+        return pa.ListArray.from_arrays(slist_off, pa.array(values))
 
     seg = pa.table(
         {
             "term": col("term").take(pa.array(t_starts)),
-            "shard": pa.array((gk_s[t_starts] // B).astype(np.int32)),
+            "shard": pa.array(shard.astype(np.int32)),
             "bucket": pa.array((gk_s[t_starts] % B).astype(np.int32)),
             "df": pa.array(list_df, type=pa.int64()),
             "cf": pa.array(list_cf, type=pa.int64()),
@@ -817,7 +874,6 @@ def _finalize_segment(
             "doc_len": pa.array(doc_len.astype(np.int32)),
             "tf_len": pa.array(tf_len.astype(np.int32)),
             "pos_len": pa.array(pos_len.astype(np.int32)),
-            "skip_last_doc": skip_list(docs[b_end - 1], pa.int64()),
             "skip_max_wdt": skip_list(np.maximum.reduceat(wq, b_start)),
         },
         schema=_SEGMENT_SCHEMA,
@@ -840,6 +896,8 @@ def _finalize_segment(
         "shards": sorted(set(seg.column("shard").to_pylist())),
         "term_min": pa.compute.min(terms_col).as_py(),
         "term_max": pa.compute.max(terms_col).as_py(),
+        "doc_lo": doc_lo,
+        "doc_hi": doc_hi,
     }
 
 

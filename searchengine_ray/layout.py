@@ -26,8 +26,10 @@ DOCSTATS_DIR = "docstats"
 
 # Segment layout version (history beside ``build._SEGMENT_SCHEMA``),
 # folded into the build's stage fingerprints so an index built by an
-# older code revision is rebuilt rather than misread.
-SEGMENT_FORMAT = 9
+# older code revision is rebuilt rather than misread.  v10: Elias–Fano
+# doc streams over each segment's recorded doc range, no stored
+# ``skip_last_doc``.
+SEGMENT_FORMAT = 10
 
 # wdt < k1+1 = 2.2, so ceil(wdt * 115) fits uint8 (max 253).  The
 # segments store that uint8 as ``max_wdt`` / ``skip_max_wdt`` (v9) and

@@ -10,10 +10,13 @@ path (its GUI re-runs the full SPIMI build per corpus,
 capability its design implies once doc ids are deterministic.
 
 Merge is metadata-plus-copy, NOT a postings merge: generations own
-disjoint dense doc ranges, every segment row's doc stream starts with
-an absolute doc id, and the reader already unions multiple fragment
-rows per term in first-doc order — so segments (parquet catalog plus
-``.bin`` postings) are copied byte for byte.  Only the block-max WAND
+disjoint dense doc ranges, each segment's manifest entry records the
+doc range ``[doc_lo, doc_hi)`` its Elias–Fano doc streams were coded in
+(segment format v10; the entry is copied as it is, so a re-merged
+generation decodes with the range it was written with), and the reader
+already unions multiple fragment rows per term in first-doc order — so
+segments (parquet catalog plus ``.bin`` postings) are copied byte for
+byte.  Only the block-max WAND
 bounds need care: ``max_wdt`` / ``skip_max_wdt`` were quantized against
 each generation's OWN avgdl, and wdt grows monotonically with avgdl,
 with ``wdt(avgdl') <= (avgdl'/avgdl) * wdt(avgdl)`` for

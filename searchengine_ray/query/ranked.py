@@ -22,7 +22,9 @@ per-term weights are numpy arrays, but they are summed per document in a
 Python dict and every scored doc is sorted.  The WAND path uses the
 per-skip-block max wdt persisted in the segments (build.py): a block
 whose wqt*max_wdt (summed over live terms) cannot beat the current kth
-score is never decoded.
+score is never decoded.  Each block's last doc comes from the
+fragment's Elias–Fano high bits and one low field per block, not from
+the catalog (segment format v10, ``reader.skip_lists``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from ..layout import BM25_B, BM25_K1
 from ..tokenizer import ranked_query_terms
+from .reader import block_docs
 
 
 def _wqt(n_docs: int, df: int, use_okapi: bool) -> float:
@@ -79,8 +82,10 @@ class _TermCursor:
     Concatenates the per-fragment skip arrays — fragments are doc-range
     disjoint and ordered, so the combined block list is doc_id-sorted.
     Each fragment's doc and tf bytes come from one ``read_fragment_row``,
-    which also locates its blocks (``skip_lists``); blocks decode lazily,
-    and a skipped block is never decoded.
+    whose Elias–Fano high bits and flags locate its blocks and give
+    their last docs (``skip_lists``, format v10); a block's low bits and
+    tf exceptions decode lazily, so a skipped block's are never
+    decoded.
     """
 
     __slots__ = (
@@ -121,23 +126,10 @@ class _TermCursor:
         """(doc ids, tf==1 mask) of block ``b``; its tf exceptions decode
         separately, only when the block is actually scored."""
         hit = self._decoded.get(b)
-        if hit is not None:
-            return hit
-        from .. import vbyte
-
-        fr, skip, buf = self._frags[self._frag_of_block[b]]
-        bif = self._block_in_frag[b]
-        offs = skip["skip_offset"]
-        start = int(offs[bif])
-        end = int(offs[bif + 1]) if bif + 1 < len(offs) else fr.doc_len
-        vals = vbyte.decode(buf[start:end],
-                            count=int(skip["skip_count"][bif])).astype(
-            np.int64)
-        # first gap of a non-first block is relative to the previous
-        # block's last doc (continuous deltas across blocks)
-        base = int(skip["skip_last_doc"][bif - 1]) if bif > 0 else 0
-        hit = self._decoded[b] = (base + np.cumsum(vals >> 1),
-                                  (vals & 1) == 1)
+        if hit is None:
+            fr, skip, _ = self._frags[self._frag_of_block[b]]
+            hit = self._decoded[b] = block_docs(
+                fr, skip, self._block_in_frag[b])
         return hit
 
     def _block_tfs(self, b: int) -> np.ndarray:

@@ -6,10 +6,15 @@ into one postings.bin.  Here the catalog is the lightweight columns
 (term, shard, df, cf, max_wdt and the three stream lengths) of the
 segment parquet files — read once at construction (ST3 analogue), with
 each row's byte offset derived by one cumsum — and a term fetch is one
-``os.pread`` per fragment into the segment's ``.bin`` (format v6).  Doc
-stats (doc_length, L_d: ST4 analogues) are the build's dense docweights
-arrays keyed by doc_id, memory-mapped; titles (ST5) are point-read from
-docstats.  The reader only reads: it writes nothing into the index.
+``os.pread`` per fragment into the segment's ``.bin`` (format v6).  A
+fragment's doc stream is Elias–Fano coded over its universe, its shard's
+doc range within its segment's ``[doc_lo, doc_hi)`` from the manifest
+(format v10, ``eliasfano``), and carries the tf==1 flags; the VByte tf
+exceptions and the bit-packed positions (v9, ``bitpack``) follow it.
+Doc stats (doc_length, L_d: ST4 analogues) are the build's dense
+docweights arrays keyed by doc_id, memory-mapped; titles (ST5) are
+point-read from docstats.  The reader only reads: it writes nothing into
+the index.
 
 Scale note: one reader holds the dictionary for the buckets it serves.  At
 10^12-doc scale, readers are deployed as an actor pool with each actor
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow.parquet as pq
 
-from .. import bitpack, vbyte
+from .. import bitpack, eliasfano, vbyte
 from ..layout import (DOCSTATS_DIR, MANIFEST_NAME, SEGMENT_FORMAT,
                       WDT_QUANT, docweights_paths, segment_bin_path)
 from .postings import PostingList
@@ -40,14 +45,14 @@ from .postings import PostingList
 #: binds there.
 POSTING_CACHE_BYTES = 256 << 20
 
-_SKIP_COLUMNS = ("skip_last_doc", "skip_max_wdt")
-
 
 @dataclass
 class Fragment:
     """Locator + stats for one (term, shard) posting-list fragment:
     its stream bytes sit at ``offset`` in the segment's ``.bin``, doc
-    stream then tf exceptions then positions."""
+    stream then tf exceptions then positions.  Its doc ids lie in the
+    universe ``[lo, lo + u)``: its shard's doc range within its
+    segment's (format v10)."""
 
     file_idx: int
     row_idx: int
@@ -59,6 +64,8 @@ class Fragment:
     doc_len: int
     tf_len: int
     pos_len: int
+    lo: int
+    u: int
 
 
 def _close_fds(fds: list[int]) -> None:
@@ -167,6 +174,10 @@ class DiskIndexReader:
         # a merged index's segments keep their generation's wdt bounds;
         # the manifest's factor makes them bounds under the merged avgdl
         self._bound_scale: list[float] = []
+        # each segment's doc range [doc_lo, doc_hi) (format v10): with
+        # docs_per_shard it gives every fragment's universe
+        self._doc_range: list[tuple[int, int]] = []
+        self._docs_per_shard: int = self.manifest["docs_per_shard"]
         want = set(buckets) if buckets is not None else None
         term_chunks: list[pa.Array] = []
         file_l, row_l = [], []
@@ -179,6 +190,7 @@ class DiskIndexReader:
             file_idx = len(self._files)
             self._files.append(path)
             self._bound_scale.append(seg.get("wdt_bound_scale", 1.0))
+            self._doc_range.append((seg["doc_lo"], seg["doc_hi"]))
             tbl = pq.read_table(
                 path,
                 columns=["term", "shard", "bucket", "df", "cf",
@@ -320,14 +332,20 @@ class DiskIndexReader:
         s = self._term_slice.get(term)
         if not s:
             return []
-        return [
-            Fragment(int(self._frag_file[i]), int(self._frag_row[i]),
-                     int(self._frag_shard[i]), int(self._frag_df[i]),
-                     int(self._frag_cf[i]), float(self._frag_maxw[i]),
-                     int(self._frag_off[i]), int(self._frag_dlen[i]),
-                     int(self._frag_tlen[i]), int(self._frag_plen[i]))
-            for i in range(s[0], s[1])
-        ]
+        dps = self._docs_per_shard
+        out = []
+        for i in range(s[0], s[1]):
+            file_idx, shard = int(self._frag_file[i]), int(self._frag_shard[i])
+            doc_lo, doc_hi = self._doc_range[file_idx]
+            lo = max(shard * dps, doc_lo)
+            out.append(Fragment(
+                file_idx, int(self._frag_row[i]), shard,
+                int(self._frag_df[i]), int(self._frag_cf[i]),
+                float(self._frag_maxw[i]), int(self._frag_off[i]),
+                int(self._frag_dlen[i]), int(self._frag_tlen[i]),
+                int(self._frag_plen[i]), lo,
+                min((shard + 1) * dps, doc_hi) - lo))
+        return out
 
     def get_document_length(self, doc_id: int) -> int:
         return int(self.doc_length[doc_id])
@@ -418,14 +436,20 @@ class DiskIndexReader:
                 f"is torn, rebuild it")
         return buf
 
+    def _torn(self, fr: Fragment, e: Exception) -> ValueError:
+        return ValueError(
+            f"fragment {fr.row_idx} of "
+            f"{os.path.basename(self._files[fr.file_idx])}: {e}; "
+            f"rebuild the index")
+
     def skip_lists(self, fr: Fragment,
                    buf: bytes) -> dict[str, np.ndarray]:
-        """The fragment's skip blocks, for WAND: ``skip_last_doc`` and
-        ``skip_max_wdt`` (times its segment's ``wdt_bound_scale``) from
-        one read of the two skip columns of its catalog row group, and
-        ``skip_offset``, ``skip_tf_offset`` and ``skip_count`` derived
-        from its doc and tf streams ``buf`` (as ``read_fragment_row``
-        returns them)."""
+        """The fragment's skip blocks, for WAND: ``skip_max_wdt`` (times
+        its segment's ``wdt_bound_scale``) from one read of the skip
+        column of its catalog row group, and the blocks' last docs,
+        counts and tf offsets derived from its doc and tf streams
+        ``buf`` (as ``read_fragment_row`` returns them; ``block_index``).
+        The block count must equal ``skip_max_wdt``'s length."""
         hit = self._skip_files.get(fr.file_idx)
         if hit is None:
             pf = pq.ParquetFile(self._files[fr.file_idx])
@@ -435,91 +459,102 @@ class DiskIndexReader:
         pf, ends = hit
         rg = int(np.searchsorted(ends, fr.row_idx, side="right"))
         row = fr.row_idx - (int(ends[rg - 1]) if rg else 0)
-        tbl = pf.read_row_group(rg, columns=list(_SKIP_COLUMNS))
-        out = {c: tbl.column(c)[row].values.to_numpy()
-               for c in _SKIP_COLUMNS}
-        out["skip_max_wdt"] = (out["skip_max_wdt"] / WDT_QUANT
+        tbl = pf.read_row_group(rg, columns=["skip_max_wdt"])
+        bounds = tbl.column("skip_max_wdt")[row].values.to_numpy()
+        try:
+            out = block_index(buf, fr, self._skip_block)
+        except ValueError as e:
+            raise self._torn(fr, e) from None
+        if out["skip_count"].size != bounds.size:
+            raise self._torn(fr, ValueError(
+                f"{bounds.size} skip bounds for "
+                f"{out['skip_count'].size} blocks of {self._skip_block} "
+                f"postings"))
+        out["skip_max_wdt"] = (bounds / WDT_QUANT
                                * self._bound_scale[fr.file_idx])
-        out.update(block_offsets(buf, fr.df, fr.doc_len, fr.tf_len,
-                                 self._skip_block))
-        if out["skip_count"].size != out["skip_last_doc"].size:
-            raise ValueError(
-                f"fragment {fr.row_idx} of "
-                f"{os.path.basename(self._files[fr.file_idx])} has "
-                f"{out['skip_last_doc'].size} skip blocks, not one per "
-                f"{self._skip_block} postings: rebuild the index")
         return out
 
     def _decode_fragment(self, fr: Fragment, with_positions: bool) -> PostingList:
-        # the doc and tf streams sit back to back and each ends on a
-        # whole value, so one VByte decode covers both; the bit-packed
-        # position stream follows them (format v9)
+        # the Elias–Fano doc stream (format v10) carries each posting's
+        # tf == 1 flag; the VByte tf exceptions follow it, and the
+        # bit-packed position stream follows them (format v9)
         buf = memoryview(self.read_fragment_row(fr, with_positions))
         nvb = fr.doc_len + fr.tf_len
-        vals = vbyte.decode(buf[:nvb]).astype(np.int64)
-        doc_ids, tftds, n_exc = _unfold_doc_tf(vals, fr.df)
-        if vals.size != fr.df + n_exc:
-            raise ValueError(
-                f"fragment {fr.row_idx} of "
-                f"{os.path.basename(self._files[fr.file_idx])} decodes to "
-                f"{vals.size} values, expected {fr.df + n_exc}")
+        try:
+            doc_ids, one = eliasfano.decode(buf[:fr.doc_len], fr.df, fr.u)
+            tftds = np.ones(fr.df, dtype=np.int64)
+            tftds[~one] = vbyte.decode(buf[fr.doc_len:nvb],
+                                       count=fr.df - np.count_nonzero(one))
+        except ValueError as e:
+            raise self._torn(fr, e) from None
+        if fr.lo:
+            doc_ids += fr.lo
         if not with_positions:
             return PostingList(doc_ids, tftds)
         try:
             gaps = bitpack.unpack(buf[nvb:], fr.cf)
         except ValueError as e:
-            raise ValueError(
-                f"fragment {fr.row_idx} of "
-                f"{os.path.basename(self._files[fr.file_idx])}: {e}; "
-                f"rebuild the index") from None
+            raise self._torn(fr, e) from None
         offsets = np.zeros(fr.df + 1, dtype=np.int64)
         np.cumsum(tftds, out=offsets[1:])
         positions = _segmented_cumsum(gaps, offsets)
         return PostingList(doc_ids, tftds, positions, offsets)
 
 
-def block_offsets(buf, df: int, doc_len: int, tf_len: int,
-                  skip_block: int) -> dict[str, np.ndarray]:
+def block_index(buf, fr: Fragment, skip_block: int) -> dict[str, np.ndarray]:
     """A fragment's regular skip blocks (``skip_block`` postings each
     from its first, the last one shorter) located in its streams:
-    ``skip_offset`` and ``skip_tf_offset`` are each block's byte start in
-    the doc stream and in the tf exceptions, ``skip_count`` its postings.
+    ``skip_last_doc`` is each block's last doc id, ``skip_count`` its
+    postings and ``skip_tf_offset`` its byte start in the tf exceptions.
+    ``buf`` holds the Elias–Fano doc stream (``fr.doc_len`` bytes) and
+    then the tf exceptions (``fr.tf_len`` bytes).
 
-    ``buf`` holds the doc stream (``doc_len`` bytes, ``df`` values) and
-    then the tf exceptions (``tf_len`` bytes).  Every VByte value ends on
-    its one byte < 128, so posting i starts after the doc stream's i-th
-    terminator; the low bit of a value's first byte is its tf == 1 flag,
-    so the exceptions before a block are the cleared flags before it,
-    and the block's tf bytes start after that many tf terminators."""
-    b = np.frombuffer(buf, dtype=np.uint8, count=doc_len + tf_len)
-    d = b[:doc_len]
-    starts = np.empty(df, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = np.flatnonzero(d < 128)[:-1] + 1
+    A block decodes from the rest (``block_docs``): posting i's high
+    part is the position of the i-th one of the high bits minus i, and
+    its low bits start at bit ``i * L``; ``high`` holds every posting's
+    high part, ``tf_one`` its flag and ``bits`` the unpacked doc
+    stream.  The exceptions before a block are the cleared flags before
+    it, so the block's tf bytes start after that many tf terminators."""
+    b = np.frombuffer(buf, dtype=np.uint8, count=fr.doc_len + fr.tf_len)
+    df = fr.df
+    low, high_bits, nbytes = eliasfano.params(df, fr.u)
+    if fr.doc_len != nbytes:
+        raise ValueError(f"doc stream holds {fr.doc_len} B, not {nbytes}")
+    bits = np.unpackbits(b[:fr.doc_len], bitorder="little")
+    high = eliasfano.high_parts(bits, df, low, high_bits)
+    flags_at = df * low + high_bits
+    tf_one = bits[flags_at:flags_at + df].view(bool)
     first = np.arange(0, df, skip_block)
+    count = np.minimum(skip_block, df - first)
+    last = first + count - 1
     n_exc = np.empty(df + 1, dtype=np.int64)
     n_exc[0] = 0
-    np.cumsum((d[starts] & 1) == 0, out=n_exc[1:])
-    tf_starts = np.concatenate(([0], np.flatnonzero(b[doc_len:] < 128) + 1))
+    np.cumsum(~tf_one, out=n_exc[1:])
+    tf_starts = np.concatenate(
+        ([0], np.flatnonzero(b[fr.doc_len:] < 128) + 1))
     return {
-        "skip_offset": starts[first],
+        "skip_last_doc": fr.lo + (high[last] << low)
+        + eliasfano.low_parts(bits, df, low, last),
+        "skip_count": count.astype(np.int32),
         "skip_tf_offset": tf_starts[n_exc[first]],
-        "skip_count": np.minimum(skip_block, df - first).astype(np.int32),
+        "high": high,
+        "tf_one": tf_one,
+        "bits": bits,
     }
 
 
-def _unfold_doc_tf(vals: np.ndarray,
-                   df: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(doc ids, tftds, exception count) from decoded int64 values: ``df``
-    folded doc-stream values ``gap<<1 | (tf==1)`` followed by the tf
-    exceptions (the tftds != 1, in posting order)."""
-    v = vals[:df]
-    exc = (v & 1) == 0
-    n_exc = int(np.count_nonzero(exc))
-    doc_ids = np.cumsum(v >> 1)
-    tftds = np.ones(df, dtype=np.int64)
-    tftds[exc] = vals[df:df + n_exc]
-    return doc_ids, tftds, n_exc
+def block_docs(fr: Fragment, skip: dict[str, np.ndarray],
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(doc ids, tf == 1 mask) of skip block ``k`` of a fragment, from
+    its ``block_index``.  Blocks are regular, so block k starts at
+    posting ``a = k * skip_count[0]``: its high parts are ``high[a:]``
+    and its low bits start at bit ``a * L``."""
+    a = k * int(skip["skip_count"][0])
+    e = a + int(skip["skip_count"][k])
+    low = eliasfano.params(fr.df, fr.u)[0]
+    return (fr.lo + (skip["high"][a:e] << low)
+            + eliasfano.low_parts(skip["bits"], fr.df, low, slice(a, e)),
+            skip["tf_one"][a:e])
 
 
 def _segmented_cumsum(gaps: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -116,9 +116,11 @@ class ShardedQueryPool:
 
     def _submit_ranked(self, raw_query: str, use_okapi: bool):
         # fan out to every shard: each computes contributions for the
-        # terms it owns (ranked-mode term variants — the reference's
-        # no-stem quirk — make driver-side bucket routing unreliable, and
-        # the per-shard no-op costs nothing)
+        # terms it owns.  Ranked terms are the query's lower().split()
+        # tokens (tokenizer.ranked_query_terms), so routing them by
+        # bucket on the driver would be exact; every shard gets the
+        # whole query because a term it does not own costs it only one
+        # dictionary miss (df 0, skipped)
         return [a.partial_scores.remote(raw_query, use_okapi)
                 for a in self.actors]
 

@@ -96,32 +96,38 @@ def encode(values: np.ndarray, lengths: np.ndarray | None = None) -> bytes:
 
 
 def decode(buf: bytes | memoryview | np.ndarray, count: int | None = None) -> np.ndarray:
-    """Decode a VByte stream into a uint64 array."""
+    """Decode a VByte stream into a uint64 array.
+
+    Each value ends on its one byte < 128.  The decode starts from every
+    value's terminator and folds in one earlier byte per round, Horner
+    style, touching only the values still longer than the round (few
+    posting gaps or tfs pass two bytes), so it pays no per-byte scatter.
+    A byte before a value's first is the previous value's terminator, or
+    (index -1) the stream's last byte, also a terminator: either ends
+    the value."""
     b = np.frombuffer(buf, dtype=np.uint8)
     if b.size == 0:
         return np.empty(0, dtype=np.uint64)
     is_last = b < 128
     if not is_last[-1]:
         raise ValueError("truncated VByte stream (trailing continuation byte)")
-    n_values = int(is_last.sum())
-    if n_values == b.size:
-        # pure one-byte stream
-        out = b.astype(np.uint64)
-        if count is not None and n_values != count:
-            raise ValueError(f"expected {count} values, decoded {n_values}")
-        return out
-    # group id of each byte = number of terminators before it
-    group = np.cumsum(is_last) - is_last  # 0-based group index per byte
-    # position of each byte within its group
-    starts_of_group = np.flatnonzero(np.concatenate(([True], is_last[:-1])))
-    pos_in_group = np.arange(b.size) - starts_of_group[group]
-    payload = (b & np.uint8(0x7F)).astype(np.uint64) << (
-        np.uint64(7) * pos_in_group.astype(np.uint64)
-    )
-    out = np.zeros(n_values, dtype=np.uint64)
-    np.add.at(out, group, payload)
+    n_values = np.count_nonzero(is_last)
     if count is not None and n_values != count:
         raise ValueError(f"expected {count} values, decoded {n_values}")
+    if n_values == b.size:
+        # pure one-byte stream
+        return b.astype(np.uint64)
+    ends = np.flatnonzero(is_last)
+    out = b[ends].astype(np.uint64)
+    pos = ends - 1
+    multi = np.flatnonzero(~is_last[pos])
+    pos = pos[multi]
+    while multi.size:
+        out[multi] = (out[multi] << np.uint64(7)) | (b[pos] & np.uint8(0x7F))
+        pos -= 1
+        more = ~is_last[pos]
+        multi = multi[more]
+        pos = pos[more]
     return out
 
 def encode_position_lists(flat_positions) -> "object":

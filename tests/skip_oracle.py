@@ -1,57 +1,44 @@
-"""Frozen skip-block layout of segment format v7, kept as a test oracle.
+"""Frozen skip-block last docs of segment format v9, kept as a test
+oracle.
 
-Up to v7 the reducer stored each fragment's skip-block byte offsets and
-posting counts in the catalog, computed from the per-posting VByte
-lengths of the merged streams: a block's offset is the exclusive cumsum
-of the byte lengths of the postings before it (a tf == 1 posting has no
-tf exception, so it adds no tf bytes).  Since v8 the reader derives the
-same arrays from the stream bytes (``reader.block_offsets``); the tests
-pin the two equal.  Do not "fix" or speed this up.
+Up to v9 the reducer stored each skip block's last doc id in the
+catalog's ``skip_last_doc`` column: over a merged list's decoded doc
+ids, the doc of each block's last posting, blocks being ``skip_block``
+postings each from the list's first.  Since v10 the reader derives the
+column from each fragment's Elias–Fano doc stream
+(``reader.skip_lists``); the tests pin the two equal, with the doc ids
+decoded bit by bit by the reference coder (``tests/ef_oracle.py``).  Do
+not "fix" or speed this up.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from searchengine_ray import vbyte
+from tests.ef_oracle import decode_list
 
 
-def skip_blocks_v7(doc_bytes: bytes, tf_bytes: bytes, df: int,
-                   skip_block: int) -> dict[str, np.ndarray]:
-    vals = vbyte.decode(doc_bytes, count=df)
-    tf_exc = (vals & np.uint64(1)) == 0
-    tfs = np.ones(df, dtype=np.uint64)
-    tfs[tf_exc] = vbyte.decode(tf_bytes, count=int(tf_exc.sum()))
-    blen_d = vbyte.encoded_lengths(vals)
-    blen_t = np.where(tf_exc, vbyte.encoded_lengths(tfs), np.uint8(0))
+def skip_last_doc_v9(docs: np.ndarray, skip_block: int) -> np.ndarray:
+    df = docs.size
     b_start = np.arange(0, df, skip_block)
     b_end = np.minimum(b_start + skip_block, df)
-
-    def block_offsets(blen: np.ndarray) -> np.ndarray:
-        nbytes = np.add.reduceat(blen, b_start, dtype=np.int64)
-        return np.cumsum(nbytes) - nbytes
-
-    return {
-        "skip_offset": block_offsets(blen_d),
-        "skip_tf_offset": block_offsets(blen_t),
-        "skip_count": (b_end - b_start).astype(np.int32),
-    }
+    return docs[b_end - 1]
 
 
-def assert_reader_matches_v7(reader) -> int:
-    """Every fragment's derived skip arrays equal the v7 computation over
-    its streams, dtypes included; returns the fragments checked."""
+def assert_reader_matches_v9(reader) -> int:
+    """Every fragment's derived ``skip_last_doc`` equals the v9 column
+    over its reference-decoded doc ids, dtype included; returns the
+    fragments checked."""
     skip_block = reader.manifest["config"]["skip_block"]
     n = 0
     for term in reader.get_vocabulary():
         for fr in reader.fragments(term):
             buf = reader.read_fragment_row(fr)
-            want = skip_blocks_v7(buf[:fr.doc_len],
-                                  buf[fr.doc_len:fr.doc_len + fr.tf_len],
-                                  fr.df, skip_block)
-            got = reader.skip_lists(fr, buf)
-            for k, v in want.items():
-                assert got[k].dtype == v.dtype, (term, k)
-                assert np.array_equal(got[k], v), (term, k)
+            x, _ = decode_list(buf[:fr.doc_len], fr.df, fr.u)
+            want = skip_last_doc_v9(
+                fr.lo + np.asarray(x, dtype=np.int64), skip_block)
+            got = reader.skip_lists(fr, buf)["skip_last_doc"]
+            assert got.dtype == want.dtype, term
+            assert np.array_equal(got, want), term
             n += 1
     return n

@@ -212,22 +212,41 @@ class TestBuildArtifacts:
                 n_blocks += len(ends)
         assert n_blocks > n_frags > len(r.get_vocabulary())
 
-    def test_skip_offsets_equal_v7_oracle(self, built_index):
-        """Since segment format v8 the catalog stores no skip offsets or
-        counts: the reader derives them from each fragment's streams, and
-        they equal what the v7 reducer stored (``tests/skip_oracle.py``)
-        for every fragment."""
+    def test_skip_last_doc_equals_v9_oracle(self, built_index):
+        """Since segment format v10 the catalog stores no skip-block
+        last docs (nor, since v8, offsets or counts): the reader derives
+        them from each fragment's Elias–Fano doc stream, and they equal
+        what the v9 reducer stored (``tests/skip_oracle.py``) for every
+        fragment."""
         from searchengine_ray.query.reader import DiskIndexReader
-        from tests.skip_oracle import assert_reader_matches_v7
+        from tests.skip_oracle import assert_reader_matches_v9
 
         index_dir, manifest = built_index
         r = DiskIndexReader(index_dir)
-        assert assert_reader_matches_v7(r) > len(r.get_vocabulary())
+        assert assert_reader_matches_v9(r) > len(r.get_vocabulary())
         for seg in manifest["segments"]:
             names = pq.read_schema(os.path.join(
                 index_dir, "segments", seg["file"])).names
-            assert not {"skip_offset", "skip_tf_offset",
+            assert not {"skip_last_doc", "skip_offset", "skip_tf_offset",
                         "skip_count"} & set(names)
+
+    def test_wand_blocks_equal_full_decode(self, built_index):
+        """Every WAND block decode (``reader.block_docs`` plus the
+        block's tf exceptions) equals the matching slice of the full
+        decode, and ends on its block's derived last doc, on every
+        fragment."""
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        r = DiskIndexReader(built_index[0])
+        assert assert_blocks_equal_full_decode(r) > len(r.get_vocabulary())
+
+    def test_segments_record_doc_range(self, built_index):
+        """Each segment's manifest entry records the doc range its doc
+        streams were coded in (format v10): the build's."""
+        _, manifest = built_index
+        for seg in manifest["segments"]:
+            assert (seg["doc_lo"], seg["doc_hi"]) == (
+                0, manifest["num_docs"])
 
     def test_index_files_compact_encoding(self, built_index):
         """Segment catalogs and docstats are zstd with no dictionary
@@ -290,6 +309,25 @@ class TestBuildArtifacts:
         slack = 1e-6 * (len(timed) + 1)
         assert sum(timed.values()) <= reduce["wall"]["total"] + slack, (
             timed, reduce["wall"])
+
+
+def assert_blocks_equal_full_decode(reader) -> int:
+    """For every term, the WAND cursor's blocks decoded one by one (doc
+    ids, tftds) concatenate to the term's full decode, and each block
+    ends on its ``skip_last_doc``; returns the blocks checked."""
+    from searchengine_ray.query.ranked import _TermCursor
+
+    n = 0
+    for term in reader.get_vocabulary():
+        cur = _TermCursor(reader, term, 1.0, use_okapi=True)
+        docs = [cur._block(b)[0] for b in range(cur.nblocks)]
+        tfs = [cur._block_tfs(b) for b in range(cur.nblocks)]
+        pl = reader.fetch_postings(term)
+        assert np.array_equal(np.concatenate(docs), pl.doc_ids), term
+        assert np.array_equal(np.concatenate(tfs), pl.tftds), term
+        assert [d[-1] for d in docs] == cur.block_last.tolist(), term
+        n += cur.nblocks
+    return n
 
 
 def _segment_table(path: str) -> pa.Table:

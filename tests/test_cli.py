@@ -77,6 +77,8 @@ def test_stats_subcommand(cli_env, capsys):
         assert seg["bin_bytes"] == (seg["doc_bytes"] + seg["tf_bytes"]
                                     + seg["pos_bytes"])
         assert seg["parquet_bytes"] == os.path.getsize(path)
+        # the doc range its Elias–Fano doc streams were coded in
+        assert (seg["doc_lo"], seg["doc_hi"]) == (0, 300)
     tot = st["totals"]
     assert tot["bin_bytes"] == sum(s["bin_bytes"] for s in st["segments"])
     # stream bytes per posting / per position, over the catalogs' df / cf
@@ -87,13 +89,14 @@ def test_stats_subcommand(cli_env, capsys):
             for c in ("df", "cf", "doc_len", "pos_len")}
     assert (tot["df"], tot["cf"]) == (sums["df"], sums["cf"])
     assert tot["doc_bytes_per_posting"] == sums["doc_len"] / sums["df"]
+    assert tot["doc_bits_per_posting"] == 8 * sums["doc_len"] / sums["df"]
     assert tot["pos_bytes_per_position"] == sums["pos_len"] / sums["cf"]
-    # the catalog's per-column split (segment format v8: no stored skip
-    # offsets or counts), compressed column chunks inside the files
+    # the catalog's per-column split (no stored skip offsets or counts
+    # since segment format v8, no skip last docs since v10), compressed
+    # column chunks inside the files
     cols = st["catalog_column_bytes"]
     assert list(cols) == ["term", "shard", "bucket", "df", "cf", "max_wdt",
-                          "doc_len", "tf_len", "pos_len", "skip_last_doc",
-                          "skip_max_wdt"]
+                          "doc_len", "tf_len", "pos_len", "skip_max_wdt"]
     assert all(v > 0 for v in cols.values())
     assert sum(cols.values()) < tot["parquet_bytes"]
     assert st["bytes_per_doc"] * 300 > tot["bin_bytes"] + tot["parquet_bytes"]

@@ -1,24 +1,26 @@
 """Unit tests for the fragment-encoded postings exchange (docterms v10 /
-segment format v9): the group-side ``_encode_file_fragments`` kernel and
+segment format v10): the group-side ``_encode_file_fragments`` kernel and
 the reduce-side ``_finalize_segment`` merge and wdt bounds, exercised
 directly on synthetic posting arrays — no Ray, no parquet corpus.  A
-segment stores no skip offsets or counts since v8; ``_finalize`` attaches
-the ones the query reader derives from each row's streams
-(``reader.block_offsets``), so the block tests check those.
+segment stores no skip offsets, counts (v8) or last docs (v10);
+``_finalize`` attaches the ones the query reader derives from each row's
+streams (``reader.block_index``), so the block tests check those.
 
 Invariants under test (build.py ``_DOCTERMS_SCHEMA`` / ``_finalize_segment``
 docstrings):
-- a merged term's doc stream (values ``gap<<1 | (tf==1)``) decodes to the
-  exact ascending doc ids across fragments (the reducer re-encodes it from
-  the decoded postings: first doc absolute, deltas continuous across the
-  whole list, the tf==1 flag kept), and every gap must be positive;
+- a merged term's doc stream decodes to the exact ascending doc ids and
+  tf==1 flags across fragments, and its bytes are the per-list reference
+  Elias–Fano encoder's (``tests/ef_oracle.py``) over the list's universe,
+  its shard's doc range within the segment's; every gap must be
+  positive;
 - tf-exception streams are pure byte concatenations in posting order;
   a merged list's position stream is its fragments' VByte gaps,
   bit-packed with one width (``tests/bitpack_oracle.py``); each segment
   row's three streams sit back to back in the segment's ``.bin`` at the
   lengths its parquet row records;
-- every skip block slice-decodes independently given the previous block's
-  last doc, and ``skip_count`` sums to df;
+- every skip block decodes on its own from its high parts and low bits
+  (``reader.block_docs``), ends on its derived last doc, and
+  ``skip_count`` sums to df;
 - skip blocks are regular, ``skip_block`` postings each from the list's
   first (the last may be shorter), wherever the fragment seams fall;
 - df/cf/max_wdt and the per-block wdt maxima aggregate exactly; the
@@ -36,7 +38,7 @@ import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from searchengine_ray import bitpack, vbyte
+from searchengine_ray import bitpack, eliasfano, vbyte
 from searchengine_ray.build import (
     IndexBuildConfig,
     _encode_file_fragments,
@@ -44,8 +46,9 @@ from searchengine_ray.build import (
     wdt_quantized,
 )
 from searchengine_ray.layout import segment_bin_path
-from searchengine_ray.query.reader import block_offsets
+from searchengine_ray.query.reader import Fragment, block_docs, block_index
 from tests.bitpack_oracle import pack_list
+from tests.ef_oracle import encode_list
 
 AVGDL = 10.0
 
@@ -102,12 +105,16 @@ def _doc_length(*files):
 
 def _finalize(cfg, tables, tmp_path, doc_length):
     """Run the reducer; returns its parquet with each row's three ``.bin``
-    streams attached as ``blob`` / ``tf_blob`` / ``pos_blob`` columns and
-    the skip blocks the reader derives from them as ``skip_offset`` /
-    ``skip_tf_offset`` / ``skip_count``."""
+    streams attached as ``blob`` / ``tf_blob`` / ``pos_blob`` columns,
+    its doc universe as ``lo`` / ``u`` (its shard's doc range within the
+    segment's ``[doc_lo, doc_hi)``) and the skip blocks the reader
+    derives from its streams as ``skip_last_doc`` / ``skip_tf_offset`` /
+    ``skip_count``."""
     out = os.path.join(str(tmp_path), "segment_test.parquet")
     prof = {"merge": 0.0, "write": 0.0, "bytes_in": 0}
     meta = _finalize_segment(list(tables), cfg, AVGDL, doc_length, out, prof)
+    assert (meta["doc_lo"], meta["doc_hi"]) == (
+        cfg.doc_id_base, cfg.doc_id_base + len(doc_length))
     seg = pq.read_table(out)
     with open(segment_bin_path(out), "rb") as f:
         data = f.read()
@@ -119,31 +126,53 @@ def _finalize(cfg, tables, tmp_path, doc_length):
     pieces = [data[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
     for k, name in enumerate(("blob", "tf_blob", "pos_blob")):
         seg = seg.append_column(name, pa.array(pieces[k::3], pa.binary()))
-    derived = [block_offsets(d + t, df, len(d), len(t), cfg.skip_block)
-               for d, t, df in zip(pieces[0::3], pieces[1::3],
-                                   seg.column("df").to_pylist())]
-    for name in ("skip_offset", "skip_tf_offset", "skip_count"):
+    dps = cfg.docs_per_shard
+    lo = [max(s * dps, meta["doc_lo"])
+          for s in seg.column("shard").to_pylist()]
+    u = [min((s + 1) * dps, meta["doc_hi"]) - a
+         for s, a in zip(seg.column("shard").to_pylist(), lo)]
+    seg = seg.append_column("lo", pa.array(lo, pa.int64()))
+    seg = seg.append_column("u", pa.array(u, pa.int64()))
+    derived = [block_index(r["blob"] + r["tf_blob"], _row_frag(r),
+                           cfg.skip_block) for r in seg.to_pylist()]
+    for name in ("skip_last_doc", "skip_tf_offset", "skip_count"):
         seg = seg.append_column(
             name, pa.array([b[name].tolist() for b in derived]))
     return seg, meta
 
 
+def _row_frag(row) -> Fragment:
+    """The reader's locator of a ``_finalize`` row."""
+    return Fragment(0, 0, row["shard"], row["df"], row["cf"], 0.0, 0,
+                    len(row["blob"]), len(row["tf_blob"]),
+                    len(row["pos_blob"]), row["lo"], row["u"])
+
+
 def _decode_docs(blob: bytes, df: int) -> np.ndarray:
+    """A docterms fragment's doc ids (VByte ``gap<<1 | (tf==1)``)."""
     vals = vbyte.decode(blob, count=df).astype(np.int64)
     return np.cumsum(vals >> 1)
 
 
-def _unfold_tfs(doc_vals, tf_bytes: bytes) -> list[int]:
-    """tftds of postings whose folded doc values are ``doc_vals``, with
-    ``tf_bytes`` holding exactly their tf exceptions."""
-    one = (np.asarray(doc_vals, dtype=np.int64) & 1) == 1
+def _seg_docs(row) -> np.ndarray:
+    """A segment row's doc ids (Elias–Fano over its universe)."""
+    return eliasfano.decode(row["blob"], row["df"], row["u"])[0] + row["lo"]
+
+
+def _seg_tfs(row) -> list[int]:
+    one = eliasfano.decode(row["blob"], row["df"], row["u"])[1]
     tfs = np.ones(one.size, dtype=np.int64)
-    tfs[~one] = vbyte.decode(tf_bytes, count=int((~one).sum()))
+    tfs[~one] = vbyte.decode(row["tf_blob"], count=int((~one).sum()))
     return tfs.tolist()
 
 
-def _decode_tfs(blob: bytes, tf_blob: bytes, df: int) -> list[int]:
-    return _unfold_tfs(vbyte.decode(blob, count=df), tf_blob)
+def _assert_doc_stream(row, docs, tfs) -> None:
+    """A segment row's doc stream decodes to ``docs`` and their tf == 1
+    flags, and its bytes are the reference encoder's."""
+    assert _seg_docs(row).tolist() == list(docs)
+    assert _seg_tfs(row) == list(tfs)
+    assert row["blob"] == encode_list([d - row["lo"] for d in docs],
+                                      row["u"], [tf == 1 for tf in tfs])
 
 
 def _expected(rows_by_file):
@@ -213,9 +242,7 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         df = row["df"]
         assert df == len(e["docs"])
         assert row["cf"] == sum(e["tfs"])
-        docs = _decode_docs(row["blob"], df)
-        assert docs.tolist() == e["docs"]
-        assert _decode_tfs(row["blob"], row["tf_blob"], df) == e["tfs"]
+        _assert_doc_stream(row, e["docs"], e["tfs"])
         _assert_packed(row["pos_blob"], e["pos"], row["cf"])
         wq = wdt_quantized(np.asarray(e["tfs"], np.int32),
                            np.asarray(e["dls"]), AVGDL)
@@ -225,26 +252,11 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
         # ---- skip-block invariants ----
         counts = row["skip_count"]
         assert sum(counts) == df
-        offs = row["skip_offset"]
-        toffs = row["skip_tf_offset"]
-        lasts = row["skip_last_doc"]
-        maxw = row["skip_max_wdt"]
-        assert offs[0] == 0 and toffs[0] == 0
-        base = 0
-        p = 0
-        for b, cnt in enumerate(counts):
-            end = offs[b + 1] if b + 1 < len(offs) else len(row["blob"])
-            vals = vbyte.decode(row["blob"][offs[b]:end], count=cnt)
-            bdocs = base + np.cumsum(vals.astype(np.int64) >> 1)
-            assert bdocs.tolist() == e["docs"][p:p + cnt]
-            assert lasts[b] == bdocs[-1]
-            tend = (toffs[b + 1] if b + 1 < len(toffs)
-                    else len(row["tf_blob"]))
-            btfs = _unfold_tfs(vals, row["tf_blob"][toffs[b]:tend])
-            assert btfs == e["tfs"][p:p + cnt]
-            assert maxw[b] == int(wq[p:p + cnt].max())
-            base = bdocs[-1]
-            p += cnt
+        assert row["skip_tf_offset"][0] == 0
+        _assert_blocks_decode(row, e["docs"], e["tfs"])
+        ends = np.cumsum(counts)
+        for b, (p, q) in enumerate(zip(ends - counts, ends)):
+            assert row["skip_max_wdt"][b] == int(wq[p:q].max())
         # the skip table is never LARGER than a perfectly regular one
         # and no block exceeds 2x skip_block ...
         assert len(counts) <= -(-df // skip_block)
@@ -258,9 +270,10 @@ def test_fragment_merge_roundtrip(tmp_path, skip_block):
 @pytest.mark.parametrize("pos_slice", [1, 5, 64])
 def test_position_slices_do_not_change_segment_bytes(
         tmp_path, monkeypatch, pos_slice):
-    """The reducer decodes and packs positions in slices of whole merged
-    lists (``build.POS_SLICE`` positions per window): any slice size,
-    down to one list per slice, writes the same ``.bin`` and catalog."""
+    """The reducer decodes and packs positions, and codes doc streams,
+    in slices of whole merged lists (``build.POS_SLICE`` positions and
+    ``build.DOC_SLICE`` postings per window): any slice size, down to
+    one list per slice, writes the same ``.bin`` and catalog."""
     from searchengine_ray import build
 
     cfg = IndexBuildConfig(num_buckets=4, skip_block=4)
@@ -270,6 +283,7 @@ def test_position_slices_do_not_change_segment_bytes(
     out = {}
     for name, size in (("whole", build.POS_SLICE), ("sliced", pos_slice)):
         monkeypatch.setattr(build, "POS_SLICE", size)
+        monkeypatch.setattr(build, "DOC_SLICE", size)
         d = tmp_path / name
         d.mkdir()
         _finalize(cfg, [_encode_file(rows) for rows in files], d,
@@ -280,33 +294,25 @@ def test_position_slices_do_not_change_segment_bytes(
 
 
 def test_fragment_seam_gap_reencode_lengths(tmp_path):
-    """A second fragment's leading doc id encodes WIDER absolute (3
-    bytes) than as the gap the re-encoded merged stream stores (1 byte):
-    the merged list must still slice-decode at every skip offset the
-    reader derives."""
+    """The second fragment's leading doc id is absolute in its docterms
+    fragment (3 VByte bytes) but one more posting of the merged list:
+    the merged doc stream decodes to the same ids and tf == 1 flags,
+    its bytes are the reference encoder's over the list's universe, and
+    every skip block decodes on its own."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
     gk = _gkey(0, 1, 2)
     f1 = [(gk, "alpha", d, 1, 8.0, b"\x01") for d in (100000, 100001,
                                                       100002)]
     f2 = [(gk, "alpha", d, 2, 8.0, _pos(2, d)) for d in (100003, 100005)]
+    assert len(_encode_file(f2).column("blob")[0].as_py()) == 4
     tables = [_encode_file(f1), _encode_file(f2)]
     seg, _ = _finalize(cfg, tables, tmp_path, _doc_length(f1, f2))
     row = {c: seg.column(c)[0].as_py() for c in seg.column_names}
     assert row["df"] == 5
-    docs = _decode_docs(row["blob"], 5)
-    assert docs.tolist() == [100000, 100001, 100002, 100003, 100005]
-    # decode each block independently from its offset
-    base = 0
-    p = 0
-    for b, cnt in enumerate(row["skip_count"]):
-        end = (row["skip_offset"][b + 1]
-               if b + 1 < len(row["skip_offset"]) else len(row["blob"]))
-        vals = vbyte.decode(row["blob"][row["skip_offset"][b]:end],
-                            count=cnt)
-        bdocs = base + np.cumsum(vals.astype(np.int64) >> 1)
-        assert bdocs.tolist() == docs[p:p + cnt].tolist()
-        base = int(bdocs[-1])
-        p += cnt
+    assert (row["lo"], row["u"]) == (0, 100006)
+    docs = [100000, 100001, 100002, 100003, 100005]
+    _assert_doc_stream(row, docs, [1, 1, 1, 2, 2])
+    _assert_blocks_decode(row, docs, [1, 1, 1, 2, 2])
 
 
 def test_tf_wide_values_roundtrip(tmp_path):
@@ -321,7 +327,7 @@ def test_tf_wide_values_roundtrip(tmp_path):
         cfg, [_encode_file(f1), _encode_file(f2)], tmp_path,
         _doc_length(f1, f2))
     row = {c: seg.column(c)[0].as_py() for c in seg.column_names}
-    tfs = _decode_tfs(row["blob"], row["tf_blob"], row["df"])
+    tfs = _seg_tfs(row)
     assert tfs == [100, 140, 180, 300, 300]
     _assert_blocks_decode(row, list(range(5)), tfs)
 
@@ -447,11 +453,8 @@ def test_abutting_segments_same_term_split_and_roundtrip(tmp_path):
     assert seg.num_rows == 1
     df = seg.column("df")[0].as_py()
     assert df == 8
-    docs = _decode_docs(seg.column("blob")[0].as_py(), df)
-    assert docs.tolist() == list(range(4, 12))
-    tfs = _decode_tfs(seg.column("blob")[0].as_py(),
-                      seg.column("tf_blob")[0].as_py(), df)
-    assert tfs == [1 + d % 3 for d in range(4, 12)]
+    _assert_doc_stream(seg.to_pylist()[0], range(4, 12),
+                       [1 + d % 3 for d in range(4, 12)])
     _assert_packed(seg.column("pos_blob")[0].as_py(),
                    b"".join(_pos(1 + d % 3, d) for d in range(4, 12)),
                    seg.column("cf")[0].as_py())
@@ -536,23 +539,14 @@ def test_fragment_roundtrip_random_segment_interleavings(layout, skip_block):
         triples = exp[key]
         df = row["df"]
         assert df == len(triples)
-        docs = _decode_docs(row["blob"], df)
-        assert docs.tolist() == [t[0] for t in triples]
-        assert (_decode_tfs(row["blob"], row["tf_blob"], df)
-                == [t[1] for t in triples])
+        _assert_doc_stream(row, [t[0] for t in triples],
+                           [t[1] for t in triples])
         _assert_packed(row["pos_blob"], b"".join(t[2] for t in triples),
                        row["cf"])
-        # every skip block slice-decodes independently
-        offs, counts = row["skip_offset"], row["skip_count"]
-        assert sum(counts) == df
-        base, p = 0, 0
-        for b, cnt in enumerate(counts):
-            end = offs[b + 1] if b + 1 < len(offs) else len(row["blob"])
-            vals = vbyte.decode(row["blob"][offs[b]:end], count=cnt)
-            bdocs = base + np.cumsum(vals.astype(np.int64) >> 1)
-            assert bdocs.tolist() == [t[0] for t in triples[p:p + cnt]]
-            assert row["skip_last_doc"][b] == bdocs[-1]
-            base, p = int(bdocs[-1]), p + cnt
+        # every skip block decodes on its own
+        assert sum(row["skip_count"]) == df
+        _assert_blocks_decode(row, [t[0] for t in triples],
+                              [t[1] for t in triples])
 
 
 def test_hole_straddling_segments_end_to_end(tmp_path):
@@ -586,7 +580,7 @@ def test_hole_straddling_segments_end_to_end(tmp_path):
         row = {c: seg_tbl.column(c)[i].as_py()
                for c in seg_tbl.column_names}
         assert row["df"] == 4
-        assert _decode_docs(row["blob"], 4).tolist() == [0, 1, 2, 3]
+        assert _seg_docs(row).tolist() == [0, 1, 2, 3]
 
 
 def test_equal_doc_id_runs_also_split(tmp_path):
@@ -604,19 +598,26 @@ def test_equal_doc_id_runs_also_split(tmp_path):
 
 
 def _assert_blocks_decode(row, docs, tfs):
-    """Every skip block decodes on its own, doc ids from its doc-stream
-    offset and tftds from its tf-stream offset."""
-    offs, toffs = row["skip_offset"], row["skip_tf_offset"]
-    base, p = 0, 0
+    """Every skip block decodes on its own (``reader.block_docs``): doc
+    ids and tf == 1 flags from its high parts and low bits, tftds from
+    its tf-stream offset; it ends on its derived ``skip_last_doc``."""
+    docs, tfs = list(docs), list(tfs)
+    fr = _row_frag(row)
+    # blocks are regular, so the first one's count is the block size
+    skip = block_index(row["blob"] + row["tf_blob"], fr,
+                       row["skip_count"][0])
+    toffs = row["skip_tf_offset"]
+    p = 0
     for b, cnt in enumerate(row["skip_count"]):
-        end = offs[b + 1] if b + 1 < len(offs) else len(row["blob"])
-        vals = vbyte.decode(row["blob"][offs[b]:end], count=cnt)
-        bdocs = base + np.cumsum(vals.astype(np.int64) >> 1)
+        bdocs, one = block_docs(fr, skip, b)
         assert bdocs.tolist() == docs[p:p + cnt]
+        assert row["skip_last_doc"][b] == docs[p + cnt - 1]
         tend = toffs[b + 1] if b + 1 < len(toffs) else len(row["tf_blob"])
-        assert _unfold_tfs(vals, row["tf_blob"][toffs[b]:tend]) == \
-            tfs[p:p + cnt]
-        base, p = int(bdocs[-1]), p + cnt
+        btfs = np.ones(cnt, dtype=np.int64)
+        btfs[~one] = vbyte.decode(row["tf_blob"][toffs[b]:tend],
+                                  count=int((~one).sum()))
+        assert btfs.tolist() == tfs[p:p + cnt]
+        p += cnt
     assert p == len(docs)
 
 
@@ -639,7 +640,7 @@ def test_all_tf_one_has_empty_tf_stream(tmp_path):
                           [(d, 1) for d in docs[3:]]], tmp_path)
     assert row["tf_len"] == 0 and row["tf_blob"] == b""
     assert set(row["skip_tf_offset"]) == {0}
-    assert _decode_docs(row["blob"], 6).tolist() == docs
+    _assert_doc_stream(row, docs, [1] * 6)
     _assert_blocks_decode(row, docs, [1] * 6)
 
 
@@ -649,28 +650,26 @@ def test_no_tf_one_stores_every_tf(tmp_path):
     tfs = [2, 7, 300, 3, 129]
     row = _one_term(cfg, [list(zip(docs[:2], tfs[:2])),
                           list(zip(docs[2:], tfs[2:]))], tmp_path)
-    folded = vbyte.decode(row["blob"], count=5)
-    assert not (folded & np.uint64(1)).any()
+    assert not eliasfano.decode(row["blob"], 5, row["u"])[1].any()
     assert vbyte.decode(row["tf_blob"], count=5).tolist() == tfs
+    _assert_doc_stream(row, docs, tfs)
     _assert_blocks_decode(row, docs, tfs)
 
 
 @pytest.mark.parametrize("seam_tf", [1, 3])
 def test_seam_first_posting_keeps_its_tf_flag(tmp_path, seam_tf):
-    """The re-encoded merged stream stores the second fragment's leading
-    doc as a gap, not the absolute id its fragment held; the tf==1 flag
-    in its low bit must survive, with tf 1 or not.  Doc 100000 encodes wider absolute than
-    as a gap, so the skip offsets shift too."""
+    """The merged stream codes the second fragment's leading doc as one
+    more posting of the list, not as the absolute id its fragment's
+    VByte held; its tf==1 flag (the low bit of that VByte value) must
+    survive as its flag bit, with tf 1 or not."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=2)
     f1 = [(99990, 2), (99995, 1), (99997, 4)]
     f2 = [(100000, seam_tf), (100001, 1), (100004, 5)]
     row = _one_term(cfg, [f1, f2], tmp_path)
     docs = [d for d, _ in f1 + f2]
     tfs = [tf for _, tf in f1 + f2]
-    assert _decode_docs(row["blob"], 6).tolist() == docs
-    assert _decode_tfs(row["blob"], row["tf_blob"], 6) == tfs
-    seam_val = int(vbyte.decode(row["blob"], count=6)[3])
-    assert seam_val == ((100000 - 99997) << 1 | (seam_tf == 1))
+    _assert_doc_stream(row, docs, tfs)
+    assert eliasfano.decode(row["blob"], 6, row["u"])[1][3] == (seam_tf == 1)
     _assert_blocks_decode(row, docs, tfs)
 
 
@@ -691,8 +690,7 @@ def test_skip_blocks_do_not_depend_on_fragment_seams(tmp_path):
     """One posting list cut into fragments at different seams (3 + 5 + 2
     postings, or one fragment) merges to the same segment row and the
     same ``.bin`` bytes: regular skip blocks of ``skip_block`` postings
-    from the list's first, whose byte offsets count each seam posting at
-    its rewritten gap length."""
+    from the list's first, whose last docs the reader derives."""
     cfg = IndexBuildConfig(num_buckets=2, skip_block=4)
     docs = [3, 9, 100000, 100001, 100007, 100200, 100300, 100301,
             200000, 200009]

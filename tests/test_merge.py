@@ -134,13 +134,14 @@ def test_wdt_bounds_stay_upper_bounds(readers):
         assert merged.max_wdt(term) >= true_max - 1e-12, term
 
 
-def test_merged_skip_offsets_equal_v7_oracle(readers):
+def test_merged_skip_last_doc_equals_v9_oracle(readers):
     """The merged index's fragments (generations share (term, shard)
-    pairs) derive the skip offsets v7 stored, fragment by fragment."""
-    from tests.skip_oracle import assert_reader_matches_v7
+    pairs, each decoded in its own segment's doc range) derive the skip
+    last docs v9 stored, fragment by fragment."""
+    from tests.skip_oracle import assert_reader_matches_v9
 
     _, merged = readers
-    assert assert_reader_matches_v7(merged) > len(merged.get_vocabulary())
+    assert assert_reader_matches_v9(merged) > len(merged.get_vocabulary())
 
 
 def _assert_block_bounds(merged):
@@ -293,6 +294,41 @@ def test_remerge_bounds_and_wand_exact(remerged_setup):
                                use_wand=True) == want, q
         assert em.ranked_query(q, use_okapi=True, top_k=10,
                                use_wand=False) == want, q
+
+
+def test_remerge_postings_blocks_and_doc_ranges(remerged_setup):
+    """The twice-merged index decodes every term's postings (with
+    positions) to the full build's, each segment in the doc range its
+    generation coded it in (recorded in its manifest entry and copied
+    by both merges); its skip blocks' last docs equal the v9 column and
+    every WAND block decode equals its slice of the full decode."""
+    from searchengine_ray.query.reader import DiskIndexReader
+    from tests.skip_oracle import assert_reader_matches_v9
+    from tests.test_build import assert_blocks_equal_full_decode
+
+    full_dir, out, _ = remerged_setup
+    with open(os.path.join(out, "manifest.json")) as f:
+        segs = json.load(f)["segments"]
+    assert {(s["doc_lo"], s["doc_hi"]) for s in segs} == {
+        (0, SPLIT_A), (SPLIT_A, SPLIT), (SPLIT, 300)}
+    full, merged = DiskIndexReader(full_dir), DiskIndexReader(out)
+    for term in full.get_vocabulary():
+        pf = full.fetch_postings(term, with_positions=True)
+        pm = merged.fetch_postings(term, with_positions=True)
+        assert np.array_equal(pf.doc_ids, pm.doc_ids), term
+        assert np.array_equal(pf.tftds, pm.tftds), term
+        assert np.array_equal(pf.positions, pm.positions), term
+    assert assert_reader_matches_v9(merged) > len(merged.get_vocabulary())
+    assert assert_blocks_equal_full_decode(merged) > 0
+
+
+def test_merged_wand_blocks_equal_full_decode(readers):
+    """On the 2-generation merge, whose terms hold a fragment per
+    generation in shared shards, every WAND block decode equals its
+    slice of the full decode."""
+    from tests.test_build import assert_blocks_equal_full_decode
+
+    assert assert_blocks_equal_full_decode(readers[1]) > 0
 
 
 @pytest.mark.parametrize("q", QUERIES[3:])
@@ -454,13 +490,14 @@ def test_merge_refuses_other_docterms_format(merged_setup, tmp_path, fmt):
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("fmt", [None, 6, 7, 8])
+@pytest.mark.parametrize("fmt", [None, 6, 7, 8, 9])
 def test_merge_refuses_other_segment_format(merged_setup, tmp_path, fmt):
     """A generation of another segment format (none recorded, v6 whose
     catalog still has a ``salt`` column, v7 whose catalog stores the
-    skip offsets and whose files are snappy, or v8 whose positions are
-    VByte and whose wdt bounds are float64) must not merge: the merge
-    copies segments as-is, and the reader reads one format."""
+    skip offsets and whose files are snappy, v8 whose positions are
+    VByte and whose wdt bounds are float64, or v9 whose doc streams are
+    VByte and whose catalog stores ``skip_last_doc``) must not merge:
+    the merge copies segments as-is, and the reader reads one format."""
     from searchengine_ray.layout import SEGMENT_FORMAT
 
     _, out_dir, b_dir, _ = merged_setup

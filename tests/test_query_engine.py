@@ -307,6 +307,12 @@ class TestDocStatsSidecars:
         uint8 bounds."""
         self._assert_format_refused(built_index, tmp_path, 8)
 
+    def test_segment_format_v9_refused(self, built_index, tmp_path):
+        """A v9 index (VByte doc streams, stored ``skip_last_doc``, no
+        segment doc ranges) is refused with "rebuild", not read as
+        Elias–Fano doc streams."""
+        self._assert_format_refused(built_index, tmp_path, 9)
+
     def test_get_titles_more_than_cache_capacity(self, built_index):
         """ADVICE r3: one call requesting more distinct ids than the
         title-LRU capacity must not KeyError (eviction used to run
@@ -403,6 +409,49 @@ class TestSegmentBin:
         got = r.fetch_postings(term)
         assert np.array_equal(got.doc_ids, want.doc_ids)
         assert np.array_equal(got.tftds, want.tftds)
+
+    def test_flipped_high_bits_byte_refused(self, built_index, tmp_path):
+        """Format v10: a doc stream whose high bits no longer hold one
+        one per posting is refused by a fetch, with or without
+        positions, and by WAND's block index, with "rebuild", never
+        decoded to wrong doc ids.  The flipped byte lies wholly inside
+        the high bits and does not hold four ones, so inverting it
+        changes their count."""
+        import shutil
+
+        from searchengine_ray import eliasfano
+        from searchengine_ray.layout import segment_bin_path
+        from searchengine_ray.query.reader import DiskIndexReader
+
+        index_dir, _ = built_index
+        clone = str(tmp_path / "flipped_high")
+        shutil.copytree(index_dir, clone)
+        r = DiskIndexReader(clone)
+
+        def high_byte(fr):
+            low, high, _ = eliasfano.params(fr.df, fr.u)
+            buf = r.read_fragment_row(fr)
+            for k in range(-(-fr.df * low // 8),
+                           (fr.df * low + high) // 8):
+                if bin(buf[k]).count("1") != 4:
+                    return k
+            return None
+
+        term, fr, k = next((t, f, high_byte(f))
+                           for t in r.get_vocabulary()
+                           for f in r.fragments(t)
+                           if high_byte(f) is not None)
+        with open(segment_bin_path(r._files[fr.file_idx]), "r+b") as f:
+            f.seek(fr.offset + k)
+            byte = f.read(1)[0]
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([byte ^ 0xFF]))
+        r = DiskIndexReader(clone)
+        for with_positions in (False, True):
+            with pytest.raises(ValueError, match="torn.*rebuild"):
+                r.fetch_postings(term, with_positions)
+        with pytest.raises(ValueError, match="torn.*rebuild"):
+            r.skip_lists(fr, r.read_fragment_row(fr))
 
     def test_postings_equal_docterms_every_term(self, built_index):
         """Content parity of the exchange: for every term, the postings

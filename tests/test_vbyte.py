@@ -108,3 +108,32 @@ class TestEncodePositionLists:
         assert len(out) == 2
         assert list(np.cumsum(vbyte.decode(out[0].as_py(), count=2))) == [1, 4]
         assert list(np.cumsum(vbyte.decode(out[1].as_py(), count=2))) == [2, 10]
+
+
+def _outcome(fn, buf, count):
+    try:
+        out = fn(buf, count=count)
+    except ValueError as e:
+        return "raises", str(e)
+    assert out.dtype == np.uint64
+    return "values", out.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    # any bytes: truncated streams, non-canonical and over-long values
+    st.binary(max_size=40),
+    # canonical streams of values up to 2**64 - 1, cut anywhere
+    st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=30)
+    .flatmap(lambda v: st.integers(min_value=0, max_value=10 * len(v))
+             .map(lambda cut: vbyte.encode(np.array(v, np.uint64))[
+                 :cut or None]))),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=40)))
+def test_decode_matches_frozen_scatter_decode(buf, count):
+    """The Horner decode returns the frozen ``np.add.at`` decode's values
+    for every input, and raises its errors (truncation, ``count=``
+    mismatch) with the same messages."""
+    from tests import vbyte_oracle
+
+    assert _outcome(vbyte.decode, buf, count) == _outcome(
+        vbyte_oracle.decode, buf, count)
